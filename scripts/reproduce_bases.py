@@ -8,7 +8,8 @@ the cycle leaves to the randomized bound.
 
 import argparse
 
-from dkcsp.analysis import base_det_complete, base_det_cycle, base_schoening
+from dkcsp.analysis import base_for_graph, base_schoening
+from dkcsp.colorgraph import complete, directed_cycle, profile
 
 
 def main() -> int:
@@ -23,8 +24,8 @@ def main() -> int:
     for d in range(2, args.max_d + 1):
         for k in range(2, args.max_k + 1):
             walk = base_schoening(d, k)
-            det = base_det_complete(d, k)
-            cyc = base_det_cycle(d, k)
+            det = base_for_graph(profile(complete(d)), k)
+            cyc = base_for_graph(profile(directed_cycle(d)), k)
             gap = 100 * (float(cyc) / float(walk) - 1)
             print(f"({d},{k})".rjust(8), f"{float(walk):>10.6f}",
                   f"{float(det):>14.6f}", f"{float(cyc):>12.6f}", f"{gap:>8.3f}")

@@ -9,8 +9,9 @@ branching and the skewed-distance advantage is visible at small n.
 
 import argparse
 
-from dkcsp.analysis import base_det_complete, base_det_cycle
+from dkcsp.analysis import base_for_graph
 from dkcsp.cli import run_bench
+from dkcsp.colorgraph import complete, directed_cycle, profile
 
 
 def main() -> int:
@@ -43,8 +44,9 @@ def main() -> int:
         print(f"  {graph:>9}: {nodes[graph]:>10} nodes  {millis[graph]:>9.1f} ms")
     if nodes["cycle"]:
         measured = nodes["complete"] / nodes["cycle"]
-        analytic = (float(base_det_complete(args.d, args.k))
-                    / float(base_det_cycle(args.d, args.k))) ** args.n
+        det = base_for_graph(profile(complete(args.d)), args.k)
+        cyc = base_for_graph(profile(directed_cycle(args.d)), args.k)
+        analytic = float(det / cyc) ** args.n
         print(f"  measured node ratio {measured:.3f}; base ratio at n={args.n}: {analytic:.3f}")
     return 0
 

@@ -11,8 +11,6 @@ Modules:
 """
 
 from .analysis import (
-    base_det_complete,
-    base_det_cycle,
     base_for_graph,
     base_report,
     base_schoening,

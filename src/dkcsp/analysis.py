@@ -8,6 +8,9 @@ depends only on (d, k) and the color graph:
   det. search, cycle       d(k-1)/k * k^d/(k^d - 1)
   det. search, profile p   d / sum_i d_i (k*delta)^(-i)
 
+The complete-graph and cycle bases are the profile formula at those two
+graphs; base_for_graph computes every deterministic base.
+
 Bases are exact fractions; floats appear only in the walk analysis, which
 tracks the distance to a fixed witness as a biased random walk (down 1 with
 probability 1/k, up d-1 otherwise) absorbed at 0.
@@ -22,14 +25,12 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .colorgraph import DistanceProfile, directed_cycle, profile
+from .colorgraph import DistanceProfile, complete, directed_cycle, profile
 from .volume import shell_counts
 
 __all__ = [
     "BaseReport",
     "LambdaSolution",
-    "base_det_complete",
-    "base_det_cycle",
     "base_for_graph",
     "base_report",
     "base_schoening",
@@ -52,24 +53,12 @@ def base_schoening(d: int, k: int) -> Fraction:
     return Fraction(d * (k - 1), k)
 
 
-def base_det_complete(d: int, k: int) -> Fraction:
-    """Per-variable base of the deterministic solver on the complete graph: dk/(k+1)."""
-    _check_dk(d, k)
-    return Fraction(d * k, k + 1)
-
-
-def base_det_cycle(d: int, k: int) -> Fraction:
-    """Per-variable base of the deterministic solver on the directed cycle."""
-    _check_dk(d, k)
-    return base_schoening(d, k) * Fraction(k**d, k**d - 1)
-
-
 def base_for_graph(p: DistanceProfile, k: int) -> Fraction:
     """Base of the code-plus-search solver for an arbitrary profile.
 
-    With x = 1/(k*delta): d / sum_i d_i (k*delta)^(-i). Reduces to
-    base_det_complete for the complete graph and base_det_cycle for the
-    directed cycle.
+    With x = 1/(k*delta): d / sum_i d_i (k*delta)^(-i). Reduces to dk/(k+1)
+    for the complete graph and d(k-1)/k * k^d/(k^d - 1) for the directed
+    cycle.
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
@@ -100,12 +89,13 @@ class BaseReport:
 
 
 def base_report(d: int, k: int, p: Optional[DistanceProfile] = None) -> BaseReport:
-    cycle_base = base_det_cycle(d, k)
-    complete_base = base_det_complete(d, k)
+    schoening_base = base_schoening(d, k)
+    complete_base = base_for_graph(profile(complete(d)), k)
+    cycle_base = base_for_graph(profile(directed_cycle(d)), k)
     return BaseReport(
         d=d,
         k=k,
-        schoening_base=base_schoening(d, k),
+        schoening_base=schoening_base,
         det_complete_base=complete_base,
         det_cycle_base=cycle_base,
         graph_base=base_for_graph(p, k) if p is not None else None,

@@ -164,13 +164,13 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def cmd_markov(args: argparse.Namespace) -> int:
     sol = analysis.solve_lambda(args.d, args.k)
-    print(f"lambda {sol.value:.12f} residual {sol.residual:.3e}")
     pj = analysis.reach_probability(args.d, args.k, args.j)
-    print(f"P[{args.j}] {pj:.12f}")
     seed = _resolve_seed(args.seed)
     freq, stderr = analysis.markov_simulate(
         args.d, args.k, args.j, args.max_steps, args.trials, seed
     )
+    print(f"lambda {sol.value:.12f} residual {sol.residual:.3e}")
+    print(f"P[{args.j}] {pj:.12f}")
     print(f"simulated {freq:.6f} stderr {stderr:.6f} trials {args.trials} max-steps {args.max_steps}")
     return 0
 

@@ -21,7 +21,6 @@ __all__ = [
     "directed_cycle",
     "from_edges",
     "hypercube",
-    "pairwise_distances",
     "parse_graph_file",
     "profile",
 ]
@@ -88,9 +87,6 @@ class ColorGraph:
                     raise ValueError(f"neighbor {v} of color {c} out of range 1..{self.d}")
                 if v == c:
                     raise ValueError(f"self-loop at color {c}")
-
-    def out_neighbors(self, c: int) -> tuple[int, ...]:
-        return self.out[c - 1]
 
     @cached_property
     def distances(self) -> tuple[tuple[Optional[int], ...], ...]:
@@ -179,11 +175,6 @@ def parse_graph_file(text: str) -> ColorGraph:
     if d is None:
         raise ValueError("missing 'g <d>' header")
     return from_edges(d, edges)
-
-
-def pairwise_distances(g: ColorGraph) -> tuple[tuple[Optional[int], ...], ...]:
-    """d x d matrix of shortest-path lengths; None marks unreachable pairs."""
-    return g.distances
 
 
 def profile(g: ColorGraph) -> DistanceProfile:

@@ -146,14 +146,16 @@ def greedy_cover(
     while uncovered.any():
         gains = _coverage_gains(mat, n_block, g.d, r_eff, uncovered)
         best = int(np.argmax(gains))
-        assert gains[best] > 0
+        if gains[best] <= 0:
+            raise RuntimeError("greedy cover found no center covering an uncovered point")
         center = _index_to_point(best, n_block, g.d)
         code.append(center)
         uncovered[_dist_from_center(mat, center) <= r_eff] = 0
     vol = ball_volume(p, n_block, r)
     bound = (1 + math.log(size)) * size / vol
     if _dual_profiles_uniform(mat):
-        assert len(code) <= bound + 1e-9, f"greedy exceeded its guarantee: {len(code)} > {bound}"
+        if len(code) > bound + 1e-9:
+            raise RuntimeError(f"greedy exceeded its guarantee: {len(code)} > {bound}")
     else:
         log.debug("skipping greedy size guarantee: dual profiles not uniform")
     log.debug("greedy cover d=%d n=%d r=%d: %d codewords (bound %.1f)", g.d, n_block, r, len(code), bound)
@@ -227,7 +229,8 @@ def build_code(g: ColorGraph, n: int, k: int, block_cap: int = DEFAULT_BLOCK_CAP
         per_size[size] = (greedy_cover(g, size, r_block, cap=block_cap), r_block)
     code = product_code(g, [per_size[size] for size in sizes])
     vol = ball_volume(p, n, code.radius)
-    assert len(code.codewords) * vol >= g.d**n, "covering-code counting bound violated"
+    if len(code.codewords) * vol < g.d**n:
+        raise RuntimeError("covering-code counting bound violated")
     log.debug(
         "code d=%d n=%d k=%d: %d blocks, radius %d, %d codewords",
         g.d, n, k, len(sizes), code.radius, len(code.codewords),

@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 __all__ = [
-    "Assignment",
     "BRUTE_FORCE_CAP",
     "Constraint",
     "Formula",
@@ -29,8 +28,6 @@ __all__ = [
     "parse_instance",
     "serialize_instance",
 ]
-
-Assignment = tuple  # colors 1..d, length n
 
 BRUTE_FORCE_CAP = 10_000_000
 

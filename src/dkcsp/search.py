@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import random
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .colorgraph import ColorGraph, complete
 from .covercode import DEFAULT_BLOCK_CAP, build_code
@@ -215,46 +216,61 @@ def _verify_witness(f: Formula, witness: tuple[int, ...]) -> None:
         raise RuntimeError(f"internal error: witness fails constraint {bad}")
 
 
-# Worker-side globals for process pools; set once per worker via initializer.
-_POOL: dict = {}
-
-
-def _init_ball_worker(f: Formula, g: ColorGraph, r: int) -> None:
-    _POOL["state"] = _WalkState(f)
-    _POOL["out"] = g.out
-    _POOL["r"] = r
-
-
-def _ball_chunk(centers: list[tuple[int, ...]]) -> list[tuple[Optional[tuple[int, ...]], int]]:
+def _ball_chunk(
+    centers: Sequence[tuple[int, ...]], f: Formula, out: tuple[tuple[int, ...], ...], r: int
+) -> list[tuple[Optional[tuple[int, ...]], int]]:
+    state = _WalkState(f)
     results = []
     for center in centers:
-        witness, nodes = _searchball_core(_POOL["state"], _POOL["out"], center, _POOL["r"])
+        witness, nodes = _searchball_core(state, out, center, r)
         results.append((witness, nodes))
         if witness is not None:
             break
     return results
 
 
-def _init_walk_worker(f: Formula, g: ColorGraph, steps: int) -> None:
-    _POOL["f"] = f
-    _POOL["g"] = g
-    _POOL["steps"] = steps
-
-
-def _walk_chunk(seeds: list[int]) -> list[tuple[Optional[tuple[int, ...]], int]]:
+def _walk_chunk(
+    seeds: Sequence[int], f: Formula, g: ColorGraph, steps: int
+) -> list[tuple[Optional[tuple[int, ...]], int]]:
     results = []
     for seed in seeds:
         stats = SearchStats()
-        witness = schoening_run(_POOL["f"], _POOL["g"], _POOL["steps"], seed, stats)
+        witness = schoening_run(f, g, steps, seed, stats)
         results.append((witness, stats.steps))
         if witness is not None:
             break
     return results
 
 
-def _chunked(items: list, jobs: int) -> list[list]:
+def _chunked(items: Sequence, jobs: int) -> list[Sequence]:
     size = max(1, -(-len(items) // (jobs * 4)))
     return [items[i : i + size] for i in range(0, len(items), size)]
+
+
+def _run_chunks(
+    chunk_fn: Callable[..., list], items: Sequence, args: tuple, jobs: int
+) -> Iterator:
+    """Yield chunk_fn's per-item results over all chunks of `items`, in item order.
+
+    jobs == 1 runs the chunks in process; otherwise all chunks are submitted
+    to a pool of `jobs` processes at once and read back in order, so the
+    caller sees the same results for every `jobs`. Closing the generator
+    (the caller stops at a witness) cancels the chunks that have not started.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    chunks = _chunked(items, jobs)
+    if jobs == 1 or len(chunks) == 1:
+        for chunk in chunks:
+            yield from chunk_fn(chunk, *args)
+        return
+    pool = ProcessPoolExecutor(max_workers=jobs)
+    try:
+        futures = [pool.submit(chunk_fn, chunk, *args) for chunk in chunks]
+        for future in futures:
+            yield from future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def schoening_solve(
@@ -280,27 +296,13 @@ def schoening_solve(
     master = _as_rng(rng)
     seeds = [master.getrandbits(64) for _ in range(repetitions)]
     stats = SearchStats()
-
-    if jobs > 1 and repetitions > 1:
-        chunks = _chunked(seeds, jobs)
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_walk_worker, initargs=(f, g, steps)
-        ) as pool:
-            for chunk in pool.map(_walk_chunk, chunks):
-                for witness, used in chunk:
-                    stats.repetitions += 1
-                    stats.steps += used
-                    if witness is not None:
-                        _verify_witness(f, witness)
-                        return SolveResult("sat", witness, stats)
-        return SolveResult("unknown", None, stats)
-
-    for seed in seeds:
-        stats.repetitions += 1
-        witness = schoening_run(f, g, steps, seed, stats)
-        if witness is not None:
-            _verify_witness(f, witness)
-            return SolveResult("sat", witness, stats)
+    with closing(_run_chunks(_walk_chunk, seeds, (f, g, steps), jobs)) as results:
+        for witness, used in results:
+            stats.repetitions += 1
+            stats.steps += used
+            if witness is not None:
+                _verify_witness(f, witness)
+                return SolveResult("sat", witness, stats)
     return SolveResult("unknown", None, stats)
 
 
@@ -321,30 +323,12 @@ def det_solve(
         raise ValueError(f"graph has {g.d} colors, formula has {f.d}")
     code = build_code(g, f.n, f.k, block_cap)
     stats = SearchStats()
-
-    def record(nodes: int) -> None:
-        stats.nodes_visited += nodes
-        stats.balls_searched += 1
-        stats.max_ball_nodes = max(stats.max_ball_nodes, nodes)
-
-    if jobs > 1 and len(code.codewords) > 1:
-        chunks = _chunked(list(code.codewords), jobs)
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_ball_worker, initargs=(f, g, code.radius)
-        ) as pool:
-            for chunk in pool.map(_ball_chunk, chunks):
-                for witness, nodes in chunk:
-                    record(nodes)
-                    if witness is not None:
-                        _verify_witness(f, witness)
-                        return SolveResult("sat", witness, stats)
-        return SolveResult("unsat", None, stats)
-
-    state = _WalkState(f)
-    for center in code.codewords:
-        witness, nodes = _searchball_core(state, g.out, center, code.radius)
-        record(nodes)
-        if witness is not None:
-            _verify_witness(f, witness)
-            return SolveResult("sat", witness, stats)
+    with closing(_run_chunks(_ball_chunk, code.codewords, (f, g.out, code.radius), jobs)) as results:
+        for witness, nodes in results:
+            stats.nodes_visited += nodes
+            stats.balls_searched += 1
+            stats.max_ball_nodes = max(stats.max_ball_nodes, nodes)
+            if witness is not None:
+                _verify_witness(f, witness)
+                return SolveResult("sat", witness, stats)
     return SolveResult("unsat", None, stats)

@@ -14,13 +14,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
-from .colorgraph import DistanceProfile, complete, directed_cycle, profile
+from .colorgraph import DistanceProfile
 
 __all__ = [
     "ShellTable",
     "ball_volume",
-    "lower_bound_complete",
-    "lower_bound_cycle",
+    "lower_bound",
     "select_radius",
     "shell_counts",
     "upper_bound",
@@ -58,10 +57,9 @@ def shell_counts(p: DistanceProfile, n: int) -> ShellTable:
             for i, d_i in enumerate(p.counts):
                 nxt[r + i] += d_i * t
         counts = nxt
-    table = ShellTable(p, n, tuple(counts))
-    if p.spans_all_colors:
-        assert sum(counts) == p.d**n
-    return table
+    if p.spans_all_colors and sum(counts) != p.d**n:
+        raise RuntimeError(f"shell counts sum to {sum(counts)}, not {p.d}^{n}")
+    return ShellTable(p, n, tuple(counts))
 
 
 def ball_volume(p: DistanceProfile, n: int, r: int) -> int:
@@ -91,39 +89,26 @@ def select_radius(p: DistanceProfile, n: int, x: Rational) -> int:
     return best_r
 
 
-def lower_bound_complete(d: int, n: int, x: Rational) -> tuple[int, Fraction]:
-    """Radius r and the value (1+(d-1)x)^n / ((n+1) x^r), a lower bound on Vol(n,r).
+def _gf(p: DistanceProfile, x: Fraction) -> Fraction:
+    """The per-coordinate generating function sum_i d_i x^i."""
+    return sum(d_i * x**i for i, d_i in enumerate(p.counts))
 
-    The bound comes from bounding the largest of the n+1 terms of the
-    binomial expansion of (1+(d-1)x)^n. x = 0 degenerates to r = 0.
+
+def lower_bound(p: DistanceProfile, n: int, x: Rational) -> tuple[int, Fraction]:
+    """Radius r and (sum_i d_i x^i)^n / ((s*n+1) x^r), a lower bound on Vol(n,r).
+
+    The expansion of the generating function has s*n + 1 terms T(n,j) x^j;
+    at the radius chosen by select_radius the largest of them is at least
+    their mean. x = 0 degenerates to r = 0.
     """
     x = Fraction(x)
     if x < 0:
         raise ValueError("x must be nonnegative")
-    if x == 0:
-        return 0, Fraction(1, n + 1)
-    p = profile(complete(d))
-    r = select_radius(p, n, x)
-    bound = (1 + (d - 1) * x) ** n / ((n + 1) * x**r)
-    return r, bound
-
-
-def lower_bound_cycle(d: int, n: int, x: Rational) -> tuple[int, Fraction]:
-    """Radius r and (1+x+..+x^(d-1))^n / (((d-1)n+1) x^r), a lower bound on the cycle Vol.
-
-    Same largest-term argument applied to the cycle generating function,
-    whose expansion has (d-1)n + 1 terms.
-    """
-    x = Fraction(x)
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    terms = (d - 1) * n + 1
+    terms = p.s * n + 1
     if x == 0:
         return 0, Fraction(1, terms)
-    p = profile(directed_cycle(d))
     r = select_radius(p, n, x)
-    gf = sum(x**i for i in range(d)) ** n
-    return r, gf / (terms * x**r)
+    return r, _gf(p, x) ** n / (terms * x**r)
 
 
 def upper_bound(p: DistanceProfile, n: int, r: int, x: Rational) -> Fraction:
@@ -137,5 +122,4 @@ def upper_bound(p: DistanceProfile, n: int, r: int, x: Rational) -> Fraction:
         if r > 0:
             raise ValueError("x = 0 is only valid for r = 0")
         return Fraction(1)
-    gf = sum(d_i * x**i for i, d_i in enumerate(p.counts)) ** n
-    return gf / x**r
+    return _gf(p, x) ** n / x**r

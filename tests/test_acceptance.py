@@ -15,8 +15,7 @@ from fractions import Fraction
 import pytest
 
 from dkcsp.analysis import (
-    base_det_complete,
-    base_det_cycle,
+    base_for_graph,
     base_schoening,
     markov_simulate,
     reach_probability,
@@ -36,8 +35,7 @@ from dkcsp.formula import brute_force_solve, evaluate, generate_random
 from dkcsp.search import det_solve, graph_searchball
 from dkcsp.volume import (
     ball_volume,
-    lower_bound_complete,
-    lower_bound_cycle,
+    lower_bound,
     select_radius,
     shell_counts,
     upper_bound,
@@ -190,12 +188,10 @@ def test_criterion_5_bound_sandwich(capsys):
         p_y = profile(directed_cycle(d))
         for x in (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)):
             for n in range(0, 11):
-                r, low = lower_bound_complete(d, n, x)
-                vol = ball_volume(p_c, n, r)
-                assert low <= vol <= upper_bound(p_c, n, r, x)
-                r, low = lower_bound_cycle(d, n, x)
-                vol = ball_volume(p_y, n, r)
-                assert low <= vol <= upper_bound(p_y, n, r, x)
+                for p in (p_c, p_y):
+                    r, low = lower_bound(p, n, x)
+                    vol = ball_volume(p, n, r)
+                    assert low <= vol <= upper_bound(p, n, r, x)
     with capsys.disabled():
         _pass(5, "bound sandwich", "d in 2..4, n<=10, three x values")
 
@@ -293,8 +289,8 @@ def test_criterion_9_analytic_substitution(capsys):
     # speedup empirically (criterion 7)
     for d, k in [(2, 3), (3, 3), (5, 4)]:
         sch = base_schoening(d, k)
-        cyc = base_det_cycle(d, k)
-        det = base_det_complete(d, k)
+        cyc = base_for_graph(profile(directed_cycle(d)), k)
+        det = base_for_graph(profile(complete(d)), k)
         assert sch == Fraction(d * (k - 1), k)
         assert det == Fraction(d * k, k + 1)
         assert cyc == sch * Fraction(k**d, k**d - 1)

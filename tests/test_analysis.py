@@ -4,8 +4,6 @@ from fractions import Fraction
 import pytest
 
 from dkcsp.analysis import (
-    base_det_complete,
-    base_det_cycle,
     base_for_graph,
     base_report,
     base_schoening,
@@ -18,6 +16,24 @@ from dkcsp.analysis import (
 from dkcsp.colorgraph import complete, directed_cycle, hypercube, profile
 
 
+# Closed forms of the deterministic bases, kept as independent oracles for
+# the profile formula in base_for_graph.
+def closed_complete(d, k):
+    return Fraction(d * k, k + 1)
+
+
+def closed_cycle(d, k):
+    return Fraction(d * (k - 1), k) * Fraction(k**d, k**d - 1)
+
+
+def det_complete(d, k):
+    return base_for_graph(profile(complete(d)), k)
+
+
+def det_cycle(d, k):
+    return base_for_graph(profile(directed_cycle(d)), k)
+
+
 class TestBases:
     def test_schoening_values(self):
         assert base_schoening(2, 3) == Fraction(4, 3)
@@ -25,24 +41,24 @@ class TestBases:
         assert base_schoening(5, 4) == Fraction(15, 4)
 
     def test_det_complete_values(self):
-        assert base_det_complete(2, 3) == Fraction(3, 2)
-        assert base_det_complete(3, 3) == Fraction(9, 4)
-        assert base_det_complete(5, 4) == 4
+        assert det_complete(2, 3) == Fraction(3, 2)
+        assert det_complete(3, 3) == Fraction(9, 4)
+        assert det_complete(5, 4) == 4
 
     def test_det_cycle_values(self):
-        assert base_det_cycle(3, 3) == Fraction(27, 13)
-        assert base_det_cycle(5, 4) == Fraction(15, 4) * Fraction(1024, 1023)
-        assert base_det_cycle(2, 3) == Fraction(3, 2)
+        assert det_cycle(3, 3) == Fraction(27, 13)
+        assert det_cycle(5, 4) == Fraction(15, 4) * Fraction(1024, 1023)
+        assert det_cycle(2, 3) == Fraction(3, 2)
 
     def test_graph_base_reduces_to_complete(self):
         for d in range(2, 11):
             for k in range(2, 11):
-                assert base_for_graph(profile(complete(d)), k) == base_det_complete(d, k)
+                assert det_complete(d, k) == closed_complete(d, k)
 
     def test_graph_base_reduces_to_cycle(self):
         for d in range(2, 11):
             for k in range(2, 11):
-                assert base_for_graph(profile(directed_cycle(d)), k) == base_det_cycle(d, k)
+                assert det_cycle(d, k) == closed_cycle(d, k)
 
     def test_hypercube2_value(self):
         assert base_for_graph(profile(hypercube(2)), 3) == Fraction(144, 49)
@@ -56,17 +72,17 @@ class TestBases:
         for d in range(2, 9):
             per_d = profiles.get(d, [profile(complete(d)), profile(directed_cycle(d))])
             for k in range(2, 9):
-                assert base_schoening(d, k) <= base_det_cycle(d, k)
-                assert base_det_cycle(d, k) <= base_det_complete(d, k)
+                assert base_schoening(d, k) <= det_cycle(d, k)
+                assert det_cycle(d, k) <= det_complete(d, k)
                 for p in per_d:
                     b = base_for_graph(p, k)
-                    assert base_det_cycle(d, k) <= b <= base_det_complete(d, k)
+                    assert det_cycle(d, k) <= b <= det_complete(d, k)
 
     def test_rejects_small_parameters(self):
         with pytest.raises(ValueError):
             base_schoening(1, 3)
         with pytest.raises(ValueError):
-            base_det_complete(3, 1)
+            det_complete(3, 1)
 
 
 class TestCycleOptimality:
@@ -75,14 +91,14 @@ class TestCycleOptimality:
 
     def test_hypercube2_k3(self):
         p = profile(hypercube(2))
-        assert base_for_graph(p, 3) >= base_det_cycle(4, 3)
-        assert base_det_cycle(4, 3) == Fraction(27, 10)
+        assert base_for_graph(p, 3) >= det_cycle(4, 3)
+        assert det_cycle(4, 3) == Fraction(27, 10)
         assert cycle_optimality_check(p, 3)
 
     def test_cycle_itself_equality(self):
         for d in (2, 3, 5):
             p = profile(directed_cycle(d))
-            assert base_for_graph(p, 3) == base_det_cycle(d, 3)
+            assert base_for_graph(p, 3) == det_cycle(d, 3)
             assert cycle_optimality_check(p, 3)
 
     def test_all_builtin_profiles(self):

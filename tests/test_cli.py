@@ -94,6 +94,16 @@ class TestSolve:
         out2 = capsys.readouterr().out
         assert (rc1, out1) == (rc2, out2)
 
+    @pytest.mark.parametrize("method", ["det", "schoening"])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_1(self, instance, capsys, method, jobs):
+        rc = main(["solve", "--method", method, "--seed", "1", "--block-cap", "729",
+                   "--jobs", jobs, str(instance)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert "jobs" in captured.err
+
     def test_missing_file_exit_1(self, capsys):
         rc = main(["solve", "/nonexistent/no.csp"])
         assert rc == 1
@@ -189,6 +199,14 @@ class TestMarkov:
         assert "lambda 0.366025403784" in out
         assert "P[2] 0.133974596216" in out
         assert "simulated" in out
+
+    @pytest.mark.parametrize("bad", [["--trials", "0"], ["--j", "-1"]])
+    def test_bad_input_fails_before_output(self, capsys, bad):
+        rc = main(["markov", "--d", "3", "--k", "3", "--seed", "1", *bad])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert "error" in captured.err
 
 
 class TestBench:

@@ -10,7 +10,6 @@ from dkcsp.colorgraph import (
     directed_cycle,
     from_edges,
     hypercube,
-    pairwise_distances,
     parse_graph_file,
     profile,
 )
@@ -81,7 +80,7 @@ class TestBuilders:
 class TestDistances:
     @pytest.mark.parametrize("g", ALL_GRAPHS, ids=lambda g: f"{g.name}{g.d}")
     def test_matches_bfs_oracle(self, g):
-        mat = pairwise_distances(g)
+        mat = g.distances
         for src in range(1, g.d + 1):
             oracle = bfs_distances(g.out, src)
             for dst in range(1, g.d + 1):

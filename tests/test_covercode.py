@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from dkcsp import covercode
 from dkcsp.colorgraph import (
     assignment_distance,
     complete,
@@ -221,3 +222,17 @@ class TestCodeFile:
         g = complete(2)
         code = CoveringCode(g, 3, 1, ((1, 1, 1), (2, 2, 2)), (3,), (1,), (2,))
         assert format_code_file(code) == "code 2 3 1 2\n1 1 1\n2 2 2\n"
+
+
+class TestResultChecks:
+    """The result-guarding checks are exceptions, so they also run under python -O."""
+
+    def test_counting_bound_violation_raises(self, monkeypatch):
+        monkeypatch.setattr(covercode, "ball_volume", lambda p, n, r: 1)
+        with pytest.raises(RuntimeError, match="counting bound"):
+            build_code.__wrapped__(complete(3), 4, 3, 81)
+
+    def test_greedy_guarantee_violation_raises(self, monkeypatch):
+        monkeypatch.setattr(covercode, "ball_volume", lambda p, n, r: 10**9)
+        with pytest.raises(RuntimeError, match="guarantee"):
+            greedy_cover(complete(3), 4, 1)

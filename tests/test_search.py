@@ -1,4 +1,5 @@
 import itertools
+import multiprocessing
 import random
 
 import pytest
@@ -288,3 +289,43 @@ class TestDetSolve:
                 result = det_solve(f, g, block_cap=729)
                 bound = node_bound(3, profile(g).delta, code.radius)
                 assert result.stats.max_ball_nodes <= bound
+
+
+# generate_random arguments; det_solve on the directed cycle with block cap 729
+# (a 567-codeword code) finds the first witness of SAT_DEEP in ball 298, past
+# the first chunk for every jobs value in 1..3, and UNSAT has no witness.
+SAT_DEEP = (7, 3, 3, 160, 5)
+UNSAT = (7, 3, 3, 200, 9)
+
+
+class TestJobs:
+    @pytest.mark.parametrize("args", [UNSAT, SAT_DEEP], ids=["unsat", "sat-deep"])
+    def test_det_solve_independent_of_jobs(self, args):
+        f = generate_random(*args)
+        results = [det_solve(f, directed_cycle(3), block_cap=729, jobs=j) for j in (1, 2, 3)]
+        assert results[0] == results[1] == results[2]
+        if results[0].status == "sat":
+            assert results[0].stats.balls_searched > -(-567 // 4)
+        else:
+            assert results[0].stats.balls_searched == 567
+
+    def test_schoening_solve_independent_of_jobs(self):
+        f = generate_random(*UNSAT)
+        results = [schoening_solve(f, directed_cycle(3), 30, rng=2, jobs=j) for j in (1, 2, 3)]
+        assert results[0] == results[1] == results[2]
+        assert results[0].status == "unknown"
+        assert results[0].stats.repetitions == 30
+
+    def test_early_exit_leaves_no_workers(self):
+        f = generate_random(*SAT_DEEP)
+        result = det_solve(f, directed_cycle(3), block_cap=729, jobs=2)
+        assert result.status == "sat"
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_rejects_jobs_below_one(self, jobs):
+        f = generate_random(4, 3, 3, 5, 1)
+        with pytest.raises(ValueError, match="jobs"):
+            det_solve(f, complete(3), block_cap=81, jobs=jobs)
+        with pytest.raises(ValueError, match="jobs"):
+            schoening_solve(f, complete(3), 5, rng=1, jobs=jobs)

@@ -7,8 +7,7 @@ from hypothesis import given, strategies as st
 from dkcsp.colorgraph import assignment_distance, complete, directed_cycle, hypercube, profile
 from dkcsp.volume import (
     ball_volume,
-    lower_bound_complete,
-    lower_bound_cycle,
+    lower_bound,
     select_radius,
     shell_counts,
     upper_bound,
@@ -142,23 +141,40 @@ class TestSelectRadius:
 
 class TestBounds:
     def test_lower_complete_tiny(self):
-        r, bound = lower_bound_complete(2, 1, 1)
+        r, bound = lower_bound(profile(complete(2)), 1, 1)
         assert bound == 1
         assert ball_volume(profile(complete(2)), 1, r) >= bound
 
     def test_lower_complete_x_zero(self):
-        r, bound = lower_bound_complete(3, 4, 0)
+        r, bound = lower_bound(profile(complete(3)), 4, 0)
         assert (r, bound) == (0, Fraction(1, 5))
 
     def test_lower_cycle_d2_matches_complete(self):
         # 1 + x + .. + x^(d-1) = 1 + (d-1)x at d = 2; only the term counts differ
-        r1, b1 = lower_bound_complete(2, 5, Fraction(1, 3))
-        r2, b2 = lower_bound_cycle(2, 5, Fraction(1, 3))
+        r1, b1 = lower_bound(profile(complete(2)), 5, Fraction(1, 3))
+        r2, b2 = lower_bound(profile(directed_cycle(2)), 5, Fraction(1, 3))
         assert r1 == r2 and b1 == b2
 
     def test_lower_cycle_n_zero(self):
-        r, bound = lower_bound_cycle(3, 0, Fraction(1, 3))
+        r, bound = lower_bound(profile(directed_cycle(3)), 0, Fraction(1, 3))
         assert (r, bound) == (0, Fraction(1))
+
+    def test_lower_matches_closed_forms(self):
+        # the closed forms of the complete-graph and cycle lower bounds
+        for d in range(2, 7):
+            for n in range(11):
+                for x in (Fraction(0), Fraction(1, 6), Fraction(1, 3), Fraction(1, 2), Fraction(1)):
+                    _, low_c = lower_bound(profile(complete(d)), n, x)
+                    _, low_y = lower_bound(profile(directed_cycle(d)), n, x)
+                    if x == 0:
+                        assert low_c == Fraction(1, n + 1)
+                        assert low_y == Fraction(1, (d - 1) * n + 1)
+                        continue
+                    r_c = select_radius(profile(complete(d)), n, x)
+                    r_y = select_radius(profile(directed_cycle(d)), n, x)
+                    assert low_c == (1 + (d - 1) * x) ** n / ((n + 1) * x**r_c)
+                    cycle_gf = sum(x**i for i in range(d))
+                    assert low_y == cycle_gf**n / (((d - 1) * n + 1) * x**r_y)
 
     def test_upper_x_one_is_full_space(self):
         for g in GRAPHS:
@@ -185,12 +201,12 @@ class TestBounds:
     @pytest.mark.parametrize("x", [Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)])
     def test_sandwich(self, d, x):
         for n in range(11):
-            r_c, low_c = lower_bound_complete(d, n, x)
             p_c = profile(complete(d))
+            r_c, low_c = lower_bound(p_c, n, x)
             vol_c = ball_volume(p_c, n, r_c)
             assert low_c <= vol_c <= upper_bound(p_c, n, r_c, x)
 
-            r_y, low_y = lower_bound_cycle(d, n, x)
             p_y = profile(directed_cycle(d))
+            r_y, low_y = lower_bound(p_y, n, x)
             vol_y = ball_volume(p_y, n, r_y)
             assert low_y <= vol_y <= upper_bound(p_y, n, r_y, x)
