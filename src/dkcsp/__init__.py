@@ -5,7 +5,7 @@ Modules:
   colorgraph graphs on the color set and the induced product distance
   volume     exact shell counts, ball volumes, and volume bounds
   covercode  deterministic greedy covering codes
-  search     ball search, random walks, and the full solvers
+  search     bitset constraint kernel, ball search, random walks, and the full solvers
   analysis   running-time bases and the absorbing-walk analysis
   cli        command-line front end (entry point: dkcsp)
 """
@@ -39,7 +39,7 @@ from .formula import (
     parse_instance,
     serialize_instance,
 )
-from .search import SolveResult, det_solve, graph_searchball, schoening_solve, searchball
+from .search import SolveResult, det_solve, graph_searchball, schoening_solve
 from .volume import ball_volume, select_radius, shell_counts
 
 __version__ = "0.1.0"

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import logging
 import random
 import sys
 import time
@@ -257,6 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser, *names: str) -> None:
+        p.add_argument("--log-level", choices=["debug", "info", "warning", "error"], default=None,
+                       help="print log records at this level and above to stderr")
         if "graph" in names:
             p.add_argument("--graph", default="complete",
                            help="complete|cycle|hypercube|file:<path> (default complete)")
@@ -334,6 +337,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
+    if args.log_level is not None:
+        logging.basicConfig(level=args.log_level.upper(), force=True,
+                            format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:

@@ -4,7 +4,8 @@ The deterministic solver covers the assignment space with product-distance
 balls (see covercode) and searches each ball by branching over the literals
 of the first unsatisfied constraint, re-coloring along graph edges only. The
 randomized solver is the classic multi-restart random walk, generalized to
-move along graph edges.
+move along graph edges. Both find the first unsatisfied constraint with one
+shared bitset state (_ConstraintBits).
 """
 
 from __future__ import annotations
@@ -13,9 +14,11 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 from typing import Callable, Iterator, Optional, Sequence, Union
 
-from .colorgraph import ColorGraph, complete
+from .colorgraph import ColorGraph
 from .covercode import DEFAULT_BLOCK_CAP, build_code
 from .formula import Formula, evaluate
 
@@ -26,7 +29,6 @@ __all__ = [
     "graph_searchball",
     "schoening_run",
     "schoening_solve",
-    "searchball",
 ]
 
 RngLike = Union[random.Random, int, None]
@@ -56,47 +58,42 @@ def _as_rng(rng: RngLike) -> random.Random:
     return random.Random(rng)
 
 
-class _WalkState:
-    """Per-constraint falsified-literal counts, updated as single colors change.
+class _ConstraintBits:
+    """The constraints a coloring leaves unsatisfied, as one bitset per (variable, color).
 
-    A constraint is unsatisfied iff all of its literals are falsified; empty
-    constraints are permanently unsatisfied (count 0 == width 0).
+    bits[v][c] has bit i set iff coloring x_{v+1} with c leaves constraint i
+    unsatisfied as far as that variable goes: every literal of constraint i
+    on x_{v+1} is (x_{v+1} != c), vacuously so if there is none. Color 0
+    stands for a free variable and clears no constraint. A coloring alpha
+    leaves constraint i unsatisfied iff bit i survives the AND of
+    bits[v][alpha[v]] over all v, so an empty constraint stays unsatisfied
+    and a tautology satisfied with no special case. The state does not hold
+    alpha: re-coloring a variable is a store into the caller's list.
     """
 
     def __init__(self, f: Formula):
+        self.n, self.d = f.n, f.d
         self.constraints = f.constraints
-        self.widths = [len(c.literals) for c in f.constraints]
-        self.occ: list[list[tuple[int, int]]] = [[] for _ in range(f.n + 1)]
-        for ci, con in enumerate(f.constraints):
+        self.full = (1 << f.m) - 1
+        # cleared[v][c]: the constraints that x_{v+1} = c satisfies, bit-packed
+        cleared = [[bytearray((f.m + 7) // 8) for _ in range(f.d + 1)] for _ in range(f.n)]
+        for i, con in enumerate(f.constraints):
+            byte, bit = i >> 3, 1 << (i & 7)
             for lit in con.literals:
-                self.occ[lit.var].append((ci, lit.color))
-        self.alpha: list[int] = []
-        self.counts: list[int] = []
+                row = cleared[lit.var - 1]
+                for c in range(1, f.d + 1):
+                    if c != lit.color:
+                        row[c][byte] |= bit
+        self.bits = [[self.full ^ int.from_bytes(b, "little") for b in row] for row in cleared]
 
-    def reset(self, alpha: list[int]) -> None:
-        self.alpha = alpha
-        self.counts = [
-            sum(1 for lit in con.literals if alpha[lit.var - 1] == lit.color)
-            for con in self.constraints
-        ]
+    def unsat(self, alpha: Sequence[int]) -> int:
+        """Bitset of the constraints alpha leaves unsatisfied."""
+        return reduce(and_, map(list.__getitem__, self.bits, alpha), self.full)
 
-    def first_unsat(self) -> Optional[int]:
-        for ci, cnt in enumerate(self.counts):
-            if cnt == self.widths[ci]:
-                return ci
-        return None
-
-    def set_color(self, var: int, color: int) -> None:
-        old = self.alpha[var - 1]
-        if old == color:
-            return
-        counts = self.counts
-        for ci, c in self.occ[var]:
-            if c == old:
-                counts[ci] -= 1
-            elif c == color:
-                counts[ci] += 1
-        self.alpha[var - 1] = color
+    def first_unsat(self, alpha: Sequence[int]) -> Optional[int]:
+        """Index of the first constraint alpha leaves unsatisfied, or None."""
+        u = self.unsat(alpha)
+        return (u & -u).bit_length() - 1 if u else None
 
 
 def _check_center(f: Formula, g: ColorGraph, center: Sequence[int]) -> None:
@@ -110,33 +107,36 @@ def _check_center(f: Formula, g: ColorGraph, center: Sequence[int]) -> None:
 
 
 def _searchball_core(
-    state: _WalkState, out: tuple[tuple[int, ...], ...], center: Sequence[int], r: int
+    state: _ConstraintBits, out: tuple[tuple[int, ...], ...], center: Sequence[int], r: int
 ) -> tuple[Optional[tuple[int, ...]], int]:
     """Recursive ball search; returns (witness or None, nodes visited)."""
-    state.reset(list(center))
-    constraints = state.constraints
-    alpha = state.alpha
+    constraints, bits, unsat_of = state.constraints, state.bits, state.unsat
+    alpha = list(center)
     nodes = 0
 
-    def rec(budget: int) -> Optional[tuple[int, ...]]:
+    def rec(budget: int, unsat: int) -> Optional[tuple[int, ...]]:
         nonlocal nodes
         nodes += 1
-        ci = state.first_unsat()
-        if ci is None:
+        if not unsat:
             return tuple(alpha)
         if budget == 0:
             return None
-        for lit in constraints[ci].literals:
-            # the constraint is unsatisfied, so alpha[lit.var - 1] == lit.color
+        for lit in constraints[(unsat & -unsat).bit_length() - 1].literals:
+            # the constraint is unsatisfied, so alpha[lit.var - 1] == lit.color;
+            # with the variable freed, `rest` is what the other variables leave
+            v = lit.var - 1
+            alpha[v] = 0
+            rest = unsat_of(alpha)
+            row = bits[v]
             for c2 in out[lit.color - 1]:
-                state.set_color(lit.var, c2)
-                found = rec(budget - 1)
-                state.set_color(lit.var, lit.color)
+                alpha[v] = c2
+                found = rec(budget - 1, rest & row[c2])
                 if found is not None:
                     return found
+            alpha[v] = lit.color
         return None
 
-    return rec(r), nodes
+    return rec(r, unsat_of(alpha)), nodes
 
 
 def graph_searchball(
@@ -152,16 +152,9 @@ def graph_searchball(
     if r < 0:
         raise ValueError("radius must be nonnegative")
     _check_center(f, g, center)
-    witness, nodes = _searchball_core(_WalkState(f), g.out, center, r)
+    witness, nodes = _searchball_core(_ConstraintBits(f), g.out, center, r)
     stats = SearchStats(nodes_visited=nodes, balls_searched=1, max_ball_nodes=nodes)
     return witness, stats
-
-
-def searchball(
-    f: Formula, center: Sequence[int], r: int
-) -> tuple[Optional[tuple[int, ...]], SearchStats]:
-    """Hamming-ball search: graph_searchball over the complete graph."""
-    return graph_searchball(f, complete(f.d), center, r)
 
 
 def _validate_walk_graph(f: Formula, g: ColorGraph) -> None:
@@ -170,6 +163,28 @@ def _validate_walk_graph(f: Formula, g: ColorGraph) -> None:
     for c, nbrs in enumerate(g.out, start=1):
         if not nbrs:
             raise ValueError(f"color {c} has no out-neighbor; random walk would get stuck")
+
+
+def _walk_core(
+    state: _ConstraintBits, out: tuple[tuple[int, ...], ...], rng: RngLike, steps: int
+) -> tuple[Optional[tuple[int, ...]], int]:
+    """One random walk from a fresh random start; returns (witness or None, steps taken)."""
+    constraints = state.constraints
+    first_unsat = state.first_unsat
+    rng = _as_rng(rng)
+    randrange = rng.randrange
+    alpha = [rng.randint(1, state.d) for _ in range(state.n)]
+    for taken in range(steps):
+        ci = first_unsat(alpha)
+        if ci is None:
+            return tuple(alpha), taken
+        lits = constraints[ci].literals
+        if not lits:
+            return None, taken
+        lit = lits[randrange(len(lits))]
+        nbrs = out[lit.color - 1]
+        alpha[lit.var - 1] = nbrs[randrange(len(nbrs))]
+    return (tuple(alpha) if first_unsat(alpha) is None else None), steps
 
 
 def schoening_run(
@@ -190,24 +205,10 @@ def schoening_run(
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     _validate_walk_graph(f, g)
-    rng = _as_rng(rng)
-    alpha = [rng.randint(1, f.d) for _ in range(f.n)]
-    state = _WalkState(f)
-    state.reset(alpha)
-    out = g.out
-    for _ in range(steps):
-        ci = state.first_unsat()
-        if ci is None:
-            return tuple(alpha)
-        lits = f.constraints[ci].literals
-        if not lits:
-            return None
-        lit = lits[rng.randrange(len(lits))]
-        nbrs = out[lit.color - 1]
-        state.set_color(lit.var, nbrs[rng.randrange(len(nbrs))])
-        if stats is not None:
-            stats.steps += 1
-    return tuple(alpha) if state.first_unsat() is None else None
+    witness, taken = _walk_core(_ConstraintBits(f), g.out, rng, steps)
+    if stats is not None:
+        stats.steps += taken
+    return witness
 
 
 def _verify_witness(f: Formula, witness: tuple[int, ...]) -> None:
@@ -216,28 +217,19 @@ def _verify_witness(f: Formula, witness: tuple[int, ...]) -> None:
         raise RuntimeError(f"internal error: witness fails constraint {bad}")
 
 
-def _ball_chunk(
-    centers: Sequence[tuple[int, ...]], f: Formula, out: tuple[tuple[int, ...], ...], r: int
+def _search_chunk(
+    items: Sequence,
+    core: Callable[..., tuple[Optional[tuple[int, ...]], int]],
+    f: Formula,
+    out: tuple[tuple[int, ...], ...],
+    arg: int,
 ) -> list[tuple[Optional[tuple[int, ...]], int]]:
-    state = _WalkState(f)
+    """core(state, out, item, arg) per item over one shared state, up to the first witness."""
+    state = _ConstraintBits(f)
     results = []
-    for center in centers:
-        witness, nodes = _searchball_core(state, out, center, r)
-        results.append((witness, nodes))
-        if witness is not None:
-            break
-    return results
-
-
-def _walk_chunk(
-    seeds: Sequence[int], f: Formula, g: ColorGraph, steps: int
-) -> list[tuple[Optional[tuple[int, ...]], int]]:
-    results = []
-    for seed in seeds:
-        stats = SearchStats()
-        witness = schoening_run(f, g, steps, seed, stats)
-        results.append((witness, stats.steps))
-        if witness is not None:
+    for item in items:
+        results.append(core(state, out, item, arg))
+        if results[-1][0] is not None:
             break
     return results
 
@@ -247,26 +239,27 @@ def _chunked(items: Sequence, jobs: int) -> list[Sequence]:
     return [items[i : i + size] for i in range(0, len(items), size)]
 
 
-def _run_chunks(
-    chunk_fn: Callable[..., list], items: Sequence, args: tuple, jobs: int
-) -> Iterator:
-    """Yield chunk_fn's per-item results over all chunks of `items`, in item order.
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+
+
+def _run_chunks(items: Sequence, args: tuple, jobs: int) -> Iterator:
+    """Yield _search_chunk's per-item results over all chunks of `items`, in item order.
 
     jobs == 1 runs the chunks in process; otherwise all chunks are submitted
     to a pool of `jobs` processes at once and read back in order, so the
     caller sees the same results for every `jobs`. Closing the generator
     (the caller stops at a witness) cancels the chunks that have not started.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
     chunks = _chunked(items, jobs)
     if jobs == 1 or len(chunks) == 1:
         for chunk in chunks:
-            yield from chunk_fn(chunk, *args)
+            yield from _search_chunk(chunk, *args)
         return
     pool = ProcessPoolExecutor(max_workers=jobs)
     try:
-        futures = [pool.submit(chunk_fn, chunk, *args) for chunk in chunks]
+        futures = [pool.submit(_search_chunk, chunk, *args) for chunk in chunks]
         for future in futures:
             yield from future.result()
     finally:
@@ -286,6 +279,7 @@ def schoening_solve(
     Walk length is steps_multiplier * n, default 3(d-1) (the classic 3n for
     d = 2). Results are reproducible given a seed, independently of `jobs`.
     """
+    _check_jobs(jobs)
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1")
     _validate_walk_graph(f, g)
@@ -296,7 +290,7 @@ def schoening_solve(
     master = _as_rng(rng)
     seeds = [master.getrandbits(64) for _ in range(repetitions)]
     stats = SearchStats()
-    with closing(_run_chunks(_walk_chunk, seeds, (f, g, steps), jobs)) as results:
+    with closing(_run_chunks(seeds, (_walk_core, f, g.out, steps), jobs)) as results:
         for witness, used in results:
             stats.repetitions += 1
             stats.steps += used
@@ -319,11 +313,13 @@ def det_solve(
     code makes "unsat" answers complete. Output (including stats) does not
     depend on `jobs`.
     """
+    _check_jobs(jobs)
     if g.d != f.d:
         raise ValueError(f"graph has {g.d} colors, formula has {f.d}")
     code = build_code(g, f.n, f.k, block_cap)
     stats = SearchStats()
-    with closing(_run_chunks(_ball_chunk, code.codewords, (f, g.out, code.radius), jobs)) as results:
+    args = (_searchball_core, f, g.out, code.radius)
+    with closing(_run_chunks(code.codewords, args, jobs)) as results:
         for witness, nodes in results:
             stats.nodes_visited += nodes
             stats.balls_searched += 1

@@ -254,6 +254,8 @@ def test_criterion_7_branching_bound_and_speedup(capsys):
                 result = det_solve(f, g, block_cap=cap)
                 assert result.stats.max_ball_nodes <= bound[g.name]
     assert totals["cycle"] < totals["complete"], totals
+    # exact totals: a kernel rewrite must keep the search order
+    assert totals == {"complete": 105393, "cycle": 79201}, totals
     elapsed = time.time() - start
     with capsys.disabled():
         _pass(

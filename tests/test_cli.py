@@ -1,10 +1,11 @@
 import csv
 import io
+import logging
 
 import pytest
 
 from dkcsp.cli import main
-from dkcsp.covercode import CoveringCode, verify_cover
+from dkcsp.covercode import CoveringCode, build_code, verify_cover
 from dkcsp.colorgraph import directed_cycle
 from dkcsp.formula import brute_force_solve, parse_instance
 
@@ -235,3 +236,32 @@ class TestUsage:
 
     def test_help_exit_0(self, capsys):
         assert main(["--help"]) == 0
+
+
+@pytest.fixture
+def restore_logging():
+    root = logging.getLogger()
+    saved = root.level, root.handlers[:]
+    yield
+    root.setLevel(saved[0])
+    root.handlers[:] = saved[1]
+
+
+class TestLogLevel:
+    ARGS = ["code", "--graph", "cycle", "--d", "3", "--n", "5", "--k", "3", "--block-cap", "243"]
+
+    def test_debug_reaches_covercode(self, capsys, restore_logging):
+        build_code.cache_clear()
+        assert main(self.ARGS) == 0
+        plain = capsys.readouterr()
+        build_code.cache_clear()
+        assert main(self.ARGS + ["--log-level", "debug"]) == 0
+        logged = capsys.readouterr()
+        assert logged.out == plain.out
+        assert plain.err == ""
+        assert "DEBUG dkcsp.covercode: greedy cover d=3 n=5" in logged.err
+        assert "DEBUG dkcsp.covercode: code d=3 n=5 k=3" in logged.err
+
+    def test_rejects_unknown_level(self, capsys):
+        assert main(self.ARGS + ["--log-level", "loud"]) == 1
+        assert capsys.readouterr().out == ""

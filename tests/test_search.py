@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from dkcsp import search
 from dkcsp.colorgraph import (
     assignment_distance,
     complete,
@@ -21,11 +22,11 @@ from dkcsp.formula import (
 )
 from dkcsp.search import (
     SearchStats,
+    _ConstraintBits,
     det_solve,
     graph_searchball,
     schoening_run,
     schoening_solve,
-    searchball,
 )
 
 
@@ -110,19 +111,6 @@ class TestGraphSearchball:
             graph_searchball(f, complete(4), (1, 1, 1), 1)
 
 
-class TestSearchball:
-    def test_equals_complete_graph_search(self):
-        rng = random.Random(3)
-        for _ in range(20):
-            n, d = rng.randint(2, 5), rng.randint(2, 4)
-            f = generate_random(n, d, min(3, n), rng.randint(0, 10), rng.getrandbits(32))
-            center = tuple(rng.randint(1, d) for _ in range(n))
-            r = rng.randint(0, 3)
-            a, sa = searchball(f, center, r)
-            b, sb = graph_searchball(f, complete(d), center, r)
-            assert a == b and sa == sb
-
-
 class TestSchoeningRun:
     def test_empty_formula_immediate(self):
         f = Formula(4, 3, 2, ())
@@ -149,20 +137,17 @@ class TestSchoeningRun:
         f = generate_random(6, d, 3, 150, 21)
         beta = tuple(rng.randint(1, d) for _ in range(6))
         alpha = [rng.randint(1, d) for _ in range(6)]
-        from dkcsp.search import _WalkState
-
-        state = _WalkState(f)
-        state.reset(alpha)
+        state = _ConstraintBits(f)
         deltas = set()
         for _ in range(200):
-            ci = state.first_unsat()
+            ci = state.first_unsat(alpha)
             if ci is None:
                 break
             lits = f.constraints[ci].literals
             lit = lits[rng.randrange(len(lits))]
             before = assignment_distance(g, tuple(alpha), beta)
             nbrs = g.out[lit.color - 1]
-            state.set_color(lit.var, nbrs[rng.randrange(len(nbrs))])
+            alpha[lit.var - 1] = nbrs[rng.randrange(len(nbrs))]
             after = assignment_distance(g, tuple(alpha), beta)
             deltas.add(after - before)
         assert deltas <= {-1, d - 1}
@@ -201,6 +186,14 @@ class TestSchoeningSolve:
         result = schoening_solve(f, complete(2), repetitions=50, rng=3)
         assert result.status == "unknown"
         assert result.stats.repetitions == 50
+
+    def test_seeded_result_pinned(self):
+        # witness, restarts and steps of a seeded run; a kernel that changes
+        # the walk's RNG draws or their order changes these
+        f = generate_random(12, 3, 3, 250, 17)
+        result = schoening_solve(f, directed_cycle(3), 100, rng=1)
+        assert result.assignment == (1, 3, 2, 1, 3, 1, 1, 2, 1, 1, 1, 3)
+        assert (result.stats.repetitions, result.stats.steps) == (35, 2513)
 
     def test_reproducible_across_jobs(self):
         f = generate_random(8, 3, 3, 20, 30)
@@ -329,3 +322,18 @@ class TestJobs:
             det_solve(f, complete(3), block_cap=81, jobs=jobs)
         with pytest.raises(ValueError, match="jobs"):
             schoening_solve(f, complete(3), 5, rng=1, jobs=jobs)
+
+    def test_jobs_checked_before_any_work(self, monkeypatch):
+        def no_build(*args):
+            raise AssertionError("covering code built before the jobs check")
+
+        class NoDraws(random.Random):
+            def getrandbits(self, k):
+                raise AssertionError("seed drawn before the jobs check")
+
+        monkeypatch.setattr(search, "build_code", no_build)
+        f = generate_random(18, 3, 3, 250, 1)
+        with pytest.raises(ValueError, match="jobs"):
+            det_solve(f, complete(3), block_cap=19683, jobs=0)
+        with pytest.raises(ValueError, match="jobs"):
+            schoening_solve(f, complete(3), 5, rng=NoDraws(1), jobs=0)
