@@ -180,33 +180,27 @@ def markov_simulate(
     """Monte Carlo frequency of the walk reaching 0 from j_start within max_steps.
 
     Steps go down 1 with probability 1/k, up d-1 otherwise; 0 absorbs.
-    Returns (frequency, binomial standard error). Walks whose position
-    exceeds the remaining step budget are dropped early; they cannot reach 0
-    in time, so the estimate is unchanged.
+    Returns (frequency, binomial standard error). Each iteration moves every
+    live walk by one step, drawing one uniform per live walk. Walks at 0 are
+    counted and retired; walks above the remaining step budget are dropped,
+    since down-steps are -1 and they cannot reach 0 in time, so the estimate
+    is unchanged. Memory is O(trials): nothing larger than one array of
+    positions is held.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if j_start < 0 or max_steps < 0:
         raise ValueError("j_start and max_steps must be nonnegative")
-    if j_start == 0:
-        return 1.0, 0.0
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     positions = np.full(trials, j_start, dtype=np.int64)
-    remaining = max_steps
     reached = 0
-    chunk = 256
-    while positions.size and remaining > 0:
-        positions = positions[positions <= remaining]
-        if not positions.size:
+    for remaining in range(max_steps, -1, -1):
+        hit = positions == 0
+        reached += int(np.count_nonzero(hit))
+        positions = positions[~hit & (positions <= remaining)]
+        if not positions.size or not remaining:
             break
-        t = min(chunk, remaining)
-        down = gen.random((positions.size, t)) < 1 / k
-        steps = np.where(down, -1, d - 1)
-        paths = positions[:, None] + np.cumsum(steps, axis=1)
-        hit = (paths <= 0).any(axis=1)
-        reached += int(hit.sum())
-        positions = paths[~hit, -1]
-        remaining -= t
+        positions += np.where(gen.random(positions.size) < 1 / k, -1, d - 1)
     freq = reached / trials
     stderr = math.sqrt(freq * (1 - freq) / trials)
     return freq, stderr

@@ -112,10 +112,7 @@ def _coverage_gains(mat: np.ndarray, n: int, d: int, r: int, weights: np.ndarray
             for cb in range(d):
                 m = int(mat[ca, cb])
                 if m < cap:
-                    if m == 0:
-                        nxt[:, ca, :, :] += view[:, cb, :, :]
-                    else:
-                        nxt[:, ca, :, m:] += view[:, cb, :, :-m]
+                    nxt[:, ca, :, m:] += view[:, cb, :, : cap - m]
         q = nxt.reshape(size, cap)
     return q.sum(axis=1)
 

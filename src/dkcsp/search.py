@@ -96,9 +96,13 @@ class _ConstraintBits:
         return (u & -u).bit_length() - 1 if u else None
 
 
-def _check_center(f: Formula, g: ColorGraph, center: Sequence[int]) -> None:
+def _check_graph(f: Formula, g: ColorGraph) -> None:
     if g.d != f.d:
         raise ValueError(f"graph has {g.d} colors, formula has {f.d}")
+
+
+def _check_center(f: Formula, g: ColorGraph, center: Sequence[int]) -> None:
+    _check_graph(f, g)
     if len(center) != f.n:
         raise ValueError(f"center has length {len(center)}, expected {f.n}")
     for v in center:
@@ -158,8 +162,7 @@ def graph_searchball(
 
 
 def _validate_walk_graph(f: Formula, g: ColorGraph) -> None:
-    if g.d != f.d:
-        raise ValueError(f"graph has {g.d} colors, formula has {f.d}")
+    _check_graph(f, g)
     for c, nbrs in enumerate(g.out, start=1):
         if not nbrs:
             raise ValueError(f"color {c} has no out-neighbor; random walk would get stuck")
@@ -314,8 +317,7 @@ def det_solve(
     depend on `jobs`.
     """
     _check_jobs(jobs)
-    if g.d != f.d:
-        raise ValueError(f"graph has {g.d} colors, formula has {f.d}")
+    _check_graph(f, g)
     code = build_code(g, f.n, f.k, block_cap)
     stats = SearchStats()
     args = (_searchball_core, f, g.out, code.radius)

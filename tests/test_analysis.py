@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -205,6 +206,7 @@ class TestSuccessIdentity:
 class TestMarkovSimulate:
     def test_start_at_zero(self):
         assert markov_simulate(3, 3, 0, 100, 1000, 0) == (1.0, 0.0)
+        assert markov_simulate(3, 3, 0, 0, 1000, 0) == (1.0, 0.0)
 
     def test_d3_k3_matches_lambda_squared(self):
         target = reach_probability(3, 3, 2)
@@ -225,3 +227,45 @@ class TestMarkovSimulate:
         # 3 steps cannot bring a walk home from distance 4
         freq, _ = markov_simulate(3, 3, 4, 3, 2000, 1)
         assert freq == 0.0
+        for j in (1, 4):
+            assert markov_simulate(3, 3, j, 0, 2000, 1) == (0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "max_steps, exact",
+        [(1, 0.0), (2, 1 / 9), (5, 0.12757), (20, 0.13392)],
+        ids=["steps1", "steps2", "steps5", "steps20"],
+    )
+    def test_matches_exact_finite_horizon(self, max_steps, exact):
+        target = exact_reach_within(3, 3, 2, max_steps)
+        assert abs(target - exact) < 5e-6
+        freq, se = markov_simulate(3, 3, 2, max_steps, 100_000, 11)
+        assert abs(freq - target) <= 3 * se + 0.005
+
+    def test_memory_linear_in_trials(self):
+        # the live walks fit in a few arrays of `trials` entries; a path
+        # matrix of trials x steps would need thousands of bytes per trial
+        trials = 100_000
+        tracemalloc.start()
+        try:
+            markov_simulate(3, 3, 2, 300, trials, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * trials
+
+
+def exact_reach_within(d, k, j, max_steps):
+    """Exact probability that the distance walk from j reaches 0 within max_steps.
+
+    Forward DP over the distribution of unabsorbed positions.
+    """
+    dist = {j: 1.0}
+    reached = dist.pop(0, 0.0)
+    for _ in range(max_steps):
+        nxt = {}
+        for pos, pr in dist.items():
+            nxt[pos - 1] = nxt.get(pos - 1, 0.0) + pr / k
+            nxt[pos + d - 1] = nxt.get(pos + d - 1, 0.0) + pr * (k - 1) / k
+        reached += nxt.pop(0, 0.0)
+        dist = nxt
+    return reached

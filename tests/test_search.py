@@ -315,6 +315,31 @@ class TestJobs:
         assert result.status == "sat"
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("gname", ["complete", "cycle"])
+    def test_results_independent_of_chunk_size(self, gname, monkeypatch):
+        # results are read per item in item order, so splitting the items
+        # into one chunk each or into a single chunk changes no stats
+        g = complete(3) if gname == "complete" else directed_cycle(3)
+        cases = [(6, 3, 3, 120, 3), (6, 3, 3, 130, 4), (6, 3, 3, 140, 5), (6, 3, 3, 150, 6)]
+        cases += [SAT_DEEP, UNSAT]
+        splits = [
+            search._chunked,
+            lambda items, jobs: [items[i : i + 1] for i in range(len(items))],
+            lambda items, jobs: [items],
+        ]
+        statuses = set()
+        for args in cases:
+            f = generate_random(*args)
+            results = []
+            for split in splits:
+                monkeypatch.setattr(search, "_chunked", split)
+                results.append(
+                    (det_solve(f, g, block_cap=729), schoening_solve(f, g, 20, rng=args[-1]))
+                )
+            assert results[0] == results[1] == results[2]
+            statuses.add(results[0][0].status)
+        assert statuses == {"sat", "unsat"}
+
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_rejects_jobs_below_one(self, jobs):
         f = generate_random(4, 3, 3, 5, 1)
