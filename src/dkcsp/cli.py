@@ -140,9 +140,10 @@ def cmd_volume(args: argparse.Namespace) -> int:
     table = shell_counts(profile(g), args.n)
     if args.r is None:
         print("shells", *table.counts)
-    else:
-        print("shells", *table.counts[: args.r + 1])
-        print("volume", table.volume(args.r))
+        return 0
+    volume = table.volume(args.r)
+    print("shells", *table.counts[: args.r + 1])
+    print("volume", volume)
     return 0
 
 

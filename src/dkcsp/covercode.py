@@ -5,6 +5,13 @@ cover all of [d]^n. Construction: split the n coordinates into blocks small
 enough to enumerate, run greedy set cover over each block's ground set with
 balls as candidate sets, and take the Cartesian product of the block codes
 (radii add across blocks).
+
+The greedy keeps every center's gain (uncovered points in its ball) and
+updates it incrementally: all balls are one offset set relabeled per center,
+so each pick subtracts its newly covered points from the gains of the
+centers whose balls hold them. Each finished block code is checked to cover
+its block with one transfer-DP pass, which by additivity proves coverage of
+the product; the check raises, so it also runs under python -O.
 """
 
 from __future__ import annotations
@@ -36,6 +43,8 @@ __all__ = [
 
 DEFAULT_BLOCK_CAP = 1 << 20
 DEFAULT_VERIFY_CAP = 10**6
+# (newly covered point, dual-ball center) pairs one gain update holds at once
+_UPDATE_PAIRS = 1 << 20
 
 log = logging.getLogger(__name__)
 
@@ -67,9 +76,9 @@ def _finite_distance_matrix(g: ColorGraph) -> np.ndarray:
 def _dual_profiles_uniform(mat: np.ndarray) -> bool:
     """True when every color sees the same distance counts looking inward.
 
-    Vertex-transitive graphs have uniform profiles in both directions; the
-    greedy size guarantee averages over dual balls, so it is only claimed
-    when this holds.
+    Vertex-transitive graphs have uniform profiles in both directions. The
+    greedy size guarantee averages over dual balls, and the incremental gain
+    update relabels one dual ball per point, so both need this to hold.
     """
     profiles = set()
     for dst in range(mat.shape[0]):
@@ -117,45 +126,111 @@ def _coverage_gains(mat: np.ndarray, n: int, d: int, r: int, weights: np.ndarray
     return q.sum(axis=1)
 
 
+def _ball_tables(perm: np.ndarray, ranks: tuple[np.ndarray, ...], d: int) -> np.ndarray:
+    """Point-index contributions of a rank-offset ball relabeled around every color.
+
+    perm[c, j] is the j-th nearest color to (or from) color c, and ranks[i]
+    holds coordinate i's rank for every offset of the ball. Entry [i, c] is
+    coordinate i's share of the point index of every offset when that
+    coordinate's color is c, so the ball around x is sum_i tables[i, x_i].
+    """
+    n = len(ranks)
+    return np.stack([perm[:, ranks[i]] * d ** (n - 1 - i) for i in range(n)])
+
+
+def _check_block_cover(
+    mat: np.ndarray, n: int, d: int, r: int, code: Sequence[tuple[int, ...]]
+) -> None:
+    """Raise RuntimeError unless the radius-r balls of `code` cover [d]^n.
+
+    One transfer-DP pass over the reversed distances counts, for every point,
+    the codewords within distance r of it. Coverage of every block proves
+    coverage of the product code, by additivity of the product distance.
+    """
+    indicator = np.zeros(d**n, dtype=np.int64)
+    indicator[np.ravel_multi_index(tuple(np.array(code).T - 1), (d,) * n)] = 1
+    counts = _coverage_gains(mat.T, n, d, r, indicator)
+    if not counts.all():
+        missing = _index_to_point(int(np.argmin(counts)), n, d)
+        raise RuntimeError(f"block code leaves {missing} outside every radius-{r} ball")
+
+
 def greedy_cover(
     g: ColorGraph, n_block: int, r: int, cap: int = DEFAULT_BLOCK_CAP
 ) -> tuple[tuple[int, ...], ...]:
     """Greedy set cover of [d]^n_block by radius-r balls.
 
     Repeatedly picks the center whose ball covers the most uncovered points,
-    ties broken toward the lexicographically smallest center. The result size
-    is checked against the (1 + ln d^n_block) * d^n_block / Vol guarantee.
+    ties broken toward the lexicographically smallest center. Every ball is
+    one set of rank offsets (sum of sorted row distances at most r) relabeled
+    per coordinate by the center's colors, since all colors share one
+    distance profile. When the dual profiles are uniform too, the centers
+    whose balls hold a point are the same offsets relabeled inward, and each
+    pick subtracts its newly covered points from the gains through those
+    dual balls; otherwise the gains are recounted by the transfer DP after
+    every pick. The gains are exact integers either way. The finished code
+    is checked to cover the block, and its size against the
+    (1 + ln d^n_block) * d^n_block / Vol guarantee.
     """
+    if n_block < 0:
+        raise ValueError("n must be nonnegative")
     if r < 0:
         raise ValueError("radius must be nonnegative")
     p = profile(g)
     if not p.spans_all_colors:
         raise ValueError(f"graph {g.name!r} is disconnected; no finite covering radius")
-    size = g.d**n_block
+    d = g.d
+    size = d**n_block
     if size > cap:
-        raise ValueError(f"block ground set {g.d}^{n_block} exceeds cap {cap}")
+        raise ValueError(f"block ground set {d}^{n_block} exceeds cap {cap}")
     if n_block == 0:
         return ((),)
     mat = _finite_distance_matrix(g)
     r_eff = min(r, p.s * n_block)
-    uncovered = np.ones(size, dtype=np.int64)
+    shape = (d,) * n_block
+    # rank offsets of the ball: distances from color 1 with each row sorted
+    ranks = np.unravel_index(
+        np.flatnonzero(_dist_from_center(np.sort(mat, axis=1), (1,) * n_block) <= r_eff), shape
+    )
+    ball_tables = _ball_tables(np.argsort(mat, axis=1, kind="stable"), ranks, d)
+    dual_uniform = _dual_profiles_uniform(mat)
+    if dual_uniform:
+        dual_tables = _ball_tables(np.argsort(mat.T, axis=1, kind="stable"), ranks, d)
+        slice_len = max(1, _UPDATE_PAIRS // ranks[0].size)
+    coords = np.arange(n_block)
+    uncovered = np.ones(size, dtype=bool)
+    remaining = size
+    gains = np.full(size, ranks[0].size, dtype=np.int64)
     code: list[tuple[int, ...]] = []
-    while uncovered.any():
-        gains = _coverage_gains(mat, n_block, g.d, r_eff, uncovered)
+    while remaining:
         best = int(np.argmax(gains))
         if gains[best] <= 0:
             raise RuntimeError("greedy cover found no center covering an uncovered point")
-        center = _index_to_point(best, n_block, g.d)
-        code.append(center)
-        uncovered[_dist_from_center(mat, center) <= r_eff] = 0
+        code.append(_index_to_point(best, n_block, d))
+        ball = ball_tables[coords, np.unravel_index(best, shape)].sum(axis=0)
+        newly = ball[uncovered[ball]]
+        if newly.size != gains[best]:
+            raise RuntimeError(f"greedy gain {gains[best]} but {newly.size} points newly covered")
+        uncovered[newly] = False
+        remaining -= newly.size
+        if not dual_uniform:
+            gains = _coverage_gains(mat, n_block, d, r_eff, uncovered)
+            continue
+        for lo in range(0, newly.size, slice_len):
+            digits = np.unravel_index(newly[lo : lo + slice_len], shape)
+            holders = dual_tables[0, digits[0]]
+            for i in range(1, n_block):
+                holders += dual_tables[i, digits[i]]
+            gains -= np.bincount(holders.ravel(), minlength=size)
+    _check_block_cover(mat, n_block, d, r_eff, code)
     vol = ball_volume(p, n_block, r)
     bound = (1 + math.log(size)) * size / vol
-    if _dual_profiles_uniform(mat):
+    if dual_uniform:
         if len(code) > bound + 1e-9:
             raise RuntimeError(f"greedy exceeded its guarantee: {len(code)} > {bound}")
     else:
         log.debug("skipping greedy size guarantee: dual profiles not uniform")
-    log.debug("greedy cover d=%d n=%d r=%d: %d codewords (bound %.1f)", g.d, n_block, r, len(code), bound)
+    log.debug("greedy cover d=%d n=%d r=%d: %d codewords (bound %.1f)", d, n_block, r, len(code), bound)
     return tuple(code)
 
 
@@ -207,6 +282,8 @@ def build_code(g: ColorGraph, n: int, k: int, block_cap: int = DEFAULT_BLOCK_CAP
         raise ValueError("graph must have at least one outgoing edge per color")
     if k < 1:
         raise ValueError("k must be at least 1")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if n == 0:
         return CoveringCode(g, 0, 0, ((),), (), (), ())
     max_block = 0

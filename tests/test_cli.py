@@ -158,6 +158,13 @@ class TestCode:
                             (int(n),), (int(r),), (len(codewords),))
         assert verify_cover(code)
 
+    def test_negative_n_exit_1(self, capsys):
+        rc = main(["code", "--d", "3", "--k", "3", "--n", "-1"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: n must be nonnegative")
+
 
 class TestVolume:
     def test_shells_and_volume(self, capsys):
@@ -172,6 +179,13 @@ class TestVolume:
         out = capsys.readouterr().out
         assert rc == 0
         assert "shells 1 2 3 2 1" in out
+
+    def test_negative_radius_fails_before_output(self, capsys):
+        rc = main(["volume", "--graph", "cycle", "--d", "3", "--n", "2", "--r", "-1"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: radius must be nonnegative")
 
 
 class TestPredict:

@@ -1,8 +1,11 @@
+import hashlib
 import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from dkcsp import covercode
 from dkcsp.colorgraph import (
@@ -23,6 +26,11 @@ from dkcsp.covercode import (
     verify_cover,
 )
 from dkcsp.volume import ball_volume, select_radius
+
+
+# out-profile (1, 2, 1) for every color, but color 1 has in-degree 3: the
+# dual profiles are not uniform
+NON_UNIFORM_DUAL = from_edges(4, [(1, 2), (1, 4), (2, 1), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2)])
 
 
 def enumerate_cover_check(g, codewords, radius, n):
@@ -83,11 +91,93 @@ class TestGreedyCover:
     def test_out_regular_but_not_in_regular(self):
         # uniform out-profile (1,2,1) but vertex 1 has in-degree 3: the size
         # guarantee's premise fails, yet coverage must still hold
-        g = from_edges(4, [(1, 2), (1, 4), (2, 1), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2)])
+        g = NON_UNIFORM_DUAL
         assert profile(g).counts == (1, 2, 1)
         for r in (1, 2):
             code = greedy_cover(g, 2, r)
             assert enumerate_cover_check(g, code, r, 2) is None
+
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            greedy_cover(complete(3), -1, 1)
+
+    @pytest.mark.parametrize("g,r,count,last,digest", [
+        (complete(3), 2, 307, (1, 1, 3, 3, 3, 3, 3, 2, 1),
+         "1d0db19bb4dc8c84e539cec700a6d4e763fd70a720142e97c342d2fca2823a8e"),
+        (directed_cycle(3), 3, 252, (2, 3, 3, 1, 1, 3, 2, 2, 3),
+         "d7d545c07c41ac26098b5f34daf2b1cab42be7e44918d89d0089aaef7c2701a8"),
+    ], ids=["complete3", "cycle3"])
+    def test_det_sat_block_codes_pinned(self, g, r, count, last, digest):
+        # the 9-coordinate blocks of the n=18, cap 19683 codes; values are
+        # those of the eager greedy that recounted every gain per pick
+        assert select_radius(profile(g), 9, Fraction(1, 3 * profile(g).delta)) == r
+        code = greedy_cover(g, 9, r)
+        assert len(code) == count
+        assert code[0] == (1,) * 9
+        assert code[-1] == last
+        assert hashlib.sha256(repr(code).encode()).hexdigest() == digest
+
+
+def eager_greedy(g, n, r):
+    """The greedy as it was before the incremental update: recount every gain per pick."""
+    mat = covercode._finite_distance_matrix(g)
+    r_eff = min(r, profile(g).s * n)
+    uncovered = np.ones(g.d**n, dtype=np.int64)
+    code = []
+    while uncovered.any():
+        gains = covercode._coverage_gains(mat, n, g.d, r_eff, uncovered)
+        best = int(np.argmax(gains))
+        center = covercode._index_to_point(best, n, g.d)
+        code.append(center)
+        uncovered[covercode._dist_from_center(mat, center) <= r_eff] = 0
+    return tuple(code)
+
+
+DIFFERENTIAL_GRAPHS = [
+    complete(2), complete(3), directed_cycle(3), directed_cycle(4), hypercube(2), NON_UNIFORM_DUAL,
+]
+
+
+class TestIncrementalGreedy:
+    @given(st.data())
+    def test_matches_eager_greedy(self, data):
+        g = data.draw(st.sampled_from(DIFFERENTIAL_GRAPHS), label="graph")
+        n = data.draw(st.integers(1, 5), label="n")
+        r = data.draw(st.integers(0, profile(g).s * n), label="r")
+        assert greedy_cover(g, n, r) == eager_greedy(g, n, r)
+
+    @pytest.mark.parametrize("g", DIFFERENTIAL_GRAPHS, ids=lambda g: f"{g.name}{g.d}")
+    def test_every_radius_at_largest_block(self, g):
+        for r in range(profile(g).s * 5 + 1):
+            assert greedy_cover(g, 5, r) == eager_greedy(g, 5, r), r
+
+    def test_sliced_update_matches(self, monkeypatch):
+        whole = greedy_cover(directed_cycle(3), 6, 3)
+        monkeypatch.setattr(covercode, "_UPDATE_PAIRS", 1)
+        assert greedy_cover(directed_cycle(3), 6, 3) == whole
+
+    def _count_gain_passes(self, monkeypatch):
+        calls = []
+        real = covercode._coverage_gains
+
+        def counted(mat, n, d, r, weights):
+            calls.append(n)
+            return real(mat, n, d, r, weights)
+
+        monkeypatch.setattr(covercode, "_coverage_gains", counted)
+        return calls
+
+    @pytest.mark.parametrize("g", [complete(3), directed_cycle(3), hypercube(2)], ids=lambda g: g.name)
+    def test_uniform_dual_runs_no_dp_in_the_pick_loop(self, monkeypatch, g):
+        calls = self._count_gain_passes(monkeypatch)
+        code = greedy_cover(g, 5, 2)
+        assert len(code) > 1
+        assert calls == [5]  # the final coverage check only
+
+    def test_non_uniform_dual_recounts_per_pick(self, monkeypatch):
+        calls = self._count_gain_passes(monkeypatch)
+        code = greedy_cover(NON_UNIFORM_DUAL, 3, 1)
+        assert len(calls) == len(code) + 1
 
 
 class TestCoverageGains:
@@ -191,6 +281,10 @@ class TestBuildCode:
         with pytest.raises(ValueError, match="cap"):
             build_code(complete(3), 4, 3, block_cap=2)
 
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            build_code(complete(3), -1, 3)
+
 
 class TestVerifyCover:
     def test_classic_cube_cover(self):
@@ -236,3 +330,15 @@ class TestResultChecks:
         monkeypatch.setattr(covercode, "ball_volume", lambda p, n, r: 10**9)
         with pytest.raises(RuntimeError, match="guarantee"):
             greedy_cover(complete(3), 4, 1)
+
+    @pytest.mark.parametrize("g,r", [(complete(3), 2), (directed_cycle(3), 3)], ids=["complete3", "cycle3"])
+    def test_block_cover_check_rejects_missing_codeword(self, g, r):
+        mat = covercode._finite_distance_matrix(g)
+        code = greedy_cover(g, 9, r)
+        covercode._check_block_cover(mat, 9, g.d, r, code)
+        # the last pick covered points no earlier codeword reaches
+        with pytest.raises(RuntimeError, match="outside every") as err:
+            covercode._check_block_cover(mat, 9, g.d, r, code[:-1])
+        missing = tuple(int(t) for t in str(err.value).split("(")[1].split(")")[0].split(","))
+        assert all(assignment_distance(g, cw, missing) > r for cw in code[:-1])
+        assert assignment_distance(g, code[-1], missing) <= r
