@@ -13,7 +13,11 @@ graphs; base_for_graph computes every deterministic base.
 
 Bases are exact fractions; floats appear only in the walk analysis, which
 tracks the distance to a fixed witness as a biased random walk (down 1 with
-probability 1/k, up d-1 otherwise) absorbed at 0.
+probability 1/k, up d-1 otherwise) absorbed at 0. It gives the walk's reach
+probability three ways: lambda^j from the fixed point, the exact
+finite-horizon sum of the hitting-time formula (reach_within), and a Monte
+Carlo run (markov_simulate) that jumps each walk over the steps that cannot
+reach 0, in batches of bounded memory, and uses neither of the other two.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ __all__ = [
     "cycle_optimality_check",
     "markov_simulate",
     "reach_probability",
+    "reach_within",
     "solve_lambda",
     "success_probability_identity",
 ]
@@ -169,6 +174,47 @@ def success_probability_identity(d: int, k: int, n: int) -> tuple[float, float]:
     return lhs, rhs
 
 
+def reach_within(d: int, k: int, j: int, max_steps: int) -> float:
+    """Exact probability that the distance walk from j reaches 0 within max_steps.
+
+    The walk steps down by at most 1, so by the hitting-time theorem (van der
+    Hofstad & Keane, Amer. Math. Monthly 2008) the first visit to 0 happens
+    at t = j + d*u, after u up-steps, with probability
+
+        P(tau = t) = (j/t) C(t, u) ((k-1)/k)^u (1/k)^(t-u).
+
+    The terms are computed in log space and summed over t <= max_steps. The
+    sum stops once a term falls below 1e-18 of the largest one, so past the
+    mode and below 1e-18 of the partial sum, which makes a large horizon
+    cheap when the walk drifts away from 0. As max_steps grows the
+    value tends to lambda^j.
+    """
+    _check_dk(d, k)
+    if j < 0 or max_steps < 0:
+        raise ValueError("j and max_steps must be nonnegative")
+    if j == 0:
+        return 1.0
+    log_up, log_down, log_cut = math.log((k - 1) / k), -math.log(k), math.log(1e-18)
+    terms: list[float] = []
+    peak = -math.inf
+    for t in range(j, max_steps + 1, d):
+        u = (t - j) // d
+        log_term = (
+            math.log(j / t)
+            + math.lgamma(t + 1) - math.lgamma(u + 1) - math.lgamma(t - u + 1)
+            + u * log_up + (t - u) * log_down
+        )
+        terms.append(math.exp(log_term))
+        if log_term < peak + log_cut:
+            break
+        peak = max(peak, log_term)
+    return min(math.fsum(terms), 1.0)
+
+
+# Walks simulated together; bounds the simulation's memory whatever `trials` is.
+_BATCH = 1 << 14
+
+
 def markov_simulate(
     d: int,
     k: int,
@@ -180,27 +226,39 @@ def markov_simulate(
     """Monte Carlo frequency of the walk reaching 0 from j_start within max_steps.
 
     Steps go down 1 with probability 1/k, up d-1 otherwise; 0 absorbs.
-    Returns (frequency, binomial standard error). Each iteration moves every
-    live walk by one step, drawing one uniform per live walk. Walks at 0 are
-    counted and retired; walks above the remaining step budget are dropped,
-    since down-steps are -1 and they cannot reach 0 in time, so the estimate
-    is unchanged. Memory is O(trials): nothing larger than one array of
-    positions is held.
+    Returns (frequency, binomial standard error). Walks at 0 are counted and
+    retired; walks above their remaining step budget are dropped, since
+    down-steps are -1 and they cannot reach 0 in time.
+
+    Each iteration jumps every live walk over the steps that cannot reach 0:
+    a walk at p cannot reach 0 in its next p-1 steps, so it moves s =
+    max(p-1, 1) steps at once, to p + (d-1)s - d*Binomial(s, 1/k), and s is
+    taken from its budget. Hits are counted at the same positions a
+    step-by-step walk would pass through, so the estimate has the same law,
+    from one binomial draw per live walk per iteration. Walks run in batches
+    of 2^14, so memory is O(batch) whatever `trials` is.
     """
+    _check_dk(d, k)
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if j_start < 0 or max_steps < 0:
         raise ValueError("j_start and max_steps must be nonnegative")
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    positions = np.full(trials, j_start, dtype=np.int64)
     reached = 0
-    for remaining in range(max_steps, -1, -1):
-        hit = positions == 0
-        reached += int(np.count_nonzero(hit))
-        positions = positions[~hit & (positions <= remaining)]
-        if not positions.size or not remaining:
-            break
-        positions += np.where(gen.random(positions.size) < 1 / k, -1, d - 1)
+    for start in range(0, trials, _BATCH):
+        size = min(_BATCH, trials - start)
+        positions = np.full(size, j_start, dtype=np.int64)
+        remaining = np.full(size, max_steps, dtype=np.int64)
+        while True:
+            hit = positions == 0
+            reached += int(np.count_nonzero(hit))
+            live = ~hit & (positions <= remaining)
+            positions, remaining = positions[live], remaining[live]
+            if not positions.size:
+                break
+            jump = np.maximum(positions - 1, 1)
+            positions += (d - 1) * jump - d * gen.binomial(jump, 1 / k)
+            remaining -= jump
     freq = reached / trials
     stderr = math.sqrt(freq * (1 - freq) / trials)
     return freq, stderr

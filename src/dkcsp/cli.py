@@ -171,8 +171,10 @@ def cmd_markov(args: argparse.Namespace) -> int:
     freq, stderr = analysis.markov_simulate(
         args.d, args.k, args.j, args.max_steps, args.trials, seed
     )
+    within = analysis.reach_within(args.d, args.k, args.j, args.max_steps)
     print(f"lambda {sol.value:.12f} residual {sol.residual:.3e}")
     print(f"P[{args.j}] {pj:.12f}")
+    print(f"P[{args.j}] within {args.max_steps} steps {within:.12f}")
     print(f"simulated {freq:.6f} stderr {stderr:.6f} trials {args.trials} max-steps {args.max_steps}")
     return 0
 

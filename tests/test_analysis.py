@@ -1,16 +1,19 @@
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from dkcsp.analysis import (
+    _BATCH,
     base_for_graph,
     base_report,
     base_schoening,
     cycle_optimality_check,
     markov_simulate,
     reach_probability,
+    reach_within,
     solve_lambda,
     success_probability_identity,
 )
@@ -252,6 +255,79 @@ class TestMarkovSimulate:
         finally:
             tracemalloc.stop()
         assert peak < 64 * trials
+
+    def test_memory_independent_of_trials(self):
+        # walks run in fixed batches, so four batches peak like one
+        def traced_peak(trials):
+            tracemalloc.start()
+            try:
+                markov_simulate(3, 3, 2, 300, trials, 3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak(4 * _BATCH) <= 1.25 * traced_peak(_BATCH)
+
+    def test_partial_last_batch_counted(self):
+        assert markov_simulate(3, 3, 0, 5, 2 * _BATCH + 1, 0) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("d, k", [(0, 3), (-2, 3), (1, 3), (3, 0), (3, 1)])
+    def test_bad_dk_rejected(self, d, k):
+        with pytest.raises(ValueError):
+            markov_simulate(d, k, 2, 10, 10, 1)
+
+    @pytest.mark.parametrize(
+        "d, k, j, max_steps",
+        [(3, 3, 2, t) for t in (2, 5, 20, 200)]
+        + [(2, 2, j, t) for j in (1, 3) for t in (50, 400)]
+        + [(2, 3, 2, 100), (4, 3, 1, 60), (3, 50, 1, 300), (5, 2, 4, 80)],
+    )
+    def test_jump_matches_exact_finite_horizon(self, d, k, j, max_steps):
+        # jumps over the steps that cannot reach 0 must keep the law of the
+        # step-by-step walk: compare against the forward DP, one fixed seed
+        target = exact_reach_within(d, k, j, max_steps)
+        freq, se = markov_simulate(d, k, j, max_steps, 200_000, 20261018)
+        assert abs(freq - target) <= 4 * se + 1e-3
+
+
+class TestReachWithin:
+    def test_matches_forward_dp(self):
+        for d in range(2, 6):
+            for k in range(2, 6):
+                for j in range(0, 6):
+                    for max_steps in (0, 1, 2, 3, 4, 7, 12, 33, 150):
+                        exact = exact_reach_within(d, k, j, max_steps)
+                        assert abs(reach_within(d, k, j, max_steps) - exact) <= 1e-13, (
+                            d, k, j, max_steps)
+
+    @pytest.mark.parametrize(
+        "max_steps, exact", [(1, 0.0), (2, 1 / 9), (5, 0.12757), (20, 0.13392)]
+    )
+    def test_pinned_values(self, max_steps, exact):
+        assert abs(reach_within(3, 3, 2, max_steps) - exact) < 5e-6
+
+    @pytest.mark.parametrize("d, k, j", [(3, 3, 2), (3, 50, 1), (2, 3, 3), (8, 8, 5)])
+    def test_long_horizon_is_lambda_power(self, d, k, j):
+        assert reach_within(d, k, j, 10**9) == pytest.approx(
+            reach_probability(d, k, j), rel=1e-12)
+
+    def test_underflowing_terms_stop_early(self):
+        # every term underflows to 0.0; the stop rule works on log terms, so
+        # the billion-step horizon is not walked term by term
+        start = time.perf_counter()
+        assert reach_within(3, 50, 5000, 10**9) == 0.0
+        assert time.perf_counter() - start < 1.0
+
+    def test_start_at_zero_and_out_of_reach(self):
+        assert reach_within(3, 3, 0, 0) == 1.0
+        assert reach_within(3, 3, 4, 3) == 0.0
+
+    @pytest.mark.parametrize(
+        "args", [(1, 3, 2, 10), (3, 0, 2, 10), (3, 3, -1, 10), (3, 3, 2, -1)]
+    )
+    def test_bad_input_rejected(self, args):
+        with pytest.raises(ValueError):
+            reach_within(*args)
 
 
 def exact_reach_within(d, k, j, max_steps):

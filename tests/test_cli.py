@@ -213,7 +213,9 @@ class TestMarkov:
         assert rc == 0
         assert "lambda 0.366025403784" in out
         assert "P[2] 0.133974596216" in out
-        assert "simulated" in out
+        lines = out.splitlines()
+        within = lines.index("P[2] within 500 steps 0.133974596216")
+        assert lines[within + 1].startswith("simulated ")
 
     @pytest.mark.parametrize("bad", [["--trials", "0"], ["--j", "-1"]])
     def test_bad_input_fails_before_output(self, capsys, bad):
