@@ -27,7 +27,7 @@ from .colorgraph import (
     hypercube,
     profile,
 )
-from .covercode import CoveringCode, build_code, greedy_cover, product_code, verify_cover
+from .covercode import CoveringCode, build_code, greedy_cover, product_code
 from .formula import (
     Constraint,
     Formula,

@@ -188,12 +188,32 @@ def reach_within(d: int, k: int, j: int, max_steps: int) -> float:
     mode and below 1e-18 of the partial sum, which makes a large horizon
     cheap when the walk drifts away from 0. As max_steps grows the
     value tends to lambda^j.
+
+    At d = k = 2 the walk has no drift and the terms decay only like
+    t^(-3/2), so the stop never fires; there the walk is the simple
+    symmetric one, and by the reflection principle
+
+        P(tau > T) = P(-j < W_T <= j),  W_T = T - 2 Binomial(T, 1/2),
+
+    which is at most j binomial terms whatever the horizon.
     """
     _check_dk(d, k)
     if j < 0 or max_steps < 0:
         raise ValueError("j and max_steps must be nonnegative")
     if j == 0:
         return 1.0
+    if max_steps < j:
+        return 0.0
+    if d == k == 2:
+        # W_T = T - 2b lies in (-j, j] for b in [ceil((T-j)/2), ceil((T+j)/2)),
+        # inside [0, T] since j <= T
+        t = max_steps
+        log_total = math.lgamma(t + 1) - t * math.log(2)
+        stay = math.fsum(
+            math.exp(log_total - math.lgamma(b + 1) - math.lgamma(t - b + 1))
+            for b in range(-(-(t - j) // 2), -(-(t + j) // 2))
+        )
+        return max(1.0 - stay, 0.0)
     log_up, log_down, log_cut = math.log((k - 1) / k), -math.log(k), math.log(1e-18)
     terms: list[float] = []
     peak = -math.inf

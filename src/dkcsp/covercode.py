@@ -12,6 +12,10 @@ so each pick subtracts its newly covered points from the gains of the
 centers whose balls hold them. Each finished block code is checked to cover
 its block with one transfer-DP pass, which by additivity proves coverage of
 the product; the check raises, so it also runs under python -O.
+
+The product itself is never materialised: ProductCodewords is a read-only
+sequence over the block codes, and a contiguous slice of it is the same
+block codes plus an index range, decoded in mixed radix when iterated.
 """
 
 from __future__ import annotations
@@ -19,10 +23,12 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -31,22 +37,91 @@ from .volume import ball_volume, select_radius
 
 __all__ = [
     "DEFAULT_BLOCK_CAP",
-    "DEFAULT_VERIFY_CAP",
     "CoveringCode",
+    "ProductCodewords",
     "build_code",
-    "first_uncovered",
     "format_code_file",
     "greedy_cover",
     "product_code",
-    "verify_cover",
 ]
 
 DEFAULT_BLOCK_CAP = 1 << 20
-DEFAULT_VERIFY_CAP = 10**6
 # (newly covered point, dual-ball center) pairs one gain update holds at once
 _UPDATE_PAIRS = 1 << 20
 
 log = logging.getLogger(__name__)
+
+Codeword = tuple[int, ...]
+
+
+class ProductCodewords(Sequence):
+    """The codewords [start, stop) of the Cartesian product of block codes.
+
+    Codeword i concatenates one codeword per block, in itertools.product
+    order (the last block varies fastest), so i is a mixed-radix number with
+    one digit per block. Integer indexing decodes one index; a contiguous
+    slice is the same block codes with a narrower range, and pickles as
+    such. Iterating decodes start once and then steps through the range.
+    """
+
+    __slots__ = ("codes", "start", "stop")
+
+    def __init__(self, codes: tuple[tuple[Codeword, ...], ...], start: int = 0, stop: int | None = None):
+        self.codes = codes
+        self.start = start
+        self.stop = math.prod(map(len, codes)) if stop is None else stop
+
+    def __len__(self) -> int:
+        return self.stop - self.start
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            lo, hi, step = index.indices(len(self))
+            if step != 1:
+                raise ValueError("codeword slices must be contiguous (step 1)")
+            return ProductCodewords(self.codes, self.start + lo, self.start + max(lo, hi))
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("codeword index out of range")
+        return next(iter(self[i : i + 1]))
+
+    def _digits(self, index: int) -> list[int]:
+        digits = []
+        for code in reversed(self.codes):
+            index, digit = divmod(index, len(code))
+            digits.append(digit)
+        return digits[::-1]
+
+    def __iter__(self) -> Iterator[Codeword]:
+        left = len(self)
+        if not left:
+            return
+        if not self.codes:
+            yield ()
+            return
+        *head, last = self.codes
+        digits = self._digits(self.start)
+        while True:
+            prefix = tuple(itertools.chain.from_iterable(
+                code[digit] for code, digit in zip(head, digits)))
+            row = last[digits[-1] : digits[-1] + left]
+            for cw in row:
+                yield prefix + cw
+            left -= len(row)
+            if not left:
+                return
+            # odometer step over the head blocks; the last block restarts at 0
+            digits[-1] = 0
+            i = len(head) - 1
+            while digits[i] == len(head[i]) - 1:
+                digits[i] = 0
+                i -= 1
+            digits[i] += 1
+
+    def __reduce__(self):
+        return ProductCodewords, (self.codes, self.start, self.stop)
 
 
 @dataclass(frozen=True)
@@ -54,7 +129,7 @@ class CoveringCode:
     graph: ColorGraph
     n: int
     radius: int
-    codewords: tuple[tuple[int, ...], ...]
+    codewords: Sequence[Codeword]
     blocks: tuple[int, ...]
     per_block_radius: tuple[int, ...]
     block_code_sizes: tuple[int, ...]
@@ -139,7 +214,7 @@ def _ball_tables(perm: np.ndarray, ranks: tuple[np.ndarray, ...], d: int) -> np.
 
 
 def _check_block_cover(
-    mat: np.ndarray, n: int, d: int, r: int, code: Sequence[tuple[int, ...]]
+    mat: np.ndarray, n: int, d: int, r: int, code: Sequence[Codeword]
 ) -> None:
     """Raise RuntimeError unless the radius-r balls of `code` cover [d]^n.
 
@@ -239,9 +314,9 @@ def product_code(
 ) -> CoveringCode:
     """Assemble per-block codes into a code on the concatenated coordinates.
 
-    Codewords are all concatenations (Cartesian product, blocks in order);
-    the covering radius is the sum of the block radii, by additivity of the
-    product distance.
+    Codewords are all concatenations (Cartesian product, blocks in order),
+    held lazily as ProductCodewords; the covering radius is the sum of the
+    block radii, by additivity of the product distance.
     """
     blocks = []
     radii = []
@@ -253,15 +328,11 @@ def product_code(
             raise ValueError("block codewords must share one length")
         blocks.append(widths.pop())
         radii.append(radius)
-    codewords = tuple(
-        tuple(itertools.chain.from_iterable(parts))
-        for parts in itertools.product(*(code for code, _ in block_codes))
-    )
     return CoveringCode(
         graph=g,
         n=sum(blocks),
         radius=sum(radii),
-        codewords=codewords,
+        codewords=ProductCodewords(tuple(tuple(map(tuple, code)) for code, _ in block_codes)),
         blocks=tuple(blocks),
         per_block_radius=tuple(radii),
         block_code_sizes=tuple(len(code) for code, _ in block_codes),
@@ -285,7 +356,7 @@ def build_code(g: ColorGraph, n: int, k: int, block_cap: int = DEFAULT_BLOCK_CAP
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
-        return CoveringCode(g, 0, 0, ((),), (), (), ())
+        return product_code(g, [])
     max_block = 0
     space = 1
     while space * g.d <= block_cap:
@@ -310,26 +381,6 @@ def build_code(g: ColorGraph, n: int, k: int, block_cap: int = DEFAULT_BLOCK_CAP
         g.d, n, k, len(sizes), code.radius, len(code.codewords),
     )
     return code
-
-
-def first_uncovered(code: CoveringCode, cap: int = DEFAULT_VERIFY_CAP) -> Optional[tuple[int, ...]]:
-    """Exhaustively look for a point outside every codeword ball; None if covered."""
-    size = code.graph.d**code.n
-    if size > cap:
-        raise ValueError(f"verification space {code.graph.d}^{code.n} exceeds cap {cap}")
-    mat = _finite_distance_matrix(code.graph)
-    covered = np.zeros(size, dtype=bool)
-    for cw in code.codewords:
-        covered |= _dist_from_center(mat, cw) <= code.radius
-        if covered.all():
-            return None
-    idx = int(np.argmin(covered))
-    return _index_to_point(idx, code.n, code.graph.d)
-
-
-def verify_cover(code: CoveringCode, cap: int = DEFAULT_VERIFY_CAP) -> bool:
-    """True iff every point of [d]^n is within the code radius of some codeword."""
-    return first_uncovered(code, cap) is None
 
 
 def format_code_file(code: CoveringCode) -> str:

@@ -318,6 +318,20 @@ class TestReachWithin:
         assert reach_within(3, 50, 5000, 10**9) == 0.0
         assert time.perf_counter() - start < 1.0
 
+    def test_critical_pair_matches_forward_dp(self):
+        # d = k = 2 takes the reflection-principle branch at every horizon
+        for j in range(1, 9):
+            for max_steps in range(0, 400, 3):
+                exact = exact_reach_within(2, 2, j, max_steps)
+                assert abs(reach_within(2, 2, j, max_steps) - exact) <= 5e-13, (j, max_steps)
+
+    def test_critical_pair_billion_steps_is_fast(self):
+        start = time.perf_counter()
+        value = reach_within(2, 2, 2, 10**9)
+        assert time.perf_counter() - start < 0.05
+        # P(tau > T) ~ j sqrt(2 / (pi T)) for the simple symmetric walk
+        assert 1.0 - value == pytest.approx(2 * math.sqrt(2 / (math.pi * 10**9)), rel=1e-6)
+
     def test_start_at_zero_and_out_of_reach(self):
         assert reach_within(3, 3, 0, 0) == 1.0
         assert reach_within(3, 3, 4, 3) == 0.0

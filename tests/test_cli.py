@@ -5,9 +5,11 @@ import logging
 import pytest
 
 from dkcsp.cli import main
-from dkcsp.covercode import CoveringCode, build_code, verify_cover
+from dkcsp.covercode import CoveringCode, build_code
 from dkcsp.colorgraph import directed_cycle
 from dkcsp.formula import brute_force_solve, parse_instance
+
+from cover_oracle import verify_cover
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -18,14 +19,15 @@ from dkcsp.colorgraph import (
 )
 from dkcsp.covercode import (
     CoveringCode,
+    ProductCodewords,
     build_code,
-    first_uncovered,
     format_code_file,
     greedy_cover,
     product_code,
-    verify_cover,
 )
 from dkcsp.volume import ball_volume, select_radius
+
+from cover_oracle import first_uncovered, verify_cover
 
 
 # out-profile (1, 2, 1) for every color, but color 1 has in-degree 3: the
@@ -212,7 +214,7 @@ class TestProductCode:
         s = profile(g).s
         full = greedy_cover(g, 2, s * 2)
         code = product_code(g, [(full, s * 2), (full, s * 2)])
-        assert code.codewords == ((1, 1, 1, 1),)
+        assert tuple(code.codewords) == ((1, 1, 1, 1),)
         assert code.radius == s * 4
 
     def test_cardinality(self):
@@ -235,6 +237,81 @@ class TestProductCode:
             product_code(complete(2), [((), 1)])
 
 
+def eager_product(codes):
+    """The product as it was materialised before ProductCodewords: one tuple per codeword."""
+    return tuple(tuple(itertools.chain.from_iterable(parts)) for parts in itertools.product(*codes))
+
+
+def block_codes(width):
+    codeword = st.tuples(*[st.integers(1, 3)] * width)
+    return st.lists(codeword, min_size=1, max_size=5).map(tuple)
+
+
+class TestProductCodewords:
+    """The lazy product against the eager itertools.product tuple."""
+
+    @pytest.mark.parametrize("g,count,digest", [
+        (complete(3), 94249, "96710ac3f1b297908ecee6649a8dcac7b9b6414bc4c91562332b0764005d6147"),
+        (directed_cycle(3), 63504, "748d7f97fdcf5a46a730e3877470e3223bd417012b9b9f6c1feb7d5c1ff395e4"),
+    ], ids=["complete3", "cycle3"])
+    def test_det_sat_codes_pinned(self, g, count, digest):
+        # the n=18, cap 19683 codes; values are those of the eager product
+        codewords = tuple(build_code(g, 18, 3, 19683).codewords)
+        assert len(codewords) == count
+        assert hashlib.sha256(repr(codewords).encode()).hexdigest() == digest
+
+    @given(st.data())
+    def test_matches_eager_product(self, data):
+        widths = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=3), label="widths")
+        codes = tuple(data.draw(block_codes(w), label="code") for w in widths)
+        lazy, eager = ProductCodewords(codes), eager_product(codes)
+        assert len(lazy) == len(eager)
+        assert tuple(lazy) == eager
+        for i in range(-len(eager), len(eager)):
+            assert lazy[i] == eager[i]
+        for i in (len(eager), -len(eager) - 1):
+            with pytest.raises(IndexError):
+                lazy[i]
+        bound = st.one_of(st.none(), st.integers(-len(eager) - 3, len(eager) + 3))
+        for _ in range(3):
+            a, b, c, e = (data.draw(bound, label="bound") for _ in range(4))
+            part, eager_part = lazy[a:b], eager[a:b]
+            assert isinstance(part, ProductCodewords)
+            assert len(part) == len(eager_part)
+            assert tuple(part) == eager_part
+            every = range(-len(part), len(part))
+            assert [part[i] for i in every] == [eager_part[i] for i in every]
+            assert tuple(part[c:e]) == eager_part[c:e]
+            assert len(part[c:e]) == len(eager_part[c:e])
+
+    def test_no_blocks_is_one_empty_codeword(self):
+        lazy = ProductCodewords(())
+        assert tuple(lazy) == eager_product(()) == ((),)
+        assert tuple(lazy[1:]) == ()
+
+    @pytest.mark.parametrize("step", [2, -1, 0])
+    def test_strided_slice_rejected(self, step):
+        lazy = ProductCodewords((((1,), (2,)), ((1,), (2,), (3,))))
+        with pytest.raises(ValueError):
+            lazy[::step]
+
+    def test_chunk_pickles_as_block_codes_and_range(self):
+        code = build_code(complete(3), 18, 3, 19683)
+        whole = len(pickle.dumps(code.codewords, pickle.HIGHEST_PROTOCOL))
+        sizes = []
+        for start, stop in [(0, 1), (0, 94249), (5000, 17000), (94248, 94249), (40000, 40000)]:
+            chunk = code.codewords[start:stop]
+            blob = pickle.dumps(chunk, pickle.HIGHEST_PROTOCOL)
+            back = pickle.loads(blob)
+            assert (back.start, back.stop) == (start, stop)
+            assert back.codes == code.codewords.codes
+            assert tuple(back) == tuple(chunk)
+            sizes.append(len(blob))
+        # only the range's integers differ in size
+        assert max(sizes) - min(sizes) <= 8
+        assert max(sizes) <= whole + 8
+
+
 class TestBuildCode:
     def test_small_cube(self):
         g = complete(2)
@@ -245,7 +322,7 @@ class TestBuildCode:
 
     def test_n_zero(self):
         code = build_code(complete(2), 0, 3)
-        assert code.codewords == ((),)
+        assert tuple(code.codewords) == ((),)
         assert code.radius == 0
         assert verify_cover(code)
 
@@ -275,7 +352,7 @@ class TestBuildCode:
     def test_deterministic(self):
         a = build_code(directed_cycle(4), 5, 3, block_cap=64)
         b = build_code(directed_cycle(4), 5, 3, block_cap=64)
-        assert a.codewords == b.codewords
+        assert tuple(a.codewords) == tuple(b.codewords)
 
     def test_cap_too_small(self):
         with pytest.raises(ValueError, match="cap"):
