@@ -25,13 +25,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Union
 
 from .colorgraph import DistanceProfile, complete, directed_cycle, profile
 from .volume import shell_counts
 
+if TYPE_CHECKING:
+    import numpy as np
 __all__ = [
     "BaseReport",
     "LambdaSolution",
@@ -258,6 +258,7 @@ def markov_simulate(
     from one binomial draw per live walk per iteration. Walks run in batches
     of 2^14, so memory is O(batch) whatever `trials` is.
     """
+    import numpy as np
     _check_dk(d, k)
     if trials < 1:
         raise ValueError("trials must be at least 1")

@@ -28,13 +28,13 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from .colorgraph import ColorGraph, profile
 from .volume import ball_volume, select_radius
 
+if TYPE_CHECKING:
+    import numpy as np
 __all__ = [
     "DEFAULT_BLOCK_CAP",
     "CoveringCode",
@@ -142,6 +142,7 @@ class CoveringCode:
 
 
 def _finite_distance_matrix(g: ColorGraph) -> np.ndarray:
+    import numpy as np
     rows = g.distances
     if any(x is None for row in rows for x in row):
         raise ValueError(f"graph {g.name!r} is not strongly connected")
@@ -172,6 +173,7 @@ def _index_to_point(idx: int, n: int, d: int) -> tuple[int, ...]:
 
 def _dist_from_center(mat: np.ndarray, center: Sequence[int]) -> np.ndarray:
     """Distances from `center` to every point of [d]^len(center), in lexicographic order."""
+    import numpy as np
     z = np.zeros(1, dtype=np.int64)
     for c in center:
         z = (z[:, None] + mat[c - 1][None, :]).ravel()
@@ -185,6 +187,7 @@ def _coverage_gains(mat: np.ndarray, n: int, d: int, r: int, weights: np.ndarray
     vector indexed by accumulated distance (degrees above r are dropped).
     Each step converts one coordinate from point-space to center-space.
     """
+    import numpy as np
     size = d**n
     cap = r + 1
     q = np.zeros((size, cap), dtype=np.int64)
@@ -209,6 +212,7 @@ def _ball_tables(perm: np.ndarray, ranks: tuple[np.ndarray, ...], d: int) -> np.
     coordinate i's share of the point index of every offset when that
     coordinate's color is c, so the ball around x is sum_i tables[i, x_i].
     """
+    import numpy as np
     n = len(ranks)
     return np.stack([perm[:, ranks[i]] * d ** (n - 1 - i) for i in range(n)])
 
@@ -222,6 +226,7 @@ def _check_block_cover(
     the codewords within distance r of it. Coverage of every block proves
     coverage of the product code, by additivity of the product distance.
     """
+    import numpy as np
     indicator = np.zeros(d**n, dtype=np.int64)
     indicator[np.ravel_multi_index(tuple(np.array(code).T - 1), (d,) * n)] = 1
     counts = _coverage_gains(mat.T, n, d, r, indicator)
@@ -247,6 +252,7 @@ def greedy_cover(
     is checked to cover the block, and its size against the
     (1 + ln d^n_block) * d^n_block / Vol guarantee.
     """
+    import numpy as np
     if n_block < 0:
         raise ValueError("n must be nonnegative")
     if r < 0:

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-import numpy as np
-
+if TYPE_CHECKING:
+    import numpy as np
 __all__ = [
     "BRUTE_FORCE_CAP",
     "Constraint",
@@ -257,6 +257,7 @@ def generate_random(
 
 def _assignment_grid(n: int, d: int) -> np.ndarray:
     """All d^n assignments as rows in lexicographic order (variable 1 varies slowest)."""
+    import numpy as np
     total = d**n
     idx = np.arange(total, dtype=np.int64)
     cols = [(idx // d ** (n - 1 - i)) % d + 1 for i in range(n)]
@@ -265,6 +266,7 @@ def _assignment_grid(n: int, d: int) -> np.ndarray:
 
 def brute_force_solve(f: Formula, cap: int = BRUTE_FORCE_CAP) -> Optional[tuple[int, ...]]:
     """Exhaustive search for the lexicographically smallest satisfying assignment."""
+    import numpy as np
     total = f.d**f.n
     if total > cap:
         raise ValueError(f"search space {f.d}^{f.n} exceeds cap {cap}")

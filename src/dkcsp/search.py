@@ -11,7 +11,6 @@ shared bitset state (_ConstraintBits).
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
 from functools import reduce
@@ -69,6 +68,9 @@ class _ConstraintBits:
     bits[v][alpha[v]] over all v, so an empty constraint stays unsatisfied
     and a tautology satisfied with no special case. The state does not hold
     alpha: re-coloring a variable is a store into the caller's list.
+
+    picks[i] is what the walk draws from: (literal count, its bit length,
+    ((variable, color) for each literal)), both 0-based.
     """
 
     def __init__(self, f: Formula):
@@ -85,15 +87,12 @@ class _ConstraintBits:
                     if c != lit.color:
                         row[c][byte] |= bit
         self.bits = [[self.full ^ int.from_bytes(b, "little") for b in row] for row in cleared]
+        lits = [tuple((x.var - 1, x.color - 1) for x in con.literals) for con in f.constraints]
+        self.picks = [(len(t), len(t).bit_length(), t) for t in lits]
 
     def unsat(self, alpha: Sequence[int]) -> int:
         """Bitset of the constraints alpha leaves unsatisfied."""
         return reduce(and_, map(list.__getitem__, self.bits, alpha), self.full)
-
-    def first_unsat(self, alpha: Sequence[int]) -> Optional[int]:
-        """Index of the first constraint alpha leaves unsatisfied, or None."""
-        u = self.unsat(alpha)
-        return (u & -u).bit_length() - 1 if u else None
 
 
 def _check_graph(f: Formula, g: ColorGraph) -> None:
@@ -171,23 +170,34 @@ def _validate_walk_graph(f: Formula, g: ColorGraph) -> None:
 def _walk_core(
     state: _ConstraintBits, out: tuple[tuple[int, ...], ...], rng: RngLike, steps: int
 ) -> tuple[Optional[tuple[int, ...]], int]:
-    """One random walk from a fresh random start; returns (witness or None, steps taken)."""
-    constraints = state.constraints
-    first_unsat = state.first_unsat
+    """One random walk from a fresh random start; returns (witness or None, steps taken).
+
+    A draw below N inlines random.Random.randrange(N): getrandbits(N.bit_length()),
+    redrawn until below N, so the getrandbits calls and the walk are randrange's.
+    """
+    bits, full, picks = state.bits, state.full, state.picks
     rng = _as_rng(rng)
-    randrange = rng.randrange
+    getrandbits = rng.getrandbits
+    moves = [(nbrs, len(nbrs), len(nbrs).bit_length()) for nbrs in out]
     alpha = [rng.randint(1, state.d) for _ in range(state.n)]
+    getitem = list.__getitem__
     for taken in range(steps):
-        ci = first_unsat(alpha)
-        if ci is None:
+        u = reduce(and_, map(getitem, bits, alpha), full)
+        if not u:
             return tuple(alpha), taken
-        lits = constraints[ci].literals
-        if not lits:
+        count, width, lits = picks[(u & -u).bit_length() - 1]
+        if not count:
             return None, taken
-        lit = lits[randrange(len(lits))]
-        nbrs = out[lit.color - 1]
-        alpha[lit.var - 1] = nbrs[randrange(len(nbrs))]
-    return (tuple(alpha) if first_unsat(alpha) is None else None), steps
+        i = getrandbits(width)
+        while i >= count:
+            i = getrandbits(width)
+        v, c = lits[i]
+        nbrs, count, width = moves[c]
+        i = getrandbits(width)
+        while i >= count:
+            i = getrandbits(width)
+        alpha[v] = nbrs[i]
+    return (None if state.unsat(alpha) else tuple(alpha)), steps
 
 
 def schoening_run(
@@ -260,6 +270,8 @@ def _run_chunks(items: Sequence, args: tuple, jobs: int) -> Iterator:
         for chunk in chunks:
             yield from _search_chunk(chunk, *args)
         return
+    from concurrent.futures import ProcessPoolExecutor
+
     pool = ProcessPoolExecutor(max_workers=jobs)
     try:
         futures = [pool.submit(_search_chunk, chunk, *args) for chunk in chunks]

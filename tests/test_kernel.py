@@ -81,8 +81,7 @@ def oracle_searchball(f, g, center, r):
     return rec(r), nodes
 
 
-def oracle_walk(f, g, steps, seed):
-    rng = random.Random(seed)
+def oracle_walk(f, g, steps, rng):
     alpha = [rng.randint(1, f.d) for _ in range(f.n)]
     state = CountState(f)
     state.reset(alpha)
@@ -106,6 +105,24 @@ def unsat_indices(f, alpha):
         i for i, con in enumerate(f.constraints)
         if all(alpha[lit.var - 1] == lit.color for lit in con.literals)
     ]
+
+
+def lowest_unsat(state, alpha):
+    """Index of the lowest set bit of the kernel's unsat bitset, or None."""
+    u = state.unsat(alpha)
+    return (u & -u).bit_length() - 1 if u else None
+
+
+class CountingRandom(random.Random):
+    """random.Random that counts getrandbits calls; randrange draws through them."""
+
+    def __init__(self, seed):
+        self.calls = 0
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
 
 
 def kernel_indices(state, alpha):
@@ -145,18 +162,18 @@ class TestKernelState:
                 alpha[var - 1] = color
                 oracle.set_color(var, color)
             first = evaluate(f, alpha)[1]
-            assert state.first_unsat(alpha) == first == oracle.first_unsat()
+            assert lowest_unsat(state, alpha) == first == oracle.first_unsat()
             assert kernel_indices(state, alpha) == unsat_indices(f, alpha)
 
     def test_degenerate_formulas(self):
-        assert _ConstraintBits(Formula(0, 3, 2, ())).first_unsat([]) is None
-        assert _ConstraintBits(Formula(0, 3, 2, (Constraint(()),))).first_unsat([]) == 0
-        assert _ConstraintBits(Formula(3, 3, 2, ())).first_unsat([1, 2, 3]) is None
+        assert lowest_unsat(_ConstraintBits(Formula(0, 3, 2, ())), []) is None
+        assert lowest_unsat(_ConstraintBits(Formula(0, 3, 2, (Constraint(()),))), []) == 0
+        assert lowest_unsat(_ConstraintBits(Formula(3, 3, 2, ())), [1, 2, 3]) is None
         state = _ConstraintBits(Formula(1, 3, 2, (TAUTOLOGY, DUPLICATE)))
-        assert [state.first_unsat([c]) for c in (1, 2, 3)] == [None, 1, None]
+        assert [lowest_unsat(state, [c]) for c in (1, 2, 3)] == [None, 1, None]
         # past bit 64: a duplicate at 70 and an empty constraint at 71
         state = _ConstraintBits(Formula(1, 3, 2, (TAUTOLOGY,) * 70 + (DUPLICATE, Constraint(()))))
-        assert [state.first_unsat([c]) for c in (1, 2, 3)] == [71, 70, 71]
+        assert [lowest_unsat(state, [c]) for c in (1, 2, 3)] == [71, 70, 71]
         assert state.unsat([2]) == 0b11 << 70
 
     def test_masks_span_machine_words(self):
@@ -168,7 +185,7 @@ class TestKernelState:
             alpha = [rng.randint(1, 3) for _ in range(8)]
             indices = kernel_indices(state, alpha)
             assert indices == unsat_indices(f, alpha)
-            assert state.first_unsat(alpha) == evaluate(f, alpha)[1]
+            assert lowest_unsat(state, alpha) == evaluate(f, alpha)[1]
             seen_high |= any(i >= 128 for i in indices)
         assert seen_high
 
@@ -182,7 +199,10 @@ def mixed_formula(rng, n, d, k, m):
     return Formula(n, d, k, tuple(cons))
 
 
-GRAPHS = [complete(2), complete(3), directed_cycle(3), directed_cycle(4), hypercube(2)]
+# complete(4) and complete(5) have out-degree 3 and 4, so the walk's neighbor
+# draw is rejected and redrawn at 2 and 3 bits
+GRAPHS = [complete(2), complete(3), complete(4), complete(5), directed_cycle(3), directed_cycle(4),
+          hypercube(2)]
 
 
 @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: f"{g.name}{g.d}")
@@ -206,12 +226,21 @@ class TestAgainstCountState:
             assert (witness, stats.nodes_visited) == oracle_searchball(f, g, center, r)
 
     def test_walk_witness_and_steps(self, g):
+        # also the same number of getrandbits calls as the randrange oracle, so
+        # the stream is left at the same position, not only the walk's result
+        calls = draws = 0
         for rng, f in self.instances(g, 40):
             steps = 3 * (g.d - 1) * f.n
             seed = rng.getrandbits(64)
+            ours, theirs = CountingRandom(seed), CountingRandom(seed)
             stats = SearchStats()
-            witness = schoening_run(f, g, steps, seed, stats)
-            assert (witness, stats.steps) == oracle_walk(f, g, steps, seed)
+            witness = schoening_run(f, g, steps, ours, stats)
+            assert (witness, stats.steps) == oracle_walk(f, g, steps, theirs)
+            assert ours.calls == theirs.calls
+            assert ours.getrandbits(64) == theirs.getrandbits(64)
+            calls += ours.calls - 1
+            draws += f.n + 2 * stats.steps
+        assert calls > draws  # some draws were rejected and redrawn
 
     def test_det_solve_shares_state_across_balls(self, g):
         # _search_chunk reuses one state for every ball of a chunk

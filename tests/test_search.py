@@ -140,10 +140,10 @@ class TestSchoeningRun:
         state = _ConstraintBits(f)
         deltas = set()
         for _ in range(200):
-            ci = state.first_unsat(alpha)
-            if ci is None:
+            u = state.unsat(alpha)
+            if not u:
                 break
-            lits = f.constraints[ci].literals
+            lits = f.constraints[(u & -u).bit_length() - 1].literals
             lit = lits[rng.randrange(len(lits))]
             before = assignment_distance(g, tuple(alpha), beta)
             nbrs = g.out[lit.color - 1]

@@ -1,0 +1,85 @@
+"""Start-up guard: the commands that never build an array load neither numpy
+nor the process pool.
+
+Each command runs in a fresh interpreter with PYTHONPATH=src, as
+`python -m dkcsp.cli ...` does, and reports its exit code and which of the
+guarded modules ended up in sys.modules.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from dkcsp.formula import brute_force_solve, generate_random, serialize_instance
+
+ROOT = Path(__file__).resolve().parent.parent
+GUARDED = ("numpy", "concurrent.futures.process")
+
+PROBE = """
+import json, runpy, sys
+sys.argv = ["dkcsp", *sys.argv[1:]]
+try:
+    runpy.run_module("dkcsp.cli", run_name="__main__", alter_sys=True)
+    code = 0
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "loaded": [m for m in %r if m in sys.modules]}))
+""" % (GUARDED,)
+
+
+def run_cli(*argv):
+    """(exit code, guarded modules loaded, stdout lines) of one `dkcsp` run."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    report = json.loads(lines[-1])
+    return report["code"], report["loaded"], lines[:-1]
+
+
+@pytest.fixture(scope="module")
+def unsat_instance(tmp_path_factory):
+    for seed in range(50):
+        f = generate_random(6, 3, 3, 150, seed)
+        if brute_force_solve(f) is None:
+            path = tmp_path_factory.mktemp("startup") / "unsat.csp"
+            path.write_text(serialize_instance(f))
+            return str(path)
+    raise AssertionError("no UNSAT instance among the seeds tried")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["gen", "--n", "5", "--d", "3", "--k", "3", "--m", "10", "--seed", "1"],
+        ["volume", "--graph", "cycle", "--d", "3", "--n", "6", "--r", "2"],
+        ["predict", "--d", "3", "--k", "3", "--graph", "cycle"],
+    ],
+    ids=["help", "gen", "volume", "predict"],
+)
+def test_commands_load_no_numpy(argv):
+    code, loaded, lines = run_cli(*argv)
+    assert code == 0
+    assert lines
+    assert loaded == []
+
+
+def test_walk_solve_loads_no_numpy(unsat_instance):
+    code, loaded, lines = run_cli("solve", "--method", "schoening", "--graph", "cycle",
+                                  "--reps", "20", "--seed", "3", unsat_instance)
+    assert (code, lines) == (0, ["s UNKNOWN"])
+    assert loaded == []
+
+
+def test_det_solve_still_answers(unsat_instance):
+    code, loaded, lines = run_cli("solve", "--method", "det", "--graph", "cycle",
+                                  "--block-cap", "81", unsat_instance)
+    assert (code, lines) == (20, ["s UNSATISFIABLE"])
+    assert "numpy" in loaded  # the probe sees numpy once a code is built
