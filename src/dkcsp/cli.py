@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import logging
+import os
 import random
 import sys
 import time
@@ -343,6 +344,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.log_level is not None:
         logging.basicConfig(level=args.log_level.upper(), force=True,
                             format="%(levelname)s %(name)s: %(message)s")
+    # no BLAS call is made, so spare every numpy import OpenBLAS's idle thread pool
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         return args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:

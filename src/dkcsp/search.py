@@ -15,6 +15,7 @@ from contextlib import closing
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_
+from types import SimpleNamespace
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .colorgraph import ColorGraph
@@ -230,17 +231,30 @@ def _verify_witness(f: Formula, witness: tuple[int, ...]) -> None:
         raise RuntimeError(f"internal error: witness fails constraint {bad}")
 
 
-def _search_chunk(
-    items: Sequence,
-    core: Callable[..., tuple[Optional[tuple[int, ...]], int]],
-    f: Formula,
-    out: tuple[tuple[int, ...], ...],
-    arg: int,
-) -> list[tuple[Optional[tuple[int, ...]], int]]:
-    """core(state, out, item, arg) per item over one shared state, up to the first witness."""
-    state = _ConstraintBits(f)
+_NEVER = SimpleNamespace(value=0)  # the stop flag of an in-process run: never set
+_worker: tuple = ()  # a pool worker's chunk context, built once by _init_worker
+
+
+def _chunk_context(core: Callable, f: Formula, out: tuple, arg: int, stop=_NEVER) -> tuple:
+    """(core, state, out, arg, stop): what _search_chunk needs besides its items."""
+    return core, _ConstraintBits(f), out, arg, stop
+
+
+def _init_worker(*args) -> None:
+    global _worker
+    _worker = _chunk_context(*args)
+
+
+def _search_chunk(items: Sequence, context: tuple = ()) -> list[tuple[Optional[tuple[int, ...]], int]]:
+    """core(state, out, item, arg) per item, up to the first witness or until stop is set.
+
+    Without a context, the worker's own (set by _init_worker) is used.
+    """
+    core, state, out, arg, stop = context or _worker
     results = []
     for item in items:
+        if stop.value:
+            break
         results.append(core(state, out, item, arg))
         if results[-1][0] is not None:
             break
@@ -260,24 +274,32 @@ def _check_jobs(jobs: int) -> None:
 def _run_chunks(items: Sequence, args: tuple, jobs: int) -> Iterator:
     """Yield _search_chunk's per-item results over all chunks of `items`, in item order.
 
-    jobs == 1 runs the chunks in process; otherwise all chunks are submitted
-    to a pool of `jobs` processes at once and read back in order, so the
-    caller sees the same results for every `jobs`. Closing the generator
-    (the caller stops at a witness) cancels the chunks that have not started.
+    args = (core, formula, out, arg) becomes one context, built in process when
+    jobs == 1, else once in each of up to `jobs` processes that take the chunks
+    (sent as items alone) and are read back in order, so the caller sees the same
+    results for every `jobs`. Closing the generator (the caller stops at a witness)
+    cancels the chunks not started and sets a stop flag checked before each item,
+    so running chunks end early; their results are never read.
     """
     chunks = _chunked(items, jobs)
     if jobs == 1 or len(chunks) == 1:
+        context = _chunk_context(*args)
         for chunk in chunks:
-            yield from _search_chunk(chunk, *args)
+            yield from _search_chunk(chunk, context)
         return
     from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import RawValue
 
-    pool = ProcessPoolExecutor(max_workers=jobs)
+    stop = RawValue("b", 0)
+    pool = ProcessPoolExecutor(
+        max_workers=min(jobs, len(chunks)), initializer=_init_worker, initargs=(*args, stop)
+    )
     try:
-        futures = [pool.submit(_search_chunk, chunk, *args) for chunk in chunks]
+        futures = [pool.submit(_search_chunk, chunk) for chunk in chunks]
         for future in futures:
             yield from future.result()
     finally:
+        stop.value = 1
         pool.shutdown(cancel_futures=True)
 
 

@@ -1,6 +1,12 @@
 import itertools
 import multiprocessing
+import os
 import random
+import subprocess
+import sys
+from concurrent.futures import Future
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -362,3 +368,96 @@ class TestJobs:
             det_solve(f, complete(3), block_cap=19683, jobs=0)
         with pytest.raises(ValueError, match="jobs"):
             schoening_solve(f, complete(3), 5, rng=NoDraws(1), jobs=0)
+
+
+class FlipsAfter:
+    """A stop flag whose value reads 0 for the first k reads and 1 after."""
+
+    def __init__(self, k):
+        self.reads, self.k = 0, k
+
+    @property
+    def value(self):
+        self.reads += 1
+        return int(self.reads > self.k)
+
+
+class InlinePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts no process,
+    runs the initializer once and each submitted call in process."""
+
+    sizes = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.sizes.append(max_workers)
+        initializer(*initargs)
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+# det_solve under the spawn start method, which pickles the initializer's
+# arguments (formula and shared stop flag) instead of inheriting them
+SPAWN_PROBE = """
+import multiprocessing, sys
+multiprocessing.set_start_method("spawn")
+from dkcsp.colorgraph import directed_cycle
+from dkcsp.formula import generate_random
+from dkcsp.search import det_solve
+for args in (%r, %r):
+    f = generate_random(*args)
+    serial, pooled = (det_solve(f, directed_cycle(3), block_cap=729, jobs=j) for j in (1, 2))
+    print(serial.status, serial == pooled)
+"""
+
+
+class TestStopFlag:
+    def context(self, stop):
+        f = generate_random(*UNSAT)
+        return search._chunk_context(search._searchball_core, f, directed_cycle(3).out, 1, stop)
+
+    def centers(self, count):
+        return list(itertools.islice(itertools.product((1, 2, 3), repeat=UNSAT[0]), count))
+
+    def test_set_flag_searches_nothing(self):
+        assert search._search_chunk(self.centers(5), self.context(SimpleNamespace(value=1))) == []
+
+    @pytest.mark.parametrize("k", [0, 1, 4, 7])
+    def test_flag_flipping_after_k_reads_yields_k_results(self, k):
+        flag = FlipsAfter(k)
+        results = search._search_chunk(self.centers(7), self.context(flag))
+        assert len(results) == k
+        assert all(witness is None for witness, _ in results)
+        if k < 7:
+            assert flag.reads == k + 1
+
+    def test_pool_size_capped_by_chunks(self, monkeypatch):
+        import concurrent.futures
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(search, "_worker", ())
+        sizes = []
+        monkeypatch.setattr(InlinePool, "sizes", sizes)
+        f = Formula(1, 3, 1, (constraint((1, 1)), constraint((1, 2)), constraint((1, 3))))
+        result = det_solve(f, complete(3), block_cap=3, jobs=64)
+        assert result.status == "unsat"
+        assert result.stats.balls_searched == 3
+        g = directed_cycle(3)
+        pooled = schoening_solve(generate_random(*UNSAT), g, 5, rng=4, jobs=64)
+        monkeypatch.undo()
+        assert pooled == schoening_solve(generate_random(*UNSAT), g, 5, rng=4)
+        assert sizes == [3, 5]
+
+    def test_spawn_start_method_matches_serial(self):
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", SPAWN_PROBE % (SAT_DEEP, UNSAT)],
+                              cwd=root, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["sat True", "unsat True"]

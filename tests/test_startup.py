@@ -1,9 +1,10 @@
 """Start-up guard: the commands that never build an array load neither numpy
-nor the process pool.
+nor the process pool, and those that do load numpy start no BLAS threads.
 
 Each command runs in a fresh interpreter with PYTHONPATH=src, as
-`python -m dkcsp.cli ...` does, and reports its exit code and which of the
-guarded modules ended up in sys.modules.
+`python -m dkcsp.cli ...` does, and reports its exit code, which of the
+guarded modules ended up in sys.modules, the OPENBLAS_NUM_THREADS it left
+and, on Linux, how many threads the process had after the command.
 """
 
 import json
@@ -17,30 +18,41 @@ import pytest
 from dkcsp.formula import brute_force_solve, generate_random, serialize_instance
 
 ROOT = Path(__file__).resolve().parent.parent
-GUARDED = ("numpy", "concurrent.futures.process")
+GUARDED = ("numpy", "multiprocessing", "concurrent.futures.process")
 
 PROBE = """
-import json, runpy, sys
+import json, os, runpy, sys
 sys.argv = ["dkcsp", *sys.argv[1:]]
 try:
     runpy.run_module("dkcsp.cli", run_name="__main__", alter_sys=True)
     code = 0
 except SystemExit as exc:
     code = exc.code
-print(json.dumps({"code": code, "loaded": [m for m in %r if m in sys.modules]}))
+threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(json.dumps({"code": code, "loaded": [m for m in %r if m in sys.modules],
+                  "blas": os.environ.get("OPENBLAS_NUM_THREADS"), "threads": threads}))
 """ % (GUARDED,)
 
 
-def run_cli(*argv):
-    """(exit code, guarded modules loaded, stdout lines) of one `dkcsp` run."""
+def probe(*argv, blas=None):
+    """The probe's report and stdout lines of one `dkcsp` run with
+    OPENBLAS_NUM_THREADS set to `blas`, or unset when it is None."""
     env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", PROBE, *argv], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    report = json.loads(lines[-1])
-    return report["code"], report["loaded"], lines[:-1]
+    return json.loads(lines[-1]), lines[:-1]
+
+
+def run_cli(*argv):
+    """(exit code, guarded modules loaded, stdout lines) of one `dkcsp` run."""
+    report, lines = probe(*argv)
+    return report["code"], report["loaded"], lines
 
 
 @pytest.fixture(scope="module")
@@ -83,3 +95,20 @@ def test_det_solve_still_answers(unsat_instance):
                                   "--block-cap", "81", unsat_instance)
     assert (code, lines) == (20, ["s UNSATISFIABLE"])
     assert "numpy" in loaded  # the probe sees numpy once a code is built
+
+
+DET = ("solve", "--method", "det", "--graph", "cycle", "--block-cap", "81", "--jobs", "1")
+
+
+def test_det_solve_starts_no_blas_threads(unsat_instance):
+    report, lines = probe(*DET, unsat_instance)
+    assert (report["code"], lines) == (20, ["s UNSATISFIABLE"])
+    assert report["blas"] == "1"
+    if sys.platform.startswith("linux"):
+        assert report["threads"] == 1  # numpy is loaded, OpenBLAS's pool is not
+
+
+def test_callers_blas_thread_count_wins(unsat_instance):
+    report, lines = probe(*DET, unsat_instance, blas="2")
+    assert (report["code"], lines) == (20, ["s UNSATISFIABLE"])
+    assert report["blas"] == "2"
