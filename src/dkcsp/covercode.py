@@ -9,9 +9,13 @@ balls as candidate sets, and take the Cartesian product of the block codes
 The greedy keeps every center's gain (uncovered points in its ball) and
 updates it incrementally: all balls are one offset set relabeled per center,
 so each pick subtracts its newly covered points from the gains of the
-centers whose balls hold them. Each finished block code is checked to cover
-its block with one transfer-DP pass, which by additivity proves coverage of
-the product; the check raises, so it also runs under python -O.
+centers whose balls hold them. When the graph's dual profiles are uniform
+and the block makes at most _PYTHON_UPDATES gain updates (d^b * Vol in
+all), it runs on plain lists and never imports numpy; any other block runs
+on numpy arrays, with the same picks. Each finished block code is checked
+to cover its block (by marking every codeword's ball, or on numpy by one
+transfer-DP pass), which by additivity proves coverage of the product; the
+checks raise, so they also run under python -O.
 
 The product itself is never materialised: ProductCodewords is a read-only
 sequence over the block codes, and a contiguous slice of it is the same
@@ -48,6 +52,9 @@ __all__ = [
 DEFAULT_BLOCK_CAP = 1 << 20
 # (newly covered point, dual-ball center) pairs one gain update holds at once
 _UPDATE_PAIRS = 1 << 20
+# blocks whose greedy makes at most this many gain updates are covered on
+# plain lists: below it the list greedy costs less than importing numpy
+_PYTHON_UPDATES = 1 << 18
 
 log = logging.getLogger(__name__)
 
@@ -149,18 +156,14 @@ def _finite_distance_matrix(g: ColorGraph) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
-def _dual_profiles_uniform(mat: np.ndarray) -> bool:
+def _dual_uniform(g: ColorGraph) -> bool:
     """True when every color sees the same distance counts looking inward.
 
     Vertex-transitive graphs have uniform profiles in both directions. The
     greedy size guarantee averages over dual balls, and the incremental gain
     update relabels one dual ball per point, so both need this to hold.
     """
-    profiles = set()
-    for dst in range(mat.shape[0]):
-        col = mat[:, dst]
-        profiles.add(tuple(sorted(col.tolist())))
-    return len(profiles) == 1
+    return len({tuple(sorted(col)) for col in zip(*g.distances)}) == 1
 
 
 def _index_to_point(idx: int, n: int, d: int) -> tuple[int, ...]:
@@ -171,13 +174,13 @@ def _index_to_point(idx: int, n: int, d: int) -> tuple[int, ...]:
     return tuple(dig + 1 for dig in reversed(digits))
 
 
-def _dist_from_center(mat: np.ndarray, center: Sequence[int]) -> np.ndarray:
-    """Distances from `center` to every point of [d]^len(center), in lexicographic order."""
-    import numpy as np
-    z = np.zeros(1, dtype=np.int64)
-    for c in center:
-        z = (z[:, None] + mat[c - 1][None, :]).ravel()
-    return z
+def _ball_indices(rows: Sequence[Sequence[int]], r: int) -> list[int]:
+    """Increasing lexicographic indices of the points y with sum_i rows[i][y_i - 1] <= r:
+    the radius-r ball of a center when rows[i] are the distances from its i-th color."""
+    ball = [(0, 0)]
+    for row in rows:
+        ball = [(idx * len(row) + j, t + x) for idx, t in ball for j, x in enumerate(row) if t + x <= r]
+    return [idx for idx, _ in ball]
 
 
 def _coverage_gains(mat: np.ndarray, n: int, d: int, r: int, weights: np.ndarray) -> np.ndarray:
@@ -204,17 +207,21 @@ def _coverage_gains(mat: np.ndarray, n: int, d: int, r: int, weights: np.ndarray
     return q.sum(axis=1)
 
 
-def _ball_tables(perm: np.ndarray, ranks: tuple[np.ndarray, ...], d: int) -> np.ndarray:
+def _ball_tables(order: Sequence[Sequence[int]], ranks: Sequence[Sequence[int]], d: int) -> list:
     """Point-index contributions of a rank-offset ball relabeled around every color.
 
-    perm[c, j] is the j-th nearest color to (or from) color c, and ranks[i]
-    holds coordinate i's rank for every offset of the ball. Entry [i, c] is
-    coordinate i's share of the point index of every offset when that
-    coordinate's color is c, so the ball around x is sum_i tables[i, x_i].
+    order[c][j] is the (j+1)-th nearest color to (or from) color c + 1, both
+    0-based, and ranks[i] holds coordinate i's 1-based rank for every offset
+    of the ball. Entry [i][c] is coordinate i's share of the point index of
+    every offset when its color is c + 1; _ball sums them around a point.
     """
-    import numpy as np
     n = len(ranks)
-    return np.stack([perm[:, ranks[i]] * d ** (n - 1 - i) for i in range(n)])
+    return [[[row[j - 1] * d ** (n - 1 - i) for j in ranks[i]] for row in order] for i in range(n)]
+
+
+def _ball(tables: list, point: Sequence[int]):
+    """Point indices of the ball around `point`, offset by offset."""
+    return map(sum, zip(*[table[c - 1] for table, c in zip(tables, point)]))
 
 
 def _check_block_cover(
@@ -235,6 +242,51 @@ def _check_block_cover(
         raise RuntimeError(f"block code leaves {missing} outside every radius-{r} ball")
 
 
+def _check_cover_by_balls(g: ColorGraph, n: int, r: int, code: Sequence[Codeword]) -> None:
+    """Raise RuntimeError unless the radius-r balls of `code` cover [g.d]^n.
+
+    Marks every codeword's ball, enumerated from g.distances alone, so the
+    check shares no table with the greedy that built the code.
+    """
+    covered = bytearray(g.d**n)
+    for cw in code:
+        for idx in _ball_indices([g.distances[c - 1] for c in cw], r):
+            covered[idx] = 1
+    if covered.find(0) >= 0:
+        missing = _index_to_point(covered.find(0), n, g.d)
+        raise RuntimeError(f"block code leaves {missing} outside every radius-{r} ball")
+
+
+def _greedy_python(n: int, d: int, vol: int, ball_tables: list, dual_tables: list) -> list[Codeword]:
+    """The incremental greedy on plain lists, picking as np.argmax does.
+
+    Gains only fall, so `gain` bounds them all and no center before `start`
+    reaches it: each scan for the first center at `gain` resumes there.
+    """
+    uncovered = bytearray(b"\1") * d**n
+    gains = [vol] * d**n
+    code = []
+    remaining, gain, start = d**n, vol, 0
+    while remaining:
+        if gain <= 0:
+            raise RuntimeError("greedy cover found no center covering an uncovered point")
+        try:
+            start = gains.index(gain, start)
+        except ValueError:
+            gain, start = gain - 1, 0
+            continue
+        code.append(_index_to_point(start, n, d))
+        newly = [x for x in _ball(ball_tables, code[-1]) if uncovered[x]]
+        if len(newly) != gain:
+            raise RuntimeError(f"greedy gain {gain} but {len(newly)} points newly covered")
+        remaining -= gain
+        for x in newly:
+            uncovered[x] = 0
+            for holder in _ball(dual_tables, _index_to_point(x, n, d)):
+                gains[holder] -= 1
+    return code
+
+
 def greedy_cover(
     g: ColorGraph, n_block: int, r: int, cap: int = DEFAULT_BLOCK_CAP
 ) -> tuple[tuple[int, ...], ...]:
@@ -248,11 +300,11 @@ def greedy_cover(
     whose balls hold a point are the same offsets relabeled inward, and each
     pick subtracts its newly covered points from the gains through those
     dual balls; otherwise the gains are recounted by the transfer DP after
-    every pick. The gains are exact integers either way. The finished code
-    is checked to cover the block, and its size against the
+    every pick. The gains are exact integers either way, and plain lists
+    (small blocks) and numpy arrays (the rest) give the same picks. The
+    finished code is checked to cover the block, and its size against the
     (1 + ln d^n_block) * d^n_block / Vol guarantee.
     """
-    import numpy as np
     if n_block < 0:
         raise ValueError("n must be nonnegative")
     if r < 0:
@@ -266,52 +318,65 @@ def greedy_cover(
         raise ValueError(f"block ground set {d}^{n_block} exceeds cap {cap}")
     if n_block == 0:
         return ((),)
-    mat = _finite_distance_matrix(g)
     r_eff = min(r, p.s * n_block)
-    shape = (d,) * n_block
-    # rank offsets of the ball: distances from color 1 with each row sorted
-    ranks = np.unravel_index(
-        np.flatnonzero(_dist_from_center(np.sort(mat, axis=1), (1,) * n_block) <= r_eff), shape
-    )
-    ball_tables = _ball_tables(np.argsort(mat, axis=1, kind="stable"), ranks, d)
-    dual_uniform = _dual_profiles_uniform(mat)
-    if dual_uniform:
-        dual_tables = _ball_tables(np.argsort(mat.T, axis=1, kind="stable"), ranks, d)
-        slice_len = max(1, _UPDATE_PAIRS // ranks[0].size)
-    coords = np.arange(n_block)
-    uncovered = np.ones(size, dtype=bool)
-    remaining = size
-    gains = np.full(size, ranks[0].size, dtype=np.int64)
-    code: list[tuple[int, ...]] = []
-    while remaining:
-        best = int(np.argmax(gains))
-        if gains[best] <= 0:
-            raise RuntimeError("greedy cover found no center covering an uncovered point")
-        code.append(_index_to_point(best, n_block, d))
-        ball = ball_tables[coords, np.unravel_index(best, shape)].sum(axis=0)
-        newly = ball[uncovered[ball]]
-        if newly.size != gains[best]:
-            raise RuntimeError(f"greedy gain {gains[best]} but {newly.size} points newly covered")
-        uncovered[newly] = False
-        remaining -= newly.size
-        if not dual_uniform:
-            gains = _coverage_gains(mat, n_block, d, r_eff, uncovered)
-            continue
-        for lo in range(0, newly.size, slice_len):
-            digits = np.unravel_index(newly[lo : lo + slice_len], shape)
-            holders = dual_tables[0, digits[0]]
-            for i in range(1, n_block):
-                holders += dual_tables[i, digits[i]]
-            gains -= np.bincount(holders.ravel(), minlength=size)
-    _check_block_cover(mat, n_block, d, r_eff, code)
-    vol = ball_volume(p, n_block, r)
+    dual_uniform = _dual_uniform(g)
+    vol = ball_volume(p, n_block, r_eff)
+    updates = size * vol
+    path = "python" if dual_uniform and updates <= _PYTHON_UPDATES else "numpy"
+    rows = g.distances
+    # 1-based rank offsets of the ball: ranks into color 1's sorted distance row
+    offsets = _ball_indices([sorted(rows[0])] * n_block, r_eff)
+    ranks = tuple(zip(*(_index_to_point(o, n_block, d) for o in offsets)))
+    ball_tables = _ball_tables([sorted(range(d), key=row.__getitem__) for row in rows], ranks, d)
+    dual_tables = (_ball_tables([sorted(range(d), key=col.__getitem__) for col in zip(*rows)], ranks, d)
+                   if dual_uniform else None)
+    if path == "python":
+        code = _greedy_python(n_block, d, len(offsets), ball_tables, dual_tables)
+        _check_cover_by_balls(g, n_block, r_eff, code)
+    else:
+        import numpy as np
+        mat = _finite_distance_matrix(g)
+        shape = (d,) * n_block
+        ball_tables = np.array(ball_tables)
+        if dual_uniform:
+            dual_tables = np.array(dual_tables)
+            slice_len = max(1, _UPDATE_PAIRS // len(offsets))
+        coords = np.arange(n_block)
+        uncovered = np.ones(size, dtype=bool)
+        remaining = size
+        gains = np.full(size, len(offsets), dtype=np.int64)
+        code = []
+        while remaining:
+            best = int(np.argmax(gains))
+            if gains[best] <= 0:
+                raise RuntimeError("greedy cover found no center covering an uncovered point")
+            code.append(_index_to_point(best, n_block, d))
+            ball = ball_tables[coords, np.subtract(code[-1], 1)].sum(axis=0)
+            newly = ball[uncovered[ball]]
+            if newly.size != gains[best]:
+                raise RuntimeError(f"greedy gain {gains[best]} but {newly.size} points newly covered")
+            uncovered[newly] = False
+            remaining -= newly.size
+            if not dual_uniform:
+                gains = _coverage_gains(mat, n_block, d, r_eff, uncovered)
+                continue
+            for lo in range(0, newly.size, slice_len):
+                digits = np.unravel_index(newly[lo : lo + slice_len], shape)
+                holders = dual_tables[0, digits[0]]
+                for i in range(1, n_block):
+                    holders += dual_tables[i, digits[i]]
+                gains -= np.bincount(holders.ravel(), minlength=size)
+        _check_block_cover(mat, n_block, d, r_eff, code)
     bound = (1 + math.log(size)) * size / vol
     if dual_uniform:
         if len(code) > bound + 1e-9:
             raise RuntimeError(f"greedy exceeded its guarantee: {len(code)} > {bound}")
     else:
         log.debug("skipping greedy size guarantee: dual profiles not uniform")
-    log.debug("greedy cover d=%d n=%d r=%d: %d codewords (bound %.1f)", d, n_block, r, len(code), bound)
+    log.debug(
+        "greedy cover d=%d n=%d r=%d on the %s path (%d gain updates): %d codewords (bound %.1f)",
+        d, n_block, r, path, updates, len(code), bound,
+    )
     return tuple(code)
 
 

@@ -4,9 +4,17 @@ from typing import Optional
 
 import numpy as np
 
-from dkcsp.covercode import CoveringCode, _dist_from_center, _finite_distance_matrix, _index_to_point
+from dkcsp.covercode import CoveringCode, _finite_distance_matrix, _index_to_point
 
 DEFAULT_VERIFY_CAP = 10**6
+
+
+def dist_from_center(mat: np.ndarray, center) -> np.ndarray:
+    """Distances from `center` to every point of [d]^len(center), in lexicographic order."""
+    z = np.zeros(1, dtype=np.int64)
+    for c in center:
+        z = (z[:, None] + mat[c - 1][None, :]).ravel()
+    return z
 
 
 def first_uncovered(code: CoveringCode, cap: int = DEFAULT_VERIFY_CAP) -> Optional[tuple[int, ...]]:
@@ -17,7 +25,7 @@ def first_uncovered(code: CoveringCode, cap: int = DEFAULT_VERIFY_CAP) -> Option
     mat = _finite_distance_matrix(code.graph)
     covered = np.zeros(size, dtype=bool)
     for cw in code.codewords:
-        covered |= _dist_from_center(mat, cw) <= code.radius
+        covered |= dist_from_center(mat, cw) <= code.radius
         if covered.all():
             return None
     idx = int(np.argmin(covered))

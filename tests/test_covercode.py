@@ -27,7 +27,7 @@ from dkcsp.covercode import (
 )
 from dkcsp.volume import ball_volume, select_radius
 
-from cover_oracle import first_uncovered, verify_cover
+from cover_oracle import dist_from_center, first_uncovered, verify_cover
 
 
 # out-profile (1, 2, 1) for every color, but color 1 has in-degree 3: the
@@ -131,7 +131,7 @@ def eager_greedy(g, n, r):
         best = int(np.argmax(gains))
         center = covercode._index_to_point(best, n, g.d)
         code.append(center)
-        uncovered[covercode._dist_from_center(mat, center) <= r_eff] = 0
+        uncovered[dist_from_center(mat, center) <= r_eff] = 0
     return tuple(code)
 
 
@@ -154,6 +154,7 @@ class TestIncrementalGreedy:
             assert greedy_cover(g, 5, r) == eager_greedy(g, 5, r), r
 
     def test_sliced_update_matches(self, monkeypatch):
+        monkeypatch.setattr(covercode, "_PYTHON_UPDATES", 0)  # the sliced update is numpy's
         whole = greedy_cover(directed_cycle(3), 6, 3)
         monkeypatch.setattr(covercode, "_UPDATE_PAIRS", 1)
         assert greedy_cover(directed_cycle(3), 6, 3) == whole
@@ -171,6 +172,7 @@ class TestIncrementalGreedy:
 
     @pytest.mark.parametrize("g", [complete(3), directed_cycle(3), hypercube(2)], ids=lambda g: g.name)
     def test_uniform_dual_runs_no_dp_in_the_pick_loop(self, monkeypatch, g):
+        monkeypatch.setattr(covercode, "_PYTHON_UPDATES", 0)
         calls = self._count_gain_passes(monkeypatch)
         code = greedy_cover(g, 5, 2)
         assert len(code) > 1
@@ -180,6 +182,75 @@ class TestIncrementalGreedy:
         calls = self._count_gain_passes(monkeypatch)
         code = greedy_cover(NON_UNIFORM_DUAL, 3, 1)
         assert len(calls) == len(code) + 1
+
+
+def gain_updates(g, n, r):
+    """d^n * Vol, the figure greedy_cover compares against _PYTHON_UPDATES."""
+    p = profile(g)
+    return g.d**n * ball_volume(p, n, min(r, p.s * n))
+
+
+DUAL_UNIFORM_GRAPHS = [g for g in DIFFERENTIAL_GRAPHS if g is not NON_UNIFORM_DUAL] + [complete(4)]
+
+
+class TestPythonPath:
+    """The plain-list greedy against the numpy greedy, and the choice between them."""
+
+    @staticmethod
+    def numpy_cover(monkeypatch, g, n, r):
+        with monkeypatch.context() as m:
+            m.setattr(covercode, "_PYTHON_UPDATES", 0)
+            return greedy_cover(g, n, r)
+
+    @pytest.mark.parametrize("g", DUAL_UNIFORM_GRAPHS, ids=lambda g: f"{g.name}{g.d}")
+    def test_matches_numpy_path(self, monkeypatch, g):
+        # every block of up to 4096 points and every radius the python path takes
+        s, n, checked = profile(g).s, 1, 0
+        while g.d**n <= 4096:
+            for r in range(s * n + 1):
+                if gain_updates(g, n, r) <= covercode._PYTHON_UPDATES:
+                    assert greedy_cover(g, n, r) == self.numpy_cover(monkeypatch, g, n, r), (n, r)
+                    checked += 1
+            n += 1
+        assert checked > 2 * n
+
+    @pytest.mark.parametrize("g,n,r", [
+        (complete(2), 14, 1),
+        (complete(3), 8, 1),
+        (directed_cycle(3), 9, 1),
+        (directed_cycle(4), 7, 1),
+        (hypercube(2), 7, 1),
+    ], ids=["complete2", "complete3", "cycle3", "cycle4", "hypercube2"])
+    def test_matches_numpy_path_near_threshold(self, monkeypatch, g, n, r):
+        assert covercode._PYTHON_UPDATES // 4 < gain_updates(g, n, r) <= covercode._PYTHON_UPDATES
+        assert greedy_cover(g, n, r) == self.numpy_cover(monkeypatch, g, n, r)
+
+    def test_threshold_boundary(self, monkeypatch, caplog):
+        g, n, r = complete(3), 5, 1
+        caplog.set_level("DEBUG", logger="dkcsp.covercode")
+        for limit, path in [(gain_updates(g, n, r), "python"), (gain_updates(g, n, r) - 1, "numpy")]:
+            monkeypatch.setattr(covercode, "_PYTHON_UPDATES", limit)
+            caplog.clear()
+            greedy_cover(g, n, r)
+            assert f"on the {path} path (2673 gain updates)" in caplog.text
+
+    def test_non_uniform_dual_stays_on_numpy(self, caplog):
+        caplog.set_level("DEBUG", logger="dkcsp.covercode")
+        greedy_cover(NON_UNIFORM_DUAL, 2, 1)
+        assert "on the numpy path" in caplog.text
+
+    @pytest.mark.parametrize("g", [complete(3), directed_cycle(3)], ids=["complete3", "cycle3"])
+    def test_benchmark_blocks_pick_their_paths(self, caplog, g):
+        # det-unsat: n=10, cap 4096, two 5-coordinate blocks; det-sat: n=18,
+        # cap 19683, two 9-coordinate blocks
+        caplog.set_level("DEBUG", logger="dkcsp.covercode")
+        for n, cap, block, path in [(10, 4096, 5, "python"), (18, 19683, 9, "numpy")]:
+            caplog.clear()
+            build_code.__wrapped__(g, n, 3, cap)
+            lines = [rec.getMessage() for rec in caplog.records if "greedy cover" in rec.getMessage()]
+            assert len(lines) == 1
+            assert f"n={block} " in lines[0]
+            assert f"on the {path} path" in lines[0]
 
 
 class TestCoverageGains:
@@ -419,3 +490,23 @@ class TestResultChecks:
         missing = tuple(int(t) for t in str(err.value).split("(")[1].split(")")[0].split(","))
         assert all(assignment_distance(g, cw, missing) > r for cw in code[:-1])
         assert assignment_distance(g, code[-1], missing) <= r
+
+    @pytest.mark.parametrize("g,r", [(complete(3), 1), (directed_cycle(3), 1), (directed_cycle(3), 2)],
+                             ids=["complete3", "cycle3", "cycle3-r2"])
+    def test_python_cover_check_rejects_missing_codeword(self, g, r):
+        code = greedy_cover(g, 5, r)
+        assert gain_updates(g, 5, r) <= covercode._PYTHON_UPDATES
+        covercode._check_cover_by_balls(g, 5, r, code)
+        with pytest.raises(RuntimeError, match="outside every") as err:
+            covercode._check_cover_by_balls(g, 5, r, code[:-1])
+        missing = tuple(int(t) for t in str(err.value).split("(")[1].split(")")[0].split(","))
+        assert enumerate_cover_check(g, code[:-1], r, 5) is not None
+        assert all(assignment_distance(g, cw, missing) > r for cw in code[:-1])
+        assert assignment_distance(g, code[-1], missing) <= r
+
+    def test_python_path_runs_its_cover_check(self, monkeypatch):
+        # a greedy that stopped one pick early must not get past the check
+        real = covercode._greedy_python
+        monkeypatch.setattr(covercode, "_greedy_python", lambda *args: real(*args)[:-1])
+        with pytest.raises(RuntimeError, match="outside every"):
+            greedy_cover(complete(3), 5, 1)

@@ -1,6 +1,10 @@
 """Start-up guard: the commands that never build an array load neither numpy
 nor the process pool, and those that do load numpy start no BLAS threads.
 
+A det solve loads numpy only when a block of its covering code is too large
+for the plain-list greedy: small blocks (3^3 and 3^5 blocks here) leave it
+unloaded, a 3^8 block loads it.
+
 Each command runs in a fresh interpreter with PYTHONPATH=src, as
 `python -m dkcsp.cli ...` does, and reports its exit code, which of the
 guarded modules ended up in sys.modules, the OPENBLAS_NUM_THREADS it left
@@ -55,15 +59,29 @@ def run_cli(*argv):
     return report["code"], report["loaded"], lines
 
 
-@pytest.fixture(scope="module")
-def unsat_instance(tmp_path_factory):
+def unsat_file(tmp_path_factory, n, m):
     for seed in range(50):
-        f = generate_random(6, 3, 3, 150, seed)
+        f = generate_random(n, 3, 3, m, seed)
         if brute_force_solve(f) is None:
-            path = tmp_path_factory.mktemp("startup") / "unsat.csp"
+            path = tmp_path_factory.mktemp("startup") / f"unsat{n}.csp"
             path.write_text(serialize_instance(f))
             return str(path)
     raise AssertionError("no UNSAT instance among the seeds tried")
+
+
+@pytest.fixture(scope="module")
+def unsat_instance(tmp_path_factory):
+    return unsat_file(tmp_path_factory, 6, 150)
+
+
+@pytest.fixture(scope="module")
+def unsat_instance_8(tmp_path_factory):
+    return unsat_file(tmp_path_factory, 8, 300)
+
+
+@pytest.fixture(scope="module")
+def unsat_instance_10(tmp_path_factory):
+    return unsat_file(tmp_path_factory, 10, 400)
 
 
 @pytest.mark.parametrize(
@@ -94,21 +112,39 @@ def test_det_solve_still_answers(unsat_instance):
     code, loaded, lines = run_cli("solve", "--method", "det", "--graph", "cycle",
                                   "--block-cap", "81", unsat_instance)
     assert (code, lines) == (20, ["s UNSATISFIABLE"])
-    assert "numpy" in loaded  # the probe sees numpy once a code is built
+    assert loaded == []  # 3^3 blocks: the code is built on plain lists
 
 
-DET = ("solve", "--method", "det", "--graph", "cycle", "--block-cap", "81", "--jobs", "1")
+@pytest.mark.parametrize("graph", ["complete", "cycle"])
+def test_small_block_det_solve_loads_no_numpy(unsat_instance_10, graph):
+    # the det-unsat benchmark's shape: n=10 in two 3^5 blocks
+    code, loaded, lines = run_cli("solve", "--method", "det", "--graph", graph,
+                                  "--block-cap", "4096", "--jobs", "1", unsat_instance_10)
+    assert (code, lines) == (20, ["s UNSATISFIABLE"])
+    assert loaded == []
 
 
-def test_det_solve_starts_no_blas_threads(unsat_instance):
-    report, lines = probe(*DET, unsat_instance)
+# one 3^8 block, above the plain-list greedy's limit: numpy builds the code
+DET = ("solve", "--method", "det", "--graph", "cycle", "--block-cap", "6561", "--jobs", "1")
+
+
+def test_large_block_det_solve_loads_numpy(unsat_instance_8):
+    code, loaded, lines = run_cli(*DET, unsat_instance_8)
+    assert (code, lines) == (20, ["s UNSATISFIABLE"])
+    assert loaded == ["numpy"]
+
+
+def test_det_solve_starts_no_blas_threads(unsat_instance_8):
+    report, lines = probe(*DET, unsat_instance_8)
     assert (report["code"], lines) == (20, ["s UNSATISFIABLE"])
     assert report["blas"] == "1"
+    assert report["loaded"] == ["numpy"]
     if sys.platform.startswith("linux"):
         assert report["threads"] == 1  # numpy is loaded, OpenBLAS's pool is not
 
 
-def test_callers_blas_thread_count_wins(unsat_instance):
-    report, lines = probe(*DET, unsat_instance, blas="2")
+def test_callers_blas_thread_count_wins(unsat_instance_8):
+    report, lines = probe(*DET, unsat_instance_8, blas="2")
     assert (report["code"], lines) == (20, ["s UNSATISFIABLE"])
     assert report["blas"] == "2"
+    assert report["loaded"] == ["numpy"]
