@@ -3,7 +3,7 @@
 Modules:
   formula    instance types, parsing, generation, brute-force oracle
   colorgraph graphs on the color set and the induced product distance
-  volume     exact shell counts, ball volumes, and volume bounds
+  volume     exact shell counts, ball volumes and radius selection
   covercode  deterministic greedy covering codes
   search     bitset constraint kernel, ball search, random walks, and the full solvers
   analysis   running-time bases and the absorbing-walk analysis

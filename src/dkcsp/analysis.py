@@ -28,7 +28,6 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Union
 
 from .colorgraph import DistanceProfile, complete, directed_cycle, profile
-from .volume import shell_counts
 
 if TYPE_CHECKING:
     import numpy as np
@@ -38,12 +37,10 @@ __all__ = [
     "base_for_graph",
     "base_report",
     "base_schoening",
-    "cycle_optimality_check",
     "markov_simulate",
     "reach_probability",
     "reach_within",
     "solve_lambda",
-    "success_probability_identity",
 ]
 
 
@@ -71,15 +68,6 @@ def base_for_graph(p: DistanceProfile, k: int) -> Fraction:
         raise ValueError("profile must have out-degree at least 1")
     denom = sum(Fraction(d_i, (k * p.delta) ** i) for i, d_i in enumerate(p.counts))
     return Fraction(p.d) / denom
-
-
-def cycle_optimality_check(p: DistanceProfile, k: int) -> bool:
-    """True iff the profile's base is at least the directed cycle's base.
-
-    Holds for every accepted profile: d_i <= delta^i bounds each denominator
-    term by k^(-i), which is the cycle's term. Exact rational comparison.
-    """
-    return base_for_graph(p, k) >= base_for_graph(profile(directed_cycle(p.d)), k)
 
 
 @dataclass(frozen=True)
@@ -156,22 +144,6 @@ def reach_probability(d: int, k: int, j: int) -> float:
     if j < 0:
         raise ValueError("j must be nonnegative")
     return solve_lambda(d, k).value ** j
-
-
-def success_probability_identity(d: int, k: int, n: int) -> tuple[float, float]:
-    """Both sides of sum_j T(n,j) lambda^j / d^n = (k / (d(k-1)))^n.
-
-    The left side averages the reach probability over a uniform random start
-    (shells of the cycle distance weight the start distances); the geometric
-    series collapses it to the closed form on the right.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    lam = solve_lambda(d, k).value
-    counts = shell_counts(profile(directed_cycle(d)), n).counts
-    lhs = math.fsum(t * lam**j for j, t in enumerate(counts)) / d**n
-    rhs = (k / (d * (k - 1))) ** n
-    return lhs, rhs
 
 
 def reach_within(d: int, k: int, j: int, max_steps: int) -> float:

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: gen, solve, code, volume, predict, markov, bench. Solving runs
+Subcommands: gen, solve, code, volume, predict, markov. Solving runs
 exit 10 on SAT and 20 on UNSAT (solver-competition convention); other
 successful runs exit 0, usage or runtime errors exit 1. All output is
 deterministic given flags plus seed; when a randomized subcommand draws a
@@ -10,21 +10,17 @@ fresh seed, it prints it to stderr so the run can be reproduced.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import logging
 import os
 import random
 import sys
-import time
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import analysis, covercode, formula as fmod, search
 from .colorgraph import ColorGraph, complete, directed_cycle, hypercube, parse_graph_file, profile
 from .volume import shell_counts
 
-__all__ = ["main", "run_bench", "BenchRow"]
+__all__ = ["main"]
 
 EXIT_SAT = 10
 EXIT_UNSAT = 20
@@ -180,83 +176,6 @@ def cmd_markov(args: argparse.Namespace) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class BenchRow:
-    instance: str
-    method: str
-    graph: str
-    result: str
-    nodes: int
-    balls: int
-    reps: int
-    millis: float
-
-
-def run_bench(
-    d: int,
-    k: int,
-    n: int,
-    m: int,
-    count: int,
-    seed: int,
-    block_cap: int = covercode.DEFAULT_BLOCK_CAP,
-    reps: int = 50,
-    steps_mult: Optional[int] = None,
-    jobs: int = 1,
-) -> list[BenchRow]:
-    """Run a seeded instance family through both methods and both graphs.
-
-    Instances alternate between planted (guaranteed satisfiable) and
-    unrestricted random. Codes are built once per graph and reused.
-    """
-    master = random.Random(seed)
-    rows: list[BenchRow] = []
-    graphs = [("complete", complete(d)), ("cycle", directed_cycle(d))]
-    for i in range(count):
-        inst_seed = master.getrandbits(64)
-        planted = None
-        if i % 2 == 0:
-            planted_rng = random.Random(master.getrandbits(64))
-            planted = tuple(planted_rng.randint(1, d) for _ in range(n))
-        f = fmod.generate_random(n, d, k, m, inst_seed, planted)
-        name = f"d{d}k{k}n{n}m{m}i{i}"
-        for graph_name, g in graphs:
-            start = time.perf_counter()
-            det = search.det_solve(f, g, block_cap=block_cap, jobs=jobs)
-            det_ms = (time.perf_counter() - start) * 1000
-            rows.append(
-                BenchRow(name, "det", graph_name, det.status, det.stats.nodes_visited,
-                         det.stats.balls_searched, 0, round(det_ms, 3))
-            )
-            start = time.perf_counter()
-            sch = search.schoening_solve(
-                f, g, reps, steps_multiplier=steps_mult, rng=master.getrandbits(64), jobs=jobs
-            )
-            sch_ms = (time.perf_counter() - start) * 1000
-            rows.append(
-                BenchRow(name, "schoening", graph_name, sch.status, sch.stats.steps,
-                         0, sch.stats.repetitions, round(sch_ms, 3))
-            )
-    return rows
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args.seed)
-    rows = run_bench(
-        args.d, args.k, args.n, args.m, args.count, seed,
-        block_cap=args.block_cap, reps=args.reps, steps_mult=args.steps_mult, jobs=args.jobs,
-    )
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["instance", "method", "graph", "result", "nodes", "balls", "reps", "millis"])
-    for row in rows:
-        writer.writerow(
-            [row.instance, row.method, row.graph, row.result, row.nodes, row.balls, row.reps, row.millis]
-        )
-    _write_output(buf.getvalue(), args.output)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dkcsp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -323,14 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--max-steps", type=int, default=10_000)
     p.set_defaults(func=cmd_markov)
-
-    p = sub.add_parser("bench", help="CSV benchmark over both methods and both graphs")
-    add_common(p, "d", "k", "n", "seed", "block-cap", "jobs", "output")
-    p.add_argument("--m", type=int, required=True, help="constraints per instance")
-    p.add_argument("--count", type=int, default=10, help="instances (default 10)")
-    p.add_argument("--reps", type=int, default=50, help="random-walk restarts (default 50)")
-    p.add_argument("--steps-mult", type=int, default=None)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

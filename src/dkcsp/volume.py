@@ -1,4 +1,4 @@
-"""Exact shell counts, ball volumes, radius selection, and volume bounds.
+"""Exact shell counts, ball volumes and radius selection.
 
 T(n,r) counts assignments at product distance exactly r from a fixed center;
 it obeys T(n,r) = sum_i d_i * T(n-1, r-i) over the distance profile
@@ -19,10 +19,8 @@ from .colorgraph import DistanceProfile
 __all__ = [
     "ShellTable",
     "ball_volume",
-    "lower_bound",
     "select_radius",
     "shell_counts",
-    "upper_bound",
 ]
 
 Rational = Union[Fraction, int]
@@ -87,39 +85,3 @@ def select_radius(p: DistanceProfile, n: int, x: Rational) -> int:
             best_score = score
             best_r = r
     return best_r
-
-
-def _gf(p: DistanceProfile, x: Fraction) -> Fraction:
-    """The per-coordinate generating function sum_i d_i x^i."""
-    return sum(d_i * x**i for i, d_i in enumerate(p.counts))
-
-
-def lower_bound(p: DistanceProfile, n: int, x: Rational) -> tuple[int, Fraction]:
-    """Radius r and (sum_i d_i x^i)^n / ((s*n+1) x^r), a lower bound on Vol(n,r).
-
-    The expansion of the generating function has s*n + 1 terms T(n,j) x^j;
-    at the radius chosen by select_radius the largest of them is at least
-    their mean. x = 0 degenerates to r = 0.
-    """
-    x = Fraction(x)
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    terms = p.s * n + 1
-    if x == 0:
-        return 0, Fraction(1, terms)
-    r = select_radius(p, n, x)
-    return r, _gf(p, x) ** n / (terms * x**r)
-
-
-def upper_bound(p: DistanceProfile, n: int, r: int, x: Rational) -> Fraction:
-    """(sum_i d_i x^i)^n / x^r, an upper bound on Vol(n,r) for any x in [0,1]."""
-    x = Fraction(x)
-    if not 0 <= x <= 1:
-        raise ValueError("x must lie in [0, 1]")
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    if x == 0:
-        if r > 0:
-            raise ValueError("x = 0 is only valid for r = 0")
-        return Fraction(1)
-    return _gf(p, x) ** n / x**r

@@ -9,8 +9,10 @@ enumeration, closed forms, and per-coordinate BFS distances.
 import itertools
 import math
 import random
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,9 +22,8 @@ from dkcsp.analysis import (
     markov_simulate,
     reach_probability,
     solve_lambda,
-    success_probability_identity,
 )
-from dkcsp.cli import main, run_bench
+from dkcsp.cli import main
 from dkcsp.colorgraph import (
     assignment_distance,
     complete,
@@ -33,15 +34,13 @@ from dkcsp.colorgraph import (
 from dkcsp.covercode import build_code
 from dkcsp.formula import brute_force_solve, evaluate, generate_random
 from dkcsp.search import det_solve, graph_searchball
-from dkcsp.volume import (
-    ball_volume,
-    lower_bound,
-    select_radius,
-    shell_counts,
-    upper_bound,
-)
+from dkcsp.volume import ball_volume, select_radius, shell_counts
 
 from cover_oracle import verify_cover
+from paper_oracle import lower_bound, success_probability_identity, upper_bound
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+from speedup_bench import family  # noqa: E402
 
 
 def _pass(num, label, detail=""):
@@ -232,7 +231,7 @@ def test_criterion_6_covering_codes(capsys):
 
 def test_criterion_7_branching_bound_and_speedup(capsys):
     # first half (per-ball node bound) is asserted on every ball searched in
-    # criteria 2 and 3; re-checked here on the bench family
+    # criteria 2 and 3; re-checked here on the speedup_bench family
     start = time.time()
     d, k, n = 3, 3, 9
     cap = 3**9
@@ -241,13 +240,12 @@ def test_criterion_7_branching_bound_and_speedup(capsys):
         for g in (complete(d), directed_cycle(d))
     }
     totals = {"complete": 0, "cycle": 0}
-    rows_all = []
+    solves = 0
     for m, count, seed in ((260, 10, 424242), (350, 6, 515151)):
-        rows = run_bench(d, k, n, m, count, seed, block_cap=cap, reps=10)
-        rows_all.extend(rows)
-        for row in rows:
-            if row.method == "det":
-                totals[row.graph] += row.nodes
+        for f in family(d, k, n, m, count, seed):
+            for g in (complete(d), directed_cycle(d)):
+                totals[g.name] += det_solve(f, g, block_cap=cap).stats.nodes_visited
+                solves += 1
     for m, count, seed in ((260, 4, 616161),):
         rng = random.Random(seed)
         for _ in range(count):
@@ -264,7 +262,7 @@ def test_criterion_7_branching_bound_and_speedup(capsys):
             7,
             "branching bound and cycle speedup",
             f"cycle nodes {totals['cycle']} < complete {totals['complete']}, "
-            f"{len(rows_all)} bench rows, {elapsed:.0f}s",
+            f"{solves} family solves, {elapsed:.0f}s",
         )
 
 

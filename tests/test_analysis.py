@@ -10,14 +10,14 @@ from dkcsp.analysis import (
     base_for_graph,
     base_report,
     base_schoening,
-    cycle_optimality_check,
     markov_simulate,
     reach_probability,
     reach_within,
     solve_lambda,
-    success_probability_identity,
 )
 from dkcsp.colorgraph import complete, directed_cycle, hypercube, profile
+
+from paper_oracle import cycle_optimality_check, success_probability_identity
 
 
 # Closed forms of the deterministic bases, kept as independent oracles for

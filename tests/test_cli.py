@@ -1,5 +1,3 @@
-import csv
-import io
 import logging
 
 import pytest
@@ -228,23 +226,6 @@ class TestMarkov:
         assert "error" in captured.err
 
 
-class TestBench:
-    def test_csv_columns(self, capsys):
-        rc = main(["bench", "--d", "3", "--k", "3", "--n", "5", "--m", "10",
-                   "--count", "2", "--seed", "5", "--block-cap", "243", "--reps", "5"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        rows = list(csv.reader(io.StringIO(out)))
-        assert rows[0] == ["instance", "method", "graph", "result", "nodes",
-                           "balls", "reps", "millis"]
-        # 2 instances x 2 methods x 2 graphs
-        assert len(rows) == 1 + 8
-        methods = {r[1] for r in rows[1:]}
-        graphs = {r[2] for r in rows[1:]}
-        assert methods == {"det", "schoening"}
-        assert graphs == {"complete", "cycle"}
-
-
 class TestUsage:
     def test_no_args_exit_1(self, capsys):
         assert main([]) == 1
@@ -254,6 +235,11 @@ class TestUsage:
 
     def test_help_exit_0(self, capsys):
         assert main(["--help"]) == 0
+
+    def test_bench_is_gone(self, capsys):
+        rc = main(["bench", "--d", "3", "--k", "3", "--n", "5", "--m", "10", "--seed", "5"])
+        assert rc == 1
+        assert capsys.readouterr().out == ""
 
 
 @pytest.fixture
