@@ -5,12 +5,17 @@ balls (see covercode) and searches each ball by branching over the literals
 of the first unsatisfied constraint, re-coloring along graph edges only. The
 randomized solver is the classic multi-restart random walk, generalized to
 move along graph edges. Both find the first unsatisfied constraint with one
-shared bitset state (_ConstraintBits).
+shared state (_ConstraintBits): bitset tables precomputed per group of
+consecutive variables, so the unsatisfied set is one AND per group and a
+re-coloring is one add to the group's table index. The ball search counts and
+tests its radius-1 leaves inline instead of recursing into them.
 """
 
 from __future__ import annotations
 
+import logging
 import random
+import sys
 from contextlib import closing
 from dataclasses import dataclass
 from functools import reduce
@@ -30,6 +35,8 @@ __all__ = [
     "schoening_run",
     "schoening_solve",
 ]
+
+log = logging.getLogger(__name__)
 
 RngLike = Union[random.Random, int, None]
 
@@ -58,26 +65,63 @@ def _as_rng(rng: RngLike) -> random.Random:
     return random.Random(rng)
 
 
+_TABLE_ENTRIES = 1 << 10  # most entries one group table may hold: (d+1)^g <= 2^10
+_TABLE_BYTES = 2 << 20  # the tables may always take this much, or 4x the rows if more
+
+
+def _table_entries(n: int, d: int, g: int) -> int:
+    """Entries in the tables of n variables split into groups of g."""
+    groups, rest = divmod(n, g)
+    return groups * (d + 1) ** g + ((d + 1) ** rest if rest else 0)
+
+
+def _group_size(n: int, d: int, entry_bytes: int) -> int:
+    """The group size g for n variables: the fewest groups whose tables fit.
+
+    A group of g may have (d+1)^g <= _TABLE_ENTRIES entries, and the tables
+    together max(_TABLE_BYTES, 4x the rows) bytes. Of the sizes that give the
+    fewest groups (so the fewest ANDs), g is the smallest, which holds the
+    fewest entries: n = 12 at d = 3 is three groups of 4, not 5 + 5 + 2.
+    g = 1 always fits: its tables are the rows.
+    """
+    cap = max(_TABLE_BYTES, 4 * _table_entries(n, d, 1) * entry_bytes)
+    for groups in range(1, n):
+        g = -(-n // groups)
+        if (d + 1) ** g <= _TABLE_ENTRIES and _table_entries(n, d, g) * entry_bytes <= cap:
+            return g
+    return 1
+
+
 class _ConstraintBits:
-    """The constraints a coloring leaves unsatisfied, as one bitset per (variable, color).
+    """The constraints a coloring leaves unsatisfied, as bitsets looked up per variable group.
 
-    bits[v][c] has bit i set iff coloring x_{v+1} with c leaves constraint i
-    unsatisfied as far as that variable goes: every literal of constraint i
-    on x_{v+1} is (x_{v+1} != c), vacuously so if there is none. Color 0
-    stands for a free variable and clears no constraint. A coloring alpha
-    leaves constraint i unsatisfied iff bit i survives the AND of
-    bits[v][alpha[v]] over all v, so an empty constraint stays unsatisfied
-    and a tautology satisfied with no special case. The state does not hold
-    alpha: re-coloring a variable is a store into the caller's list.
+    The row of (variable v, color c) has bit i set iff coloring x_{v+1} with c
+    leaves constraint i unsatisfied as far as that variable goes: every
+    literal of constraint i on x_{v+1} is (x_{v+1} != c), vacuously so if there
+    is none. Color 0 stands for a free variable and clears no constraint. A
+    coloring alpha leaves constraint i unsatisfied iff bit i survives the AND
+    of the rows alpha picks, so an empty constraint stays unsatisfied and a
+    tautology satisfied with no special case.
 
-    picks[i] is what the walk draws from: (literal count, its bit length,
-    ((variable, color) for each literal)), both 0-based.
+    The rows are precomputed group by group: the variables fall into
+    consecutive groups of `group` (g), and tables[j] holds, for every coloring
+    of group j, the AND of the rows it picks, indexed in mixed radix d+1 with
+    variable v weighing (d+1)^(v mod g). So the unsatisfied set is the AND of
+    one entry per group, and re-coloring a variable adds (new - old) * weight
+    to its group's index. g gives the fewest groups whose tables fit
+    (_group_size); at g = 1 the tables are the rows themselves. The state
+    holds no coloring: a search keeps the per-group index list, and index()
+    and coloring() convert between the two.
+
+    place[v] is (group, weight) of variable v. literals[i] holds
+    (color, group, weight, row) for each literal of constraint i, row being
+    the variable's rows by color; picks[i] is what the walk draws from:
+    (literal count, its bit length, literals[i]).
     """
 
     def __init__(self, f: Formula):
-        self.n, self.d = f.n, f.d
-        self.constraints = f.constraints
-        self.full = (1 << f.m) - 1
+        self.d = f.d
+        full = (1 << f.m) - 1
         # cleared[v][c]: the constraints that x_{v+1} = c satisfies, bit-packed
         cleared = [[bytearray((f.m + 7) // 8) for _ in range(f.d + 1)] for _ in range(f.n)]
         for i, con in enumerate(f.constraints):
@@ -87,13 +131,46 @@ class _ConstraintBits:
                 for c in range(1, f.d + 1):
                     if c != lit.color:
                         row[c][byte] |= bit
-        self.bits = [[self.full ^ int.from_bytes(b, "little") for b in row] for row in cleared]
-        lits = [tuple((x.var - 1, x.color - 1) for x in con.literals) for con in f.constraints]
-        self.picks = [(len(t), len(t).bit_length(), t) for t in lits]
+        rows = [[full ^ int.from_bytes(b, "little") for b in row] for row in cleared]
+        entry_bytes = sys.getsizeof(full) + 8  # an upper bound: the int and its list slot
+        self.group = g = _group_size(f.n, f.d, entry_bytes)
+        self.table_bytes = _table_entries(f.n, f.d, g) * entry_bytes  # an upper bound
+        self.tables: list[list[int]] = []
+        self.place: list[tuple[int, int]] = []
+        for start in range(0, f.n, g):
+            j, table, w = len(self.tables), rows[start], 1
+            self.place.append((j, 1))
+            for row in rows[start + 1 : start + g]:
+                w *= f.d + 1
+                table = [t & r for r in row for t in table]
+                self.place.append((j, w))
+            self.tables.append(table)
+        if not self.tables:  # n = 0: one entry, so the AND needs no initial value
+            self.tables.append([full])
+        self.literals = [
+            tuple((x.color,) + self.place[x.var - 1] + (rows[x.var - 1],) for x in con.literals)
+            for con in f.constraints
+        ]
+        self.picks = [(len(t), len(t).bit_length(), t) for t in self.literals]
+        log.debug(
+            "constraint state n=%d d=%d m=%d: %d groups of %d, %d table entries, %d table bytes",
+            f.n, f.d, f.m, len(self.tables), g, sum(map(len, self.tables)), self.table_bytes,
+        )
+
+    def index(self, alpha: Sequence[int]) -> list[int]:
+        """The per-group table indices of coloring alpha."""
+        idx = [0] * len(self.tables)
+        for (j, w), c in zip(self.place, alpha):
+            idx[j] += c * w
+        return idx
+
+    def coloring(self, idx: Sequence[int]) -> tuple[int, ...]:
+        """The coloring whose per-group indices are idx."""
+        return tuple(idx[j] // w % (self.d + 1) for j, w in self.place)
 
     def unsat(self, alpha: Sequence[int]) -> int:
         """Bitset of the constraints alpha leaves unsatisfied."""
-        return reduce(and_, map(list.__getitem__, self.bits, alpha), self.full)
+        return reduce(and_, map(list.__getitem__, self.tables, self.index(alpha)))
 
 
 def _check_graph(f: Formula, g: ColorGraph) -> None:
@@ -114,33 +191,41 @@ def _searchball_core(
     state: _ConstraintBits, out: tuple[tuple[int, ...], ...], center: Sequence[int], r: int
 ) -> tuple[Optional[tuple[int, ...]], int]:
     """Recursive ball search; returns (witness or None, nodes visited)."""
-    constraints, bits, unsat_of = state.constraints, state.bits, state.unsat
-    alpha = list(center)
+    tables, literals, coloring = state.tables, state.literals, state.coloring
+    getitem = list.__getitem__
+    idx = state.index(center)
     nodes = 0
 
     def rec(budget: int, unsat: int) -> Optional[tuple[int, ...]]:
         nonlocal nodes
         nodes += 1
         if not unsat:
-            return tuple(alpha)
+            return coloring(idx)
         if budget == 0:
             return None
-        for lit in constraints[(unsat & -unsat).bit_length() - 1].literals:
-            # the constraint is unsatisfied, so alpha[lit.var - 1] == lit.color;
-            # with the variable freed, `rest` is what the other variables leave
-            v = lit.var - 1
-            alpha[v] = 0
-            rest = unsat_of(alpha)
-            row = bits[v]
-            for c2 in out[lit.color - 1]:
-                alpha[v] = c2
-                found = rec(budget - 1, rest & row[c2])
-                if found is not None:
-                    return found
-            alpha[v] = lit.color
+        for c, j, w, row in literals[(unsat & -unsat).bit_length() - 1]:
+            # the constraint is unsatisfied, so the literal's variable has color c;
+            # with it freed, `rest` is what the other variables leave
+            base = idx[j] - c * w
+            idx[j] = base
+            rest = reduce(and_, map(getitem, tables, idx))
+            if budget == 1:
+                # the children are leaves: count and test them here
+                for c2 in out[c - 1]:
+                    nodes += 1
+                    if not rest & row[c2]:
+                        idx[j] = base + c2 * w
+                        return coloring(idx)
+            else:
+                for c2 in out[c - 1]:
+                    idx[j] = base + c2 * w
+                    found = rec(budget - 1, rest & row[c2])
+                    if found is not None:
+                        return found
+            idx[j] = base + c * w
         return None
 
-    return rec(r, unsat_of(alpha)), nodes
+    return rec(r, reduce(and_, map(getitem, tables, idx))), nodes
 
 
 def graph_searchball(
@@ -174,31 +259,41 @@ def _walk_core(
     """One random walk from a fresh random start; returns (witness or None, steps taken).
 
     A draw below N inlines random.Random.randrange(N): getrandbits(N.bit_length()),
-    redrawn until below N, so the getrandbits calls and the walk are randrange's.
+    redrawn until below N, so the getrandbits calls and the walk are randrange's
+    (and the start coloring randint(1, d)'s).
     """
-    bits, full, picks = state.bits, state.full, state.picks
+    tables, picks, d = state.tables, state.picks, state.d
     rng = _as_rng(rng)
     getrandbits = rng.getrandbits
-    moves = [(nbrs, len(nbrs), len(nbrs).bit_length()) for nbrs in out]
-    alpha = [rng.randint(1, state.d) for _ in range(state.n)]
+    # moves[c]: (new color - c for each out-neighbor of c, their count, its bit length)
+    moves = [()] + [(tuple(c2 - c for c2 in nbrs), len(nbrs), len(nbrs).bit_length())
+                    for c, nbrs in enumerate(out, start=1)]
+    idx = [0] * len(tables)
+    width = d.bit_length()
+    for j, w in state.place:
+        c = getrandbits(width)
+        while c >= d:
+            c = getrandbits(width)
+        idx[j] += (c + 1) * w
     getitem = list.__getitem__
     for taken in range(steps):
-        u = reduce(and_, map(getitem, bits, alpha), full)
+        u = reduce(and_, map(getitem, tables, idx))
         if not u:
-            return tuple(alpha), taken
+            return state.coloring(idx), taken
         count, width, lits = picks[(u & -u).bit_length() - 1]
         if not count:
             return None, taken
         i = getrandbits(width)
         while i >= count:
             i = getrandbits(width)
-        v, c = lits[i]
-        nbrs, count, width = moves[c]
+        c, j, w, _ = lits[i]
+        deltas, count, width = moves[c]
         i = getrandbits(width)
         while i >= count:
             i = getrandbits(width)
-        alpha[v] = nbrs[i]
-    return (None if state.unsat(alpha) else tuple(alpha)), steps
+        idx[j] += deltas[i] * w
+    u = reduce(and_, map(getitem, tables, idx))
+    return (None if u else state.coloring(idx)), steps
 
 
 def schoening_run(

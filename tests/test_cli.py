@@ -267,6 +267,13 @@ class TestLogLevel:
         assert "on the python path (1458 gain updates)" in logged.err
         assert "DEBUG dkcsp.covercode: code d=3 n=5 k=3" in logged.err
 
+    def test_debug_reports_constraint_state(self, instance, capsys, restore_logging):
+        argv = ["solve", "--method", "schoening", "--reps", "1", "--seed", "1", str(instance)]
+        assert main(argv + ["--log-level", "debug"]) == 10
+        # n = 6 at d = 3 needs two groups (4^6 > 2^10), so two of 3 with 4^3 entries each
+        assert ("DEBUG dkcsp.search: constraint state n=6 d=3 m=10: 2 groups of 3, "
+                "128 table entries") in capsys.readouterr().err
+
     def test_rejects_unknown_level(self, capsys):
         assert main(self.ARGS + ["--log-level", "loud"]) == 1
         assert capsys.readouterr().out == ""

@@ -8,6 +8,8 @@ the walk's RNG draws.
 """
 
 import random
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +17,16 @@ from hypothesis import given, settings, strategies as st
 from dkcsp.colorgraph import complete, directed_cycle, hypercube
 from dkcsp.covercode import build_code
 from dkcsp.formula import Constraint, Formula, Literal, evaluate, generate_random
-from dkcsp.search import SearchStats, _ConstraintBits, det_solve, graph_searchball, schoening_run
+from dkcsp import search
+from dkcsp.search import (
+    _TABLE_BYTES,
+    SearchStats,
+    _ConstraintBits,
+    det_solve,
+    graph_searchball,
+    schoening_run,
+    schoening_solve,
+)
 
 
 class CountState:
@@ -255,3 +266,150 @@ class TestAgainstCountState:
                     break
             result = det_solve(f, g, block_cap=cap)
             assert (result.assignment, result.stats.nodes_visited) == (witness, nodes)
+
+
+# the largest group size at each d: (d+1)^g <= 2^10
+GROUP = {2: 6, 3: 5, 4: 4, 5: 3}
+
+
+def boundary_sizes(d):
+    g = GROUP[d]
+    return sorted({0, 1, g - 1, g, g + 1, 2 * g + 1})
+
+
+def boundary_instances(rng, n, d, count):
+    if n == 0:
+        yield Formula(0, d, 3, ())
+        yield Formula(0, d, 3, (Constraint(()),))
+        return
+    for trial in range(count):
+        m = rng.randint(0, 10 * n)
+        if trial % 2 == 0 or n < 3:
+            yield mixed_formula(rng, n, d, 3, m)
+        else:
+            yield generate_random(n, d, 3, m, rng.getrandbits(32))
+
+
+def row_oracle(f, v, c):
+    """The row of (variable v, color c) from its definition: color 0 clears nothing."""
+    return sum(
+        1 << i for i, con in enumerate(f.constraints)
+        if c == 0 or all(lit.color == c for lit in con.literals if lit.var == v + 1)
+    )
+
+
+@pytest.mark.parametrize("d, n", [(d, n) for d in GROUP for n in boundary_sizes(d)])
+class TestGroupBoundaries:
+    """Instances whose n sits at and around a group boundary, against the CountState oracles."""
+
+    def test_group_size(self, d, n):
+        state = _ConstraintBits(generate_random(n, d, 1, 5 if n else 0, 1))
+        groups = max(1, -(-n // GROUP[d]))  # the fewest groups of at most GROUP[d]
+        assert len(state.tables) == groups
+        assert state.group == max(1, -(-n // groups))  # balanced: 2g+1 is three groups
+
+    def test_table_entries_are_ands_of_rows(self, d, n):
+        rng = random.Random(d * 100 + n)
+        for f in boundary_instances(rng, n, d, 2):
+            state = _ConstraintBits(f)
+            full = (1 << f.m) - 1
+            rows = [[row_oracle(f, v, c) for c in range(d + 1)] for v in range(n)]
+            for j, table in enumerate(state.tables):
+                members = [v for v, (group, _) in enumerate(state.place) if group == j]
+                assert members == list(range(j * state.group, j * state.group + len(members)))
+                assert len(table) == (d + 1) ** len(members)
+                for index, entry in enumerate(table):
+                    expected = full
+                    for p, v in enumerate(members):
+                        assert state.place[v] == (j, (d + 1) ** p)
+                        expected &= rows[v][index // (d + 1) ** p % (d + 1)]
+                    assert entry == expected, (j, index)
+
+    def test_state_matches_evaluate_after_recolorings(self, d, n):
+        rng = random.Random(d * 1000 + n)
+        for f in boundary_instances(rng, n, d, 6):
+            state = _ConstraintBits(f)
+            oracle = CountState(f)
+            alpha = [rng.randint(1, d) for _ in range(n)]
+            oracle.reset(list(alpha))
+            for _ in range(30 if n else 1):
+                assert lowest_unsat(state, alpha) == evaluate(f, alpha)[1] == oracle.first_unsat()
+                assert kernel_indices(state, alpha) == unsat_indices(f, alpha)
+                idx = state.index(alpha)
+                assert state.coloring(idx) == tuple(alpha)
+                if n:
+                    var, color = rng.randint(1, n), rng.randint(1, d)
+                    alpha[var - 1] = color
+                    oracle.set_color(var, color)
+
+    @pytest.mark.parametrize("graph", [complete, directed_cycle])
+    def test_searchball_and_walk(self, d, n, graph):
+        g = graph(d)
+        rng = random.Random(hash((graph.__name__, d, n)) & 0xFFFF)
+        for f in boundary_instances(rng, n, d, 6):
+            for _ in range(2):
+                center = tuple(rng.randint(1, d) for _ in range(n))
+                r = rng.randint(0, 3)
+                witness, stats = graph_searchball(f, g, center, r)
+                assert (witness, stats.nodes_visited) == oracle_searchball(f, g, center, r)
+                steps = 3 * (d - 1) * n
+                seed = rng.getrandbits(64)
+                ours, theirs = CountingRandom(seed), CountingRandom(seed)
+                stats = SearchStats()
+                witness = schoening_run(f, g, steps, ours, stats)
+                assert (witness, stats.steps) == oracle_walk(f, g, steps, theirs)
+                assert ours.calls == theirs.calls
+
+
+def ungrouped(monkeypatch):
+    """Make every later state use g = 1, the rows themselves."""
+    monkeypatch.setattr(search, "_TABLE_ENTRIES", 1)
+
+
+class TestTableCap:
+    def test_g1_tables_are_the_rows(self, monkeypatch):
+        f = generate_random(7, 3, 3, 60, 5)
+        ungrouped(monkeypatch)
+        state = _ConstraintBits(f)
+        assert state.group == 1
+        assert state.tables == [[row_oracle(f, v, c) for c in range(4)] for v in range(7)]
+
+    def test_large_instance_stays_under_cap(self, monkeypatch):
+        n, d, m = 200, 3, 4000
+        f = generate_random(n, d, 3, m, 13, planted=[1 + v % d for v in range(n)])
+
+        def held(f):
+            tracemalloc.start()
+            try:
+                state = _ConstraintBits(f)
+                return state, tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        state, grouped = held(f)
+        entry = sys.getsizeof((1 << m) - 1) + 8
+        cap = max(_TABLE_BYTES, 4 * n * (d + 1) * entry)
+        # uncapped, g = 5 would take about 40 * 4^5 entries, ten times the cap
+        assert 1 < state.group < GROUP[d]
+        assert state.table_bytes <= cap
+        ungrouped(monkeypatch)
+        rows, flat = held(f)
+        assert rows.group == 1
+        # what the tables add over the rows is within the cap
+        assert grouped - flat <= cap
+        g = directed_cycle(d)
+        center = tuple(random.Random(3).randint(1, d) for _ in range(n))
+        expected = (graph_searchball(f, g, center, 2), schoening_solve(f, g, 3, rng=8))
+        monkeypatch.undo()
+        assert (graph_searchball(f, g, center, 2), schoening_solve(f, g, 3, rng=8)) == expected
+
+    def test_capped_det_solve_matches_g1(self, monkeypatch):
+        # m = 20,000: two groups of 5 would take 2,048 entries of about 2.7 kB,
+        # more than the cap, so n = 10 takes three groups of at most 4
+        f = generate_random(10, 3, 3, 20_000, 17, planted=(2, 3, 1, 1, 3, 2, 2, 1, 3, 1))
+        assert _ConstraintBits(f).group == 4
+        g = complete(3)
+        result = det_solve(f, g)
+        ungrouped(monkeypatch)
+        assert det_solve(f, g) == result
+        assert result.status == "sat" and result.stats.balls_searched > 1
