@@ -14,11 +14,13 @@ import logging
 import os
 import random
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import analysis, covercode, formula as fmod, search
+from . import formula as fmod
 from .colorgraph import ColorGraph, complete, directed_cycle, hypercube, parse_graph_file, profile
-from .volume import shell_counts
+
+if TYPE_CHECKING:
+    from .search import SolveResult
 
 __all__ = ["main"]
 
@@ -63,7 +65,7 @@ def _write_output(text: str, path: Optional[str]) -> None:
             fh.write(text)
 
 
-def _format_witness(result: search.SolveResult) -> str:
+def _format_witness(result: SolveResult) -> str:
     if result.status == "sat":
         assert result.assignment is not None
         colors = " ".join(str(c) for c in result.assignment)
@@ -86,6 +88,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    from . import search
+
     with open(args.instance, encoding="utf-8") as fh:
         f = fmod.parse_instance(fh.read())
     g = _graph_from_flag(args.graph, f.d)
@@ -126,13 +130,18 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_code(args: argparse.Namespace) -> int:
+    from . import covercode
+
     g = _graph_from_flag(args.graph, args.d)
-    code = covercode.build_code(g, args.n, args.k, block_cap=args.block_cap)
+    cap = covercode.DEFAULT_BLOCK_CAP if args.block_cap is None else args.block_cap
+    code = covercode.build_code(g, args.n, args.k, block_cap=cap)
     _write_output(covercode.format_code_file(code), args.output)
     return 0
 
 
 def cmd_volume(args: argparse.Namespace) -> int:
+    from .volume import shell_counts
+
     g = _graph_from_flag(args.graph, args.d)
     table = shell_counts(profile(g), args.n)
     if args.r is None:
@@ -145,6 +154,8 @@ def cmd_volume(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
+    from . import analysis
+
     p = profile(_graph_from_flag(args.graph, args.d)) if args.graph else None
     report = analysis.base_report(args.d, args.k, p)
     print(f"d {report.d} k {report.k}")
@@ -162,6 +173,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_markov(args: argparse.Namespace) -> int:
+    from . import analysis
+
     sol = analysis.solve_lambda(args.d, args.k)
     pj = analysis.reach_probability(args.d, args.k, args.j)
     seed = _resolve_seed(args.seed)
@@ -195,8 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
         if "seed" in names:
             p.add_argument("--seed", type=int, default=None, help="RNG seed (fresh if omitted)")
         if "block-cap" in names:
-            p.add_argument("--block-cap", type=int, default=covercode.DEFAULT_BLOCK_CAP,
-                           help="max ground-set size per covering-code block")
+            p.add_argument("--block-cap", type=int, default=None,
+                           help="max ground-set size per covering-code block (default 2^20)")
         if "jobs" in names:
             p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
         if "output" in names:

@@ -9,11 +9,15 @@ balls as candidate sets, and take the Cartesian product of the block codes
 The greedy keeps every center's gain (uncovered points in its ball) and
 updates it incrementally: all balls are one offset set relabeled per center,
 so each pick subtracts its newly covered points from the gains of the
-centers whose balls hold them. When the graph's dual profiles are uniform
-and the block makes at most _PYTHON_UPDATES gain updates (d^b * Vol in
-all), it runs on plain lists and never imports numpy; any other block runs
-on numpy arrays, with the same picks. Each finished block code is checked
-to cover its block (by marking every codeword's ball, or on numpy by one
+centers whose balls hold them. It is a sequence of picks made on demand
+(BlockPicks), shared per block through block_picks, so a caller can use the
+first picks before the rest exist: det_solve searches the balls of the
+product's first row while the last block's greedy runs. When the graph's
+dual profiles are uniform, the picks run on plain lists while the gain
+updates done stay within _PYTHON_UPDATES, and then on numpy arrays from the
+same state, with the same picks; so blocks under that budget never import
+numpy. Other graphs go to numpy after pick 0, which needs no gain update.
+Each finished block code is checked to cover its block (by marking every codeword's ball, or on numpy by one
 transfer-DP pass), which by additivity proves coverage of the product; the
 checks raise, so they also run under python -O.
 
@@ -41,19 +45,22 @@ if TYPE_CHECKING:
     import numpy as np
 __all__ = [
     "DEFAULT_BLOCK_CAP",
+    "BlockPicks",
     "CoveringCode",
     "ProductCodewords",
+    "block_picks",
     "build_code",
     "format_code_file",
     "greedy_cover",
+    "plan_blocks",
     "product_code",
 ]
 
 DEFAULT_BLOCK_CAP = 1 << 20
 # (newly covered point, dual-ball center) pairs one gain update holds at once
 _UPDATE_PAIRS = 1 << 20
-# blocks whose greedy makes at most this many gain updates are covered on
-# plain lists: below it the list greedy costs less than importing numpy
+# the greedy runs on plain lists while its gain updates stay within this many:
+# up to the point where the list greedy has cost as much as importing numpy
 _PYTHON_UPDATES = 1 << 18
 
 log = logging.getLogger(__name__)
@@ -257,34 +264,187 @@ def _check_cover_by_balls(g: ColorGraph, n: int, r: int, code: Sequence[Codeword
         raise RuntimeError(f"block code leaves {missing} outside every radius-{r} ball")
 
 
-def _greedy_python(n: int, d: int, vol: int, ball_tables: list, dual_tables: list) -> list[Codeword]:
-    """The incremental greedy on plain lists, picking as np.argmax does.
+class BlockPicks:
+    """The greedy cover of [d]^n by radius-r balls, its picks made on demand.
 
-    Gains only fall, so `gain` bounds them all and no center before `start`
-    reaches it: each scan for the first center at `gain` resumes there.
+    Iterating makes each pick when it is first reached and keeps it, so the
+    first j picks cost the gain updates of j - 1 picks (pick 0 costs none).
+    The greedy runs on plain lists while its gain updates stay within
+    _PYTHON_UPDATES, then hands its gains and uncovered flags to numpy and
+    goes on there, with the same picks; graphs whose dual profiles are not
+    uniform go to numpy after pick 0. code() makes the remaining picks and
+    checks the finished code once.
     """
-    uncovered = bytearray(b"\1") * d**n
-    gains = [vol] * d**n
-    code = []
-    remaining, gain, start = d**n, vol, 0
-    while remaining:
-        if gain <= 0:
-            raise RuntimeError("greedy cover found no center covering an uncovered point")
-        try:
-            start = gains.index(gain, start)
-        except ValueError:
-            gain, start = gain - 1, 0
-            continue
-        code.append(_index_to_point(start, n, d))
-        newly = [x for x in _ball(ball_tables, code[-1]) if uncovered[x]]
-        if len(newly) != gain:
-            raise RuntimeError(f"greedy gain {gain} but {len(newly)} points newly covered")
-        remaining -= gain
-        for x in newly:
-            uncovered[x] = 0
-            for holder in _ball(dual_tables, _index_to_point(x, n, d)):
-                gains[holder] -= 1
-    return code
+
+    def __init__(self, g: ColorGraph, n: int, r: int):
+        self.g, self.n, self.r = g, n, r
+        self.picks: list[Codeword] = []
+        self.list_picks = 0  # picks made on lists
+        self.numpy = False  # whether numpy made the rest
+        self._greedy = self._make_picks()
+        self._code: tuple[Codeword, ...] | None = None
+
+    def __iter__(self) -> Iterator[Codeword]:
+        for j in itertools.count():
+            if j == len(self.picks):
+                pick = next(self._greedy, None)
+                if pick is None:
+                    return
+                self.picks.append(pick)
+            yield self.picks[j]
+
+    def code(self) -> tuple[Codeword, ...]:
+        """Every pick, once checked to cover the block within the size guarantee.
+
+        The checks raise, so they also run under python -O: marking every
+        codeword's ball when the picks stayed on lists, else one transfer-DP
+        pass on numpy.
+        """
+        if self._code is not None:
+            return self._code
+        self.picks.extend(self._greedy)
+        g, n, r, d = self.g, self.n, self.r, self.g.d
+        if self.numpy:
+            _check_block_cover(_finite_distance_matrix(g), n, d, r, self.picks)
+        else:
+            _check_cover_by_balls(g, n, r, self.picks)
+        vol = ball_volume(profile(g), n, r)
+        bound = (1 + math.log(d**n)) * d**n / vol
+        if _dual_uniform(g):
+            if len(self.picks) > bound + 1e-9:
+                raise RuntimeError(f"greedy exceeded its guarantee: {len(self.picks)} > {bound}")
+        else:
+            log.debug("skipping greedy size guarantee: dual profiles not uniform")
+        log.debug(
+            "greedy cover d=%d n=%d r=%d on the %s (%d gain updates): %d codewords (bound %.1f)",
+            d, n, r, f"numpy path from pick {self.list_picks}" if self.numpy else "python path",
+            d**n * vol, len(self.picks), bound,
+        )
+        self._code = tuple(self.picks)
+        return self._code
+
+    def _make_picks(self) -> Iterator[Codeword]:
+        """The incremental greedy on plain lists, picking as np.argmax does.
+
+        Each pick is yielded before its gain update, which runs when the next
+        pick is asked for, on lists while the updates done stay within
+        _PYTHON_UPDATES, else on numpy from there on. Gains only fall, so
+        `gain` bounds them all and no center before `start` reaches it: each
+        scan for the first center at `gain` resumes there.
+        """
+        g, n, r, d = self.g, self.n, self.r, self.g.d
+        rows = g.distances
+        # 1-based rank offsets of the ball: ranks into color 1's sorted distance row
+        offsets = _ball_indices([sorted(rows[0])] * n, r)
+        vol = len(offsets)
+        ranks = tuple(zip(*(_index_to_point(o, n, d) for o in offsets)))
+        ball_tables = _ball_tables([sorted(range(d), key=row.__getitem__) for row in rows], ranks, d)
+        dual_tables, budget = None, -1  # without dual tables, numpy recounts the gains
+        if _dual_uniform(g):
+            inward = [sorted(range(d), key=col.__getitem__) for col in zip(*rows)]
+            dual_tables, budget = _ball_tables(inward, ranks, d), _PYTHON_UPDATES
+        uncovered = bytearray(b"\1") * d**n
+        gains = [vol] * d**n
+        remaining, gain, start, done = d**n, vol, 0, 0
+        while True:
+            if gain <= 0:
+                raise RuntimeError("greedy cover found no center covering an uncovered point")
+            try:
+                start = gains.index(gain, start)
+            except ValueError:
+                gain, start = gain - 1, 0
+                continue
+            pick = _index_to_point(start, n, d)
+            yield pick
+            self.list_picks += 1
+            newly = [x for x in _ball(ball_tables, pick) if uncovered[x]]
+            if len(newly) != gain:
+                raise RuntimeError(f"greedy gain {gain} but {len(newly)} points newly covered")
+            remaining -= gain
+            if not remaining:
+                return
+            done += gain * vol
+            if done > budget:
+                break
+            for x in newly:
+                uncovered[x] = 0
+                for holder in _ball(dual_tables, _index_to_point(x, n, d)):
+                    gains[holder] -= 1
+        self.numpy = True
+        yield from self._numpy_picks(ball_tables, dual_tables, uncovered, gains, remaining, newly)
+
+    def _numpy_picks(self, ball_tables, dual_tables, uncovered, gains, remaining, newly) -> Iterator:
+        """The same greedy on numpy arrays, from the lists' state and the last
+        pick's newly covered points, whose update is still to be made."""
+        import numpy as np
+        g, n, r, d = self.g, self.n, self.r, self.g.d
+        shape = (d,) * n
+        ball_tables = np.array(ball_tables)
+        if dual_tables is not None:
+            dual_tables = np.array(dual_tables)
+            slice_len = max(1, _UPDATE_PAIRS // ball_tables.shape[-1])
+        else:
+            mat = _finite_distance_matrix(g)
+        coords = np.arange(n)
+        uncovered = np.frombuffer(uncovered, dtype=bool)
+        gains = np.array(gains, dtype=np.int64)
+        newly = np.array(newly, dtype=np.int64)
+        while True:
+            uncovered[newly] = False
+            if dual_tables is None:
+                gains = _coverage_gains(mat, n, d, r, uncovered)
+            else:
+                for lo in range(0, newly.size, slice_len):
+                    digits = np.unravel_index(newly[lo : lo + slice_len], shape)
+                    holders = dual_tables[0, digits[0]]
+                    for i in range(1, n):
+                        holders += dual_tables[i, digits[i]]
+                    gains -= np.bincount(holders.ravel(), minlength=d**n)
+            if not remaining:
+                return
+            best = int(np.argmax(gains))
+            if gains[best] <= 0:
+                raise RuntimeError("greedy cover found no center covering an uncovered point")
+            pick = _index_to_point(best, n, d)
+            yield pick
+            ball = ball_tables[coords, np.subtract(pick, 1)].sum(axis=0)
+            newly = ball[uncovered[ball]]
+            if newly.size != gains[best]:
+                raise RuntimeError(f"greedy gain {gains[best]} but {newly.size} points newly covered")
+            remaining -= newly.size
+
+
+def _check_block(g: ColorGraph, n_block: int, r: int, cap: int) -> int:
+    """Raise ValueError unless the greedy can cover [d]^n_block; return the effective radius."""
+    if n_block < 0:
+        raise ValueError("n must be nonnegative")
+    if r < 0:
+        raise ValueError("radius must be nonnegative")
+    p = profile(g)
+    if not p.spans_all_colors:
+        raise ValueError(f"graph {g.name!r} is disconnected; no finite covering radius")
+    if g.d**n_block > cap:
+        raise ValueError(f"block ground set {g.d}^{n_block} exceeds cap {cap}")
+    return min(r, p.s * n_block)
+
+
+def block_picks(g: ColorGraph, n_block: int, r: int, cap: int = DEFAULT_BLOCK_CAP) -> BlockPicks:
+    """The picks of greedy_cover(g, n_block, r, cap) for n_block >= 1, made on demand.
+
+    One BlockPicks per block and effective radius is kept (until
+    build_code.cache_clear()), so det_solve can search the balls of the first
+    picks while the greedy is still running, and build_code then finishes
+    the same greedy instead of starting it again.
+    """
+    r_eff = _check_block(g, n_block, r, cap)
+    if n_block == 0:
+        raise ValueError("a block needs at least one coordinate")
+    return _shared_picks(g, n_block, r_eff)
+
+
+@lru_cache(maxsize=None)
+def _shared_picks(g: ColorGraph, n: int, r: int) -> BlockPicks:
+    return BlockPicks(g, n, r)
 
 
 def greedy_cover(
@@ -301,83 +461,15 @@ def greedy_cover(
     pick subtracts its newly covered points from the gains through those
     dual balls; otherwise the gains are recounted by the transfer DP after
     every pick. The gains are exact integers either way, and plain lists
-    (small blocks) and numpy arrays (the rest) give the same picks. The
-    finished code is checked to cover the block, and its size against the
-    (1 + ln d^n_block) * d^n_block / Vol guarantee.
+    (the first 2^18 gain updates) and numpy arrays (the rest) give the same
+    picks. The finished code is checked to cover the block, and its size
+    against the (1 + ln d^n_block) * d^n_block / Vol guarantee. Codes are
+    shared with block_picks, so they are cached like build_code's.
     """
-    if n_block < 0:
-        raise ValueError("n must be nonnegative")
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    p = profile(g)
-    if not p.spans_all_colors:
-        raise ValueError(f"graph {g.name!r} is disconnected; no finite covering radius")
-    d = g.d
-    size = d**n_block
-    if size > cap:
-        raise ValueError(f"block ground set {d}^{n_block} exceeds cap {cap}")
     if n_block == 0:
+        _check_block(g, n_block, r, cap)
         return ((),)
-    r_eff = min(r, p.s * n_block)
-    dual_uniform = _dual_uniform(g)
-    vol = ball_volume(p, n_block, r_eff)
-    updates = size * vol
-    path = "python" if dual_uniform and updates <= _PYTHON_UPDATES else "numpy"
-    rows = g.distances
-    # 1-based rank offsets of the ball: ranks into color 1's sorted distance row
-    offsets = _ball_indices([sorted(rows[0])] * n_block, r_eff)
-    ranks = tuple(zip(*(_index_to_point(o, n_block, d) for o in offsets)))
-    ball_tables = _ball_tables([sorted(range(d), key=row.__getitem__) for row in rows], ranks, d)
-    dual_tables = (_ball_tables([sorted(range(d), key=col.__getitem__) for col in zip(*rows)], ranks, d)
-                   if dual_uniform else None)
-    if path == "python":
-        code = _greedy_python(n_block, d, len(offsets), ball_tables, dual_tables)
-        _check_cover_by_balls(g, n_block, r_eff, code)
-    else:
-        import numpy as np
-        mat = _finite_distance_matrix(g)
-        shape = (d,) * n_block
-        ball_tables = np.array(ball_tables)
-        if dual_uniform:
-            dual_tables = np.array(dual_tables)
-            slice_len = max(1, _UPDATE_PAIRS // len(offsets))
-        coords = np.arange(n_block)
-        uncovered = np.ones(size, dtype=bool)
-        remaining = size
-        gains = np.full(size, len(offsets), dtype=np.int64)
-        code = []
-        while remaining:
-            best = int(np.argmax(gains))
-            if gains[best] <= 0:
-                raise RuntimeError("greedy cover found no center covering an uncovered point")
-            code.append(_index_to_point(best, n_block, d))
-            ball = ball_tables[coords, np.subtract(code[-1], 1)].sum(axis=0)
-            newly = ball[uncovered[ball]]
-            if newly.size != gains[best]:
-                raise RuntimeError(f"greedy gain {gains[best]} but {newly.size} points newly covered")
-            uncovered[newly] = False
-            remaining -= newly.size
-            if not dual_uniform:
-                gains = _coverage_gains(mat, n_block, d, r_eff, uncovered)
-                continue
-            for lo in range(0, newly.size, slice_len):
-                digits = np.unravel_index(newly[lo : lo + slice_len], shape)
-                holders = dual_tables[0, digits[0]]
-                for i in range(1, n_block):
-                    holders += dual_tables[i, digits[i]]
-                gains -= np.bincount(holders.ravel(), minlength=size)
-        _check_block_cover(mat, n_block, d, r_eff, code)
-    bound = (1 + math.log(size)) * size / vol
-    if dual_uniform:
-        if len(code) > bound + 1e-9:
-            raise RuntimeError(f"greedy exceeded its guarantee: {len(code)} > {bound}")
-    else:
-        log.debug("skipping greedy size guarantee: dual profiles not uniform")
-    log.debug(
-        "greedy cover d=%d n=%d r=%d on the %s path (%d gain updates): %d codewords (bound %.1f)",
-        d, n_block, r, path, updates, len(code), bound,
-    )
-    return tuple(code)
+    return block_picks(g, n_block, r, cap).code()
 
 
 def product_code(
@@ -410,14 +502,14 @@ def product_code(
     )
 
 
-@lru_cache(maxsize=None)
-def build_code(g: ColorGraph, n: int, k: int, block_cap: int = DEFAULT_BLOCK_CAP) -> CoveringCode:
-    """Covering code for [d]^n tuned to width-k constraints.
+def plan_blocks(
+    g: ColorGraph, n: int, k: int, block_cap: int = DEFAULT_BLOCK_CAP
+) -> tuple[tuple[int, int], ...]:
+    """The (size, radius) of each block of build_code(g, n, k, block_cap), in order.
 
-    Uses x = 1/(k * delta) to select the per-block radius, splits n into the
-    fewest blocks whose ground sets fit under block_cap, and reuses the
-    greedy cover across blocks of equal size. Deterministic: identical inputs
-    give identical codeword sequences (results are cached).
+    Splits n into the fewest blocks whose ground sets fit under block_cap,
+    larger blocks first, and gives each the radius select_radius picks for
+    x = 1/(k * delta).
     """
     p = profile(g)
     if p.delta < 1:
@@ -427,7 +519,7 @@ def build_code(g: ColorGraph, n: int, k: int, block_cap: int = DEFAULT_BLOCK_CAP
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
-        return product_code(g, [])
+        return ()
     max_block = 0
     space = 1
     while space * g.d <= block_cap:
@@ -439,19 +531,42 @@ def build_code(g: ColorGraph, n: int, k: int, block_cap: int = DEFAULT_BLOCK_CAP
     base, extra = divmod(n, b)
     sizes = [base + 1] * extra + [base] * (b - extra)
     x = Fraction(1, k * p.delta)
-    per_size: dict[int, tuple[tuple[tuple[int, ...], ...], int]] = {}
-    for size in sorted(set(sizes)):
-        r_block = select_radius(p, size, x)
-        per_size[size] = (greedy_cover(g, size, r_block, cap=block_cap), r_block)
-    code = product_code(g, [per_size[size] for size in sizes])
-    vol = ball_volume(p, n, code.radius)
+    radii = {size: select_radius(p, size, x) for size in sorted(set(sizes))}
+    return tuple((size, radii[size]) for size in sizes)
+
+
+@lru_cache(maxsize=None)
+def build_code(g: ColorGraph, n: int, k: int, block_cap: int = DEFAULT_BLOCK_CAP) -> CoveringCode:
+    """Covering code for [d]^n tuned to width-k constraints.
+
+    Covers each distinct block of plan_blocks once, takes the product and
+    checks it against the counting bound. Deterministic: identical inputs
+    give identical codeword sequences (results are cached).
+    """
+    blocks = plan_blocks(g, n, k, block_cap)
+    codes = {block: greedy_cover(g, *block, cap=block_cap) for block in sorted(set(blocks))}
+    code = product_code(g, [(codes[block], block[1]) for block in blocks])
+    vol = ball_volume(profile(g), n, code.radius)
     if len(code.codewords) * vol < g.d**n:
         raise RuntimeError("covering-code counting bound violated")
     log.debug(
         "code d=%d n=%d k=%d: %d blocks, radius %d, %d codewords",
-        g.d, n, k, len(sizes), code.radius, len(code.codewords),
+        g.d, n, k, len(blocks), code.radius, len(code.codewords),
     )
     return code
+
+
+_clear_built_codes = build_code.cache_clear
+
+
+def _clear_code_caches() -> None:
+    """Forget the built codes and the block picks they share with det_solve."""
+    _clear_built_codes()
+    _shared_picks.cache_clear()
+
+
+# a fresh process has neither, so clearing the codes clears the picks too
+build_code.cache_clear = _clear_code_caches
 
 
 def format_code_file(code: CoveringCode) -> str:

@@ -2,17 +2,22 @@
 
 The deterministic solver covers the assignment space with product-distance
 balls (see covercode) and searches each ball by branching over the literals
-of the first unsatisfied constraint, re-coloring along graph edges only. The
-randomized solver is the classic multi-restart random walk, generalized to
-move along graph edges. Both find the first unsatisfied constraint with one
-shared state (_ConstraintBits): bitset tables precomputed per group of
-consecutive variables, so the unsatisfied set is one AND per group and a
-re-coloring is one add to the group's table index. The ball search counts and
-tests its radius-1 leaves inline instead of recursing into them.
+of the first unsatisfied constraint, re-coloring along graph edges only. It
+loads covercode when it runs, searches the balls of the code's first row
+while the code is still being built, and finishes the code (with numpy or
+the process pool where they are needed) only when that row holds no
+witness. The randomized solver is the classic multi-restart random walk,
+generalized to move along graph edges. Both find the first unsatisfied
+constraint with one shared state (_ConstraintBits): bitset tables
+precomputed per group of consecutive variables, so the unsatisfied set is
+one AND per group and a re-coloring is one add to the group's table index.
+The ball search counts and tests its radius-1 leaves inline instead of
+recursing into them.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import random
 import sys
@@ -24,7 +29,6 @@ from types import SimpleNamespace
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .colorgraph import ColorGraph
-from .covercode import DEFAULT_BLOCK_CAP, build_code
 from .formula import Formula, evaluate
 
 __all__ = [
@@ -253,21 +257,25 @@ def _validate_walk_graph(f: Formula, g: ColorGraph) -> None:
             raise ValueError(f"color {c} has no out-neighbor; random walk would get stuck")
 
 
+def _walk_moves(out: tuple[tuple[int, ...], ...]) -> tuple:
+    """moves[c]: (new color - c for each out-neighbor of c, their count, its bit length)."""
+    return ((),) + tuple((tuple(c2 - c for c2 in nbrs), len(nbrs), len(nbrs).bit_length())
+                         for c, nbrs in enumerate(out, start=1))
+
+
 def _walk_core(
-    state: _ConstraintBits, out: tuple[tuple[int, ...], ...], rng: RngLike, steps: int
+    state: _ConstraintBits, moves: tuple, rng: RngLike, steps: int
 ) -> tuple[Optional[tuple[int, ...]], int]:
     """One random walk from a fresh random start; returns (witness or None, steps taken).
 
-    A draw below N inlines random.Random.randrange(N): getrandbits(N.bit_length()),
-    redrawn until below N, so the getrandbits calls and the walk are randrange's
-    (and the start coloring randint(1, d)'s).
+    moves is _walk_moves of the graph's out-neighbors. A draw below N inlines
+    random.Random.randrange(N): getrandbits(N.bit_length()), redrawn until
+    below N, so the getrandbits calls and the walk are randrange's (and the
+    start coloring randint(1, d)'s).
     """
     tables, picks, d = state.tables, state.picks, state.d
     rng = _as_rng(rng)
     getrandbits = rng.getrandbits
-    # moves[c]: (new color - c for each out-neighbor of c, their count, its bit length)
-    moves = [()] + [(tuple(c2 - c for c2 in nbrs), len(nbrs), len(nbrs).bit_length())
-                    for c, nbrs in enumerate(out, start=1)]
     idx = [0] * len(tables)
     width = d.bit_length()
     for j, w in state.place:
@@ -314,7 +322,7 @@ def schoening_run(
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     _validate_walk_graph(f, g)
-    witness, taken = _walk_core(_ConstraintBits(f), g.out, rng, steps)
+    witness, taken = _walk_core(_ConstraintBits(f), _walk_moves(g.out), rng, steps)
     if stats is not None:
         stats.steps += taken
     return witness
@@ -366,19 +374,20 @@ def _check_jobs(jobs: int) -> None:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
 
 
-def _run_chunks(items: Sequence, args: tuple, jobs: int) -> Iterator:
+def _run_chunks(items: Sequence, args: tuple, jobs: int, context: tuple = ()) -> Iterator:
     """Yield _search_chunk's per-item results over all chunks of `items`, in item order.
 
     args = (core, formula, out, arg) becomes one context, built in process when
-    jobs == 1, else once in each of up to `jobs` processes that take the chunks
-    (sent as items alone) and are read back in order, so the caller sees the same
-    results for every `jobs`. Closing the generator (the caller stops at a witness)
-    cancels the chunks not started and sets a stop flag checked before each item,
-    so running chunks end early; their results are never read.
+    jobs == 1 (or taken from `context` if given), else once in each of up to
+    `jobs` processes that take the chunks (sent as items alone) and are read
+    back in order, so the caller sees the same results for every `jobs`.
+    Closing the generator (the caller stops at a witness) cancels the chunks
+    not started and sets a stop flag checked before each item, so running
+    chunks end early; their results are never read.
     """
     chunks = _chunked(items, jobs)
-    if jobs == 1 or len(chunks) == 1:
-        context = _chunk_context(*args)
+    if jobs == 1 or len(chunks) <= 1:
+        context = context or _chunk_context(*args)
         for chunk in chunks:
             yield from _search_chunk(chunk, context)
         return
@@ -422,7 +431,7 @@ def schoening_solve(
     master = _as_rng(rng)
     seeds = [master.getrandbits(64) for _ in range(repetitions)]
     stats = SearchStats()
-    with closing(_run_chunks(seeds, (_walk_core, f, g.out, steps), jobs)) as results:
+    with closing(_run_chunks(seeds, (_walk_core, f, _walk_moves(g.out), steps), jobs)) as results:
         for witness, used in results:
             stats.repetitions += 1
             stats.steps += used
@@ -432,25 +441,54 @@ def schoening_solve(
     return SolveResult("unknown", None, stats)
 
 
+def _ball_results(f: Formula, g: ColorGraph, block_cap: Optional[int], jobs: int) -> Iterator:
+    """(witness or None, nodes) of each codeword's ball search, in code order.
+
+    A code of several blocks is searched while it is built: the first row of
+    the product, (C_1[0], ..., C_{B-1}[0], C_B[j]) for every j, searches ball j
+    as soon as the last block's greedy has made pick j, in process. Only past
+    that row is the whole code built and checked (build_code finishes the
+    same picks), and the other balls go through _run_chunks. A one-block code
+    is built first.
+    """
+    from . import covercode
+
+    if block_cap is None:
+        block_cap = covercode.DEFAULT_BLOCK_CAP
+    blocks = covercode.plan_blocks(g, f.n, f.k, block_cap)
+    args = (_searchball_core, f, g.out, sum(r for _, r in blocks))
+    context, searched = (), 0
+    if len(blocks) > 1:
+        context = _chunk_context(*args)
+        *head, last = (covercode.block_picks(g, size, r, block_cap) for size, r in blocks)
+        prefix = tuple(itertools.chain.from_iterable(next(iter(picks)) for picks in head))
+        row = _search_chunk((prefix + cw for cw in last), context)
+        yield from row
+        searched = len(row)
+    code = covercode.build_code(g, f.n, f.k, block_cap)
+    with closing(_run_chunks(code.codewords[searched:], args, jobs, context)) as results:
+        yield from results
+
+
 def det_solve(
     f: Formula,
     g: ColorGraph,
-    block_cap: int = DEFAULT_BLOCK_CAP,
+    block_cap: Optional[int] = None,
     jobs: int = 1,
 ) -> SolveResult:
     """Complete deterministic solver: covering code plus ball search.
 
-    Builds a covering code for the formula's (d, k), then searches each
-    codeword's ball in order, stopping at the first witness. Coverage of the
-    code makes "unsat" answers complete. Output (including stats) does not
-    depend on `jobs`.
+    Searches the ball of each codeword of build_code(g, n, k, block_cap) in
+    order (block_cap None means covercode.DEFAULT_BLOCK_CAP), stopping at the
+    first witness. The first row of a multi-block code is searched while the
+    code is built; the code's coverage and counting checks all run before an
+    "unsat" answer, which its coverage makes complete. Output (including
+    stats) does not depend on `jobs`.
     """
     _check_jobs(jobs)
     _check_graph(f, g)
-    code = build_code(g, f.n, f.k, block_cap)
     stats = SearchStats()
-    args = (_searchball_core, f, g.out, code.radius)
-    with closing(_run_chunks(code.codewords, args, jobs)) as results:
+    with closing(_ball_results(f, g, block_cap, jobs)) as results:
         for witness, nodes in results:
             stats.nodes_visited += nodes
             stats.balls_searched += 1

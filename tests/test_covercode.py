@@ -35,6 +35,15 @@ from cover_oracle import dist_from_center, first_uncovered, verify_cover
 NON_UNIFORM_DUAL = from_edges(4, [(1, 2), (1, 4), (2, 1), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2)])
 
 
+@pytest.fixture(autouse=True)
+def fresh_codes():
+    """Run each test as a fresh process would: no built code and no block picks,
+    and leave none, so no picks a test altered outlive it."""
+    build_code.cache_clear()
+    yield
+    build_code.cache_clear()
+
+
 def enumerate_cover_check(g, codewords, radius, n):
     """Independent coverage check by full enumeration."""
     for point in itertools.product(range(1, g.d + 1), repeat=n):
@@ -87,8 +96,9 @@ class TestGreedyCover:
 
     def test_deterministic(self):
         a = greedy_cover(directed_cycle(3), 4, 2)
-        b = greedy_cover(directed_cycle(3), 4, 2)
-        assert a == b
+        assert greedy_cover(directed_cycle(3), 4, 2) is a  # shared with block_picks
+        build_code.cache_clear()
+        assert greedy_cover(directed_cycle(3), 4, 2) == a
 
     def test_out_regular_but_not_in_regular(self):
         # uniform out-profile (1,2,1) but vertex 1 has in-degree 3: the size
@@ -154,8 +164,9 @@ class TestIncrementalGreedy:
             assert greedy_cover(g, 5, r) == eager_greedy(g, 5, r), r
 
     def test_sliced_update_matches(self, monkeypatch):
-        monkeypatch.setattr(covercode, "_PYTHON_UPDATES", 0)  # the sliced update is numpy's
+        monkeypatch.setattr(covercode, "_PYTHON_UPDATES", -1)  # the sliced update is numpy's
         whole = greedy_cover(directed_cycle(3), 6, 3)
+        build_code.cache_clear()
         monkeypatch.setattr(covercode, "_UPDATE_PAIRS", 1)
         assert greedy_cover(directed_cycle(3), 6, 3) == whole
 
@@ -198,9 +209,13 @@ class TestPythonPath:
 
     @staticmethod
     def numpy_cover(monkeypatch, g, n, r):
+        """greedy_cover with every pick made on numpy, leaving no picks behind."""
+        build_code.cache_clear()
         with monkeypatch.context() as m:
-            m.setattr(covercode, "_PYTHON_UPDATES", 0)
-            return greedy_cover(g, n, r)
+            m.setattr(covercode, "_PYTHON_UPDATES", -1)
+            code = greedy_cover(g, n, r)
+        build_code.cache_clear()
+        return code
 
     @pytest.mark.parametrize("g", DUAL_UNIFORM_GRAPHS, ids=lambda g: f"{g.name}{g.d}")
     def test_matches_numpy_path(self, monkeypatch, g):
@@ -226,13 +241,20 @@ class TestPythonPath:
         assert greedy_cover(g, n, r) == self.numpy_cover(monkeypatch, g, n, r)
 
     def test_threshold_boundary(self, monkeypatch, caplog):
+        # a pick's gain update runs on lists only if the updates done stay
+        # within the limit; the last pick needs none
         g, n, r = complete(3), 5, 1
+        # pick 0 covers a whole ball: its update costs Vol^2
+        total, first = gain_updates(g, n, r), ball_volume(profile(g), n, r) ** 2
         caplog.set_level("DEBUG", logger="dkcsp.covercode")
-        for limit, path in [(gain_updates(g, n, r), "python"), (gain_updates(g, n, r) - 1, "numpy")]:
+        for limit, path in [(total, "python path"), (total - 1, "python path"),
+                            (first, "numpy path from pick 2"), (first - 1, "numpy path from pick 1"),
+                            (-1, "numpy path from pick 1")]:
             monkeypatch.setattr(covercode, "_PYTHON_UPDATES", limit)
+            build_code.cache_clear()
             caplog.clear()
             greedy_cover(g, n, r)
-            assert f"on the {path} path (2673 gain updates)" in caplog.text
+            assert f"on the {path} (2673 gain updates)" in caplog.text, limit
 
     def test_non_uniform_dual_stays_on_numpy(self, caplog):
         caplog.set_level("DEBUG", logger="dkcsp.covercode")
@@ -251,6 +273,47 @@ class TestPythonPath:
             assert len(lines) == 1
             assert f"n={block} " in lines[0]
             assert f"on the {path} path" in lines[0]
+
+
+class TestHandOff:
+    """Picks made on demand, on lists up to a hand-off to numpy at any pick,
+    against the greedy run in one go on lists and on numpy."""
+
+    @pytest.mark.parametrize("g,n,r", [
+        (complete(3), 5, 1), (directed_cycle(3), 5, 2), (complete(4), 4, 1), (hypercube(2), 5, 2),
+    ], ids=["complete3", "cycle3", "complete4", "hypercube2"])
+    def test_picks_match_across_hand_off(self, monkeypatch, g, n, r):
+        total, first = gain_updates(g, n, r), ball_volume(profile(g), n, r) ** 2
+        all_lists = greedy_cover(g, n, r)
+        assert all_lists == eager_greedy(g, n, r)
+        # at 0 the lists make pick 0 only; at `first` also its update; then
+        # mid-block, and never
+        for limit, list_picks in [(-1, 1), (0, 1), (first, 2), (total // 2, None), (total, len(all_lists))]:
+            build_code.cache_clear()
+            monkeypatch.setattr(covercode, "_PYTHON_UPDATES", limit)
+            picks = covercode.block_picks(g, n, r)
+            streamed = []
+            for pick in picks:  # one pick at a time, as det_solve takes them
+                streamed.append(pick)
+            assert tuple(streamed) == picks.code() == all_lists, limit
+            assert picks.numpy == (limit != total), limit
+            if list_picks is not None:
+                assert picks.list_picks == list_picks, limit
+            else:
+                assert 2 < picks.list_picks < len(all_lists)
+
+    def test_resumed_picks_match(self):
+        g = directed_cycle(3)
+        picks = covercode.block_picks(g, 5, 2)
+        head = list(itertools.islice(picks, 3))
+        assert covercode.block_picks(g, 5, 2) is picks
+        assert len(picks.picks) == 3
+        assert next(iter(picks)) == (1,) * 5
+        code = greedy_cover(g, 5, 2)
+        assert code[:3] == tuple(head)
+        assert list(picks) == list(code)
+        build_code.cache_clear()
+        assert covercode.block_picks(g, 5, 2) is not picks
 
 
 class TestCoverageGains:
@@ -422,6 +485,7 @@ class TestBuildCode:
 
     def test_deterministic(self):
         a = build_code(directed_cycle(4), 5, 3, block_cap=64)
+        build_code.cache_clear()
         b = build_code(directed_cycle(4), 5, 3, block_cap=64)
         assert tuple(a.codewords) == tuple(b.codewords)
 
@@ -504,9 +568,20 @@ class TestResultChecks:
         assert all(assignment_distance(g, cw, missing) > r for cw in code[:-1])
         assert assignment_distance(g, code[-1], missing) <= r
 
-    def test_python_path_runs_its_cover_check(self, monkeypatch):
+    @staticmethod
+    def check_short_block(monkeypatch, limit):
         # a greedy that stopped one pick early must not get past the check
-        real = covercode._greedy_python
-        monkeypatch.setattr(covercode, "_greedy_python", lambda *args: real(*args)[:-1])
+        monkeypatch.setattr(covercode, "_PYTHON_UPDATES", limit)
+        picks = covercode.block_picks(complete(3), 5, 1)
+        picks.picks.extend(picks._greedy)
+        picks.picks.pop()
         with pytest.raises(RuntimeError, match="outside every"):
             greedy_cover(complete(3), 5, 1)
+        with pytest.raises(RuntimeError, match="outside every"):  # again: no code was kept
+            picks.code()
+
+    def test_python_path_runs_its_cover_check(self, monkeypatch):
+        self.check_short_block(monkeypatch, 1 << 18)
+
+    def test_numpy_path_runs_its_cover_check(self, monkeypatch):
+        self.check_short_block(monkeypatch, -1)

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from dkcsp import search
+from dkcsp import covercode, search
 from dkcsp.colorgraph import (
     assignment_distance,
     complete,
@@ -26,8 +26,10 @@ from dkcsp.formula import (
     evaluate,
     generate_random,
 )
+from dkcsp.covercode import build_code
 from dkcsp.search import (
     SearchStats,
+    SolveResult,
     _ConstraintBits,
     det_solve,
     graph_searchball,
@@ -362,12 +364,80 @@ class TestJobs:
             def getrandbits(self, k):
                 raise AssertionError("seed drawn before the jobs check")
 
-        monkeypatch.setattr(search, "build_code", no_build)
+        for name in ("plan_blocks", "block_picks", "build_code"):
+            monkeypatch.setattr(covercode, name, no_build)
         f = generate_random(18, 3, 3, 250, 1)
         with pytest.raises(ValueError, match="jobs"):
             det_solve(f, complete(3), block_cap=19683, jobs=0)
         with pytest.raises(ValueError, match="jobs"):
             schoening_solve(f, complete(3), 5, rng=NoDraws(1), jobs=0)
+
+
+def eager_det_solve(f, g, cap):
+    """The ball search over a code built in full first: every codeword's ball
+    in code order, up to the first witness, in process."""
+    code = build_code(g, f.n, f.k, cap)
+    state, stats = _ConstraintBits(f), SearchStats()
+    for cw in code.codewords:
+        witness, nodes = search._searchball_core(state, g.out, cw, code.radius)
+        stats.nodes_visited += nodes
+        stats.balls_searched += 1
+        stats.max_ball_nodes = max(stats.max_ball_nodes, nodes)
+        if witness is not None:
+            return SolveResult("sat", witness, stats)
+    return SolveResult("unsat", None, stats)
+
+
+# n, block cap, the code's blocks, and generate_random(n, 3, 3, m, seed)
+# arguments (m, seed) whose first witness lies in the product's first row,
+# past it, or nowhere, on both graphs
+STREAM_SHAPES = {
+    "one-block": (6, 729, (6,), [(60, 0), (90, 5), (150, 9)]),
+    "two-equal": (8, 81, (4, 4), [(100, 2), (140, 0), (220, 0)]),
+    "three-unequal": (10, 81, (4, 3, 3), [(150, 1), (200, 2), (150, 5), (300, 0)]),
+}
+
+
+class TestStreamedSearch:
+    """det_solve searches the first row while the code is built: it must give
+    what the search over the code built in full gives."""
+
+    @pytest.mark.parametrize("shape", list(STREAM_SHAPES))
+    @pytest.mark.parametrize("g", [complete(3), directed_cycle(3)], ids=["complete", "cycle"])
+    def test_matches_eager_search(self, g, shape):
+        n, cap, blocks, cases = STREAM_SHAPES[shape]
+        kinds = set()
+        for m, seed in cases:
+            f = generate_random(n, 3, 3, m, seed)
+            fresh = []
+            for jobs in (1, 2):
+                build_code.cache_clear()
+                fresh.append(det_solve(f, g, block_cap=cap, jobs=jobs))
+            code = build_code(g, n, 3, cap)
+            cached = [det_solve(f, g, block_cap=cap, jobs=jobs) for jobs in (1, 2)]
+            want = eager_det_solve(f, g, cap)
+            assert fresh == cached == [want, want], (m, seed)
+            assert code.blocks == blocks
+            if want.status == "unsat":
+                assert want.stats.balls_searched == len(code.codewords)
+                kinds.add("unsat")
+            elif len(blocks) > 1 and want.stats.balls_searched <= code.block_code_sizes[-1]:
+                kinds.add("first row")
+            else:
+                kinds.add("past it" if len(blocks) > 1 else "sat")
+        assert kinds == ({"sat", "unsat"} if len(blocks) == 1 else {"first row", "past it", "unsat"})
+
+    def test_first_row_witness_leaves_the_code_unfinished(self):
+        # the witness of (100, 2) is in ball 6 of the first row of 9
+        build_code.cache_clear()
+        g = complete(3)
+        result = det_solve(generate_random(8, 3, 3, 100, 2), g, block_cap=81)
+        assert (result.status, result.stats.balls_searched) == ("sat", 6)
+        size, r = covercode.plan_blocks(g, 8, 3, 81)[-1]
+        picks = covercode.block_picks(g, size, r, 81)
+        assert len(picks.picks) == 6
+        assert len(picks.code()) == 9
+        build_code.cache_clear()
 
 
 class FlipsAfter:

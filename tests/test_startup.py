@@ -3,7 +3,10 @@ nor the process pool, and those that do load numpy start no BLAS threads.
 
 A det solve loads numpy only when a block of its covering code is too large
 for the plain-list greedy: small blocks (3^3 and 3^5 blocks here) leave it
-unloaded, a 3^8 block loads it.
+unloaded, a 3^8 block loads it. A solve whose witness lies in the first row
+of a multi-block code loads neither numpy nor the pool, even for 3^9 blocks
+at --jobs 2: that row is searched while the greedy makes its first picks.
+`--help` and the random walk load none of the code-building modules.
 
 Each command runs in a fresh interpreter with PYTHONPATH=src, as
 `python -m dkcsp.cli ...` does, and reports its exit code, which of the
@@ -13,6 +16,7 @@ and, on Linux, how many threads the process had after the command.
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -34,8 +38,10 @@ except SystemExit as exc:
     code = exc.code
 threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
 print(json.dumps({"code": code, "loaded": [m for m in %r if m in sys.modules],
+                  "dkcsp": sorted(m for m in sys.modules if m.startswith("dkcsp.")),
                   "blas": os.environ.get("OPENBLAS_NUM_THREADS"), "threads": threads}))
 """ % (GUARDED,)
+BUILDING = {"dkcsp.analysis", "dkcsp.covercode", "dkcsp.volume"}
 
 
 def probe(*argv, blas=None):
@@ -106,6 +112,48 @@ def test_walk_solve_loads_no_numpy(unsat_instance):
                                   "--reps", "20", "--seed", "3", unsat_instance)
     assert (code, lines) == (0, ["s UNKNOWN"])
     assert loaded == []
+
+
+@pytest.mark.parametrize("argv,modules", [
+    (["--help"], ["dkcsp.colorgraph", "dkcsp.formula"]),
+    (["solve", "--method", "schoening", "--reps", "5", "--seed", "1"],
+     ["dkcsp.colorgraph", "dkcsp.formula", "dkcsp.search"]),
+], ids=["help", "walk"])
+def test_commands_load_no_code_modules(unsat_instance, argv, modules):
+    report, lines = probe(*argv, *([unsat_instance] if "solve" in argv else []))
+    assert report["code"] == 0
+    assert lines
+    assert report["dkcsp"] == modules
+    assert not BUILDING & set(report["dkcsp"])
+
+
+@pytest.fixture(scope="module")
+def det_sat_instances(tmp_path_factory):
+    """Planted instances shaped as perfbench's det-sat: n=18, m=250."""
+    rng, paths = random.Random(5), []
+    for i in range(2):
+        planted = tuple(rng.randint(1, 3) for _ in range(18))
+        f = generate_random(18, 3, 3, 250, rng.getrandbits(64), planted)
+        paths.append(tmp_path_factory.mktemp("startup") / f"sat{i}.csp")
+        paths[-1].write_text(serialize_instance(f))
+    return [str(p) for p in paths]
+
+
+@pytest.mark.parametrize("graph", ["complete", "cycle"])
+def test_first_row_witness_loads_no_numpy_or_pool(det_sat_instances, graph):
+    # two 3^9 blocks at --jobs 2: the witness is in the first row's balls
+    for path in det_sat_instances:
+        code, loaded, lines = run_cli("solve", "--method", "det", "--graph", graph,
+                                      "--block-cap", "19683", "--jobs", "2", path)
+        assert (code, lines[0]) == (10, "s SATISFIABLE")
+        assert loaded == []
+
+
+def test_unsat_two_block_solve_loads_the_pool(unsat_instance_10):
+    code, loaded, lines = run_cli("solve", "--method", "det", "--graph", "cycle",
+                                  "--block-cap", "4096", "--jobs", "2", unsat_instance_10)
+    assert (code, lines) == (20, ["s UNSATISFIABLE"])
+    assert loaded == ["multiprocessing", "concurrent.futures.process"]
 
 
 def test_det_solve_still_answers(unsat_instance):
