@@ -14,15 +14,16 @@ names is first read, so `dkcsp` itself imports nothing a command does not run.
 """
 
 import importlib
+import sys
 
 _EXPORTS = {
     "analysis": ("base_for_graph", "base_report", "base_schoening", "markov_simulate",
                  "reach_probability", "solve_lambda"),
-    "colorgraph": ("ColorGraph", "DistanceProfile", "assignment_distance", "complete",
-                   "directed_cycle", "hypercube", "profile"),
+    "colorgraph": ("ColorGraph", "DistanceProfile", "complete", "directed_cycle", "hypercube",
+                   "profile"),
     "covercode": ("CoveringCode", "build_code", "greedy_cover", "product_code"),
     "formula": ("Constraint", "Formula", "Literal", "brute_force_solve", "evaluate",
-                "generate_random", "normalize", "parse_instance", "serialize_instance"),
+                "generate_random", "parse_instance", "serialize_instance"),
     "search": ("SolveResult", "det_solve", "graph_searchball", "schoening_solve"),
     "volume": ("ball_volume", "select_radius", "shell_counts"),
 }
@@ -40,6 +41,14 @@ def __getattr__(name: str):
     value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
     globals()[name] = value
     return value
+
+
+def _debug(logger: str, *args) -> None:
+    """Emit a debug record on `logger` if logging is loaded: a handler exists
+    only once someone configured one, which loads it, so dkcsp never does."""
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(logger).debug(*args, stacklevel=2)
 
 
 def __dir__() -> list[str]:

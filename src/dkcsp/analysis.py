@@ -23,13 +23,13 @@ reach 0, in batches of bounded memory, and uses neither of the other two.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
 from .colorgraph import DistanceProfile, complete, directed_cycle, profile
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     import numpy as np
 __all__ = [
     "BaseReport",
@@ -51,6 +51,8 @@ def _check_dk(d: int, k: int) -> None:
 
 def base_schoening(d: int, k: int) -> Fraction:
     """Per-variable base of the repeated random walk: d(k-1)/k."""
+    from fractions import Fraction
+
     _check_dk(d, k)
     return Fraction(d * (k - 1), k)
 
@@ -62,6 +64,8 @@ def base_for_graph(p: DistanceProfile, k: int) -> Fraction:
     for the complete graph and d(k-1)/k * k^d/(k^d - 1) for the directed
     cycle.
     """
+    from fractions import Fraction
+
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
     if p.delta < 1:
@@ -70,8 +74,7 @@ def base_for_graph(p: DistanceProfile, k: int) -> Fraction:
     return Fraction(p.d) / denom
 
 
-@dataclass(frozen=True)
-class BaseReport:
+class BaseReport(NamedTuple):
     d: int
     k: int
     schoening_base: Fraction
@@ -96,8 +99,7 @@ def base_report(d: int, k: int, p: Optional[DistanceProfile] = None) -> BaseRepo
     )
 
 
-@dataclass(frozen=True)
-class LambdaSolution:
+class LambdaSolution(NamedTuple):
     """Root in (0,1] of lambda = 1/k + ((k-1)/k) lambda^d.
 
     lambda^j is the probability that the distance walk started at j ever

@@ -10,16 +10,13 @@ fresh seed, it prints it to stderr so the run can be reproduced.
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import random
 import sys
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import formula as fmod
-from .colorgraph import ColorGraph, complete, directed_cycle, hypercube, parse_graph_file, profile
-
 if TYPE_CHECKING:
+    from .colorgraph import ColorGraph
     from .search import SolveResult
 
 __all__ = ["main"]
@@ -29,6 +26,8 @@ EXIT_UNSAT = 20
 
 
 def _graph_from_flag(name: str, d: int) -> ColorGraph:
+    from .colorgraph import complete, directed_cycle, hypercube, parse_graph_file, profile
+
     if name == "complete":
         return complete(d)
     if name == "cycle":
@@ -76,6 +75,8 @@ def _format_witness(result: SolveResult) -> str:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    from . import formula as fmod
+
     seed = _resolve_seed(args.seed)
     rng = random.Random(seed)
     planted = None
@@ -88,7 +89,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    from . import search
+    from . import formula as fmod, search
 
     with open(args.instance, encoding="utf-8") as fh:
         f = fmod.parse_instance(fh.read())
@@ -140,6 +141,7 @@ def cmd_code(args: argparse.Namespace) -> int:
 
 
 def cmd_volume(args: argparse.Namespace) -> int:
+    from .colorgraph import profile
     from .volume import shell_counts
 
     g = _graph_from_flag(args.graph, args.d)
@@ -155,6 +157,7 @@ def cmd_volume(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     from . import analysis
+    from .colorgraph import profile
 
     p = profile(_graph_from_flag(args.graph, args.d)) if args.graph else None
     report = analysis.base_report(args.d, args.k, p)
@@ -266,6 +269,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     if args.log_level is not None:
+        import logging
+
         logging.basicConfig(level=args.log_level.upper(), force=True,
                             format="%(levelname)s %(name)s: %(message)s")
     # no BLAS call is made, so spare every numpy import OpenBLAS's idle thread pool

@@ -9,14 +9,12 @@ variant that is cheaper to branch over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Iterable, Optional, Sequence
+from functools import lru_cache
+from typing import Iterable, Optional
 
 __all__ = [
     "ColorGraph",
     "DistanceProfile",
-    "assignment_distance",
     "complete",
     "directed_cycle",
     "from_edges",
@@ -26,7 +24,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class DistanceProfile:
     """Counts (d_0, .., d_s) of colors at each distance from any fixed color.
 
@@ -36,20 +33,31 @@ class DistanceProfile:
     when the graph is strongly connected.
     """
 
-    d: int
-    counts: tuple[int, ...]
+    __slots__ = ("d", "counts")
 
-    def __post_init__(self):
-        if not self.counts or self.counts[0] != 1:
+    def __init__(self, d: int, counts: tuple[int, ...]):
+        if not counts or counts[0] != 1:
             raise ValueError("distance profile must start with d_0 = 1")
-        if len(self.counts) > 1 and self.counts[-1] == 0:
+        if len(counts) > 1 and counts[-1] == 0:
             raise ValueError("distance profile must not have trailing zeros")
-        if sum(self.counts) > self.d:
+        if sum(counts) > d:
             raise ValueError("distance profile counts exceed color count")
-        delta = self.counts[1] if len(self.counts) > 1 else 0
-        for i, c in enumerate(self.counts):
+        delta = counts[1] if len(counts) > 1 else 0
+        for i, c in enumerate(counts):
             if i >= 1 and c > delta**i:
-                raise ValueError(f"profile violates d_{i} <= delta^{i}: {self.counts}")
+                raise ValueError(f"profile violates d_{i} <= delta^{i}: {counts}")
+        self.d, self.counts = d, counts
+
+    def __eq__(self, other):
+        if type(other) is not DistanceProfile:
+            return NotImplemented
+        return (self.d, self.counts) == (other.d, other.counts)
+
+    def __hash__(self) -> int:
+        return hash((self.d, self.counts))
+
+    def __repr__(self) -> str:
+        return f"DistanceProfile(d={self.d}, counts={self.counts!r})"
 
     @property
     def s(self) -> int:
@@ -66,51 +74,61 @@ class DistanceProfile:
         return sum(self.counts) == self.d
 
 
-@dataclass(frozen=True)
 class ColorGraph:
     """Adjacency on colors 1..d, stored as sorted out-neighbor tuples."""
 
-    d: int
-    out: tuple[tuple[int, ...], ...]
-    name: str = "custom"
+    __slots__ = ("d", "out", "name", "_distances")
 
-    def __post_init__(self):
-        if self.d < 1:
+    def __init__(self, d: int, out: tuple[tuple[int, ...], ...], name: str = "custom"):
+        if d < 1:
             raise ValueError("graph needs at least one color")
-        if len(self.out) != self.d:
-            raise ValueError(f"expected {self.d} out-neighbor lists, got {len(self.out)}")
-        for c, nbrs in enumerate(self.out, start=1):
+        if len(out) != d:
+            raise ValueError(f"expected {d} out-neighbor lists, got {len(out)}")
+        for c, nbrs in enumerate(out, start=1):
             if list(nbrs) != sorted(set(nbrs)):
                 raise ValueError(f"out-neighbors of color {c} must be sorted and distinct")
             for v in nbrs:
-                if not 1 <= v <= self.d:
-                    raise ValueError(f"neighbor {v} of color {c} out of range 1..{self.d}")
+                if not 1 <= v <= d:
+                    raise ValueError(f"neighbor {v} of color {c} out of range 1..{d}")
                 if v == c:
                     raise ValueError(f"self-loop at color {c}")
+        self.d, self.out, self.name, self._distances = d, out, name, None
 
-    @cached_property
+    def __eq__(self, other):
+        if type(other) is not ColorGraph:
+            return NotImplemented
+        return (self.d, self.out, self.name) == (other.d, other.out, other.name)
+
+    def __hash__(self) -> int:
+        return hash((self.d, self.out, self.name))
+
+    def __repr__(self) -> str:
+        return f"ColorGraph(d={self.d}, out={self.out!r}, name={self.name!r})"
+
+    @property
     def distances(self) -> tuple[tuple[Optional[int], ...], ...]:
-        """BFS shortest-path lengths between all color pairs; None if unreachable."""
-        rows = []
-        for src in range(1, self.d + 1):
-            dist: list[Optional[int]] = [None] * self.d
-            dist[src - 1] = 0
-            frontier = [src]
-            step = 0
-            while frontier:
-                step += 1
-                nxt = []
-                for u in frontier:
-                    for v in self.out[u - 1]:
-                        if dist[v - 1] is None:
-                            dist[v - 1] = step
-                            nxt.append(v)
-                frontier = nxt
-            rows.append(tuple(dist))
-        return tuple(rows)
+        """BFS shortest-path lengths between all color pairs; None if unreachable.
 
-    def distance(self, c1: int, c2: int) -> Optional[int]:
-        return self.distances[c1 - 1][c2 - 1]
+        Computed on first use and kept."""
+        if self._distances is None:
+            rows = []
+            for src in range(1, self.d + 1):
+                dist: list[Optional[int]] = [None] * self.d
+                dist[src - 1] = 0
+                frontier = [src]
+                step = 0
+                while frontier:
+                    step += 1
+                    nxt = []
+                    for u in frontier:
+                        for v in self.out[u - 1]:
+                            if dist[v - 1] is None:
+                                dist[v - 1] = step
+                                nxt.append(v)
+                    frontier = nxt
+                rows.append(tuple(dist))
+            self._distances = tuple(rows)
+        return self._distances
 
 
 @lru_cache(maxsize=None)
@@ -200,19 +218,3 @@ def profile(g: ColorGraph) -> DistanceProfile:
             )
     assert reference is not None
     return DistanceProfile(g.d, reference)
-
-
-def assignment_distance(g: ColorGraph, a: Sequence[int], b: Sequence[int]) -> int:
-    """Sum of per-coordinate graph distances from a to b (order matters if directed)."""
-    if len(a) != len(b):
-        raise ValueError(f"assignment lengths differ: {len(a)} vs {len(b)}")
-    dist = g.distances
-    total = 0
-    for x, y in zip(a, b):
-        if not (1 <= x <= g.d and 1 <= y <= g.d):
-            raise ValueError(f"color out of range 1..{g.d}")
-        step = dist[x - 1][y - 1]
-        if step is None:
-            raise ValueError(f"color {y} unreachable from {x}")
-        total += step
-    return total

@@ -17,9 +17,12 @@ dual profiles are uniform, the picks run on plain lists while the gain
 updates done stay within _PYTHON_UPDATES, and then on numpy arrays from the
 same state, with the same picks; so blocks under that budget never import
 numpy. Other graphs go to numpy after pick 0, which needs no gain update.
-Each finished block code is checked to cover its block (by marking every codeword's ball, or on numpy by one
-transfer-DP pass), which by additivity proves coverage of the product; the
-checks raise, so they also run under python -O.
+A block code asked for whole before any pick goes to numpy after pick 0
+when the whole block's gain updates, d^n * Vol, exceed that budget.
+Each finished block code is checked to cover its block (by marking every
+codeword's ball, or on numpy by one transfer-DP pass), which by additivity
+proves coverage of the product; the checks raise, so they also run under
+python -O.
 
 The product itself is never materialised: ProductCodewords is a read-only
 sequence over the block codes, and a contiguous slice of it is the same
@@ -29,17 +32,15 @@ block codes plus an index range, decoded in mixed radix when iterated.
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator
 
+from . import _debug
 from .colorgraph import ColorGraph, profile
-from .volume import ball_volume, select_radius
+from .volume import Ratio, ball_volume, select_radius
 
 if TYPE_CHECKING:
     import numpy as np
@@ -62,8 +63,6 @@ _UPDATE_PAIRS = 1 << 20
 # the greedy runs on plain lists while its gain updates stay within this many:
 # up to the point where the list greedy has cost as much as importing numpy
 _PYTHON_UPDATES = 1 << 18
-
-log = logging.getLogger(__name__)
 
 Codeword = tuple[int, ...]
 
@@ -138,21 +137,23 @@ class ProductCodewords(Sequence):
         return ProductCodewords, (self.codes, self.start, self.stop)
 
 
-@dataclass(frozen=True)
 class CoveringCode:
-    graph: ColorGraph
-    n: int
-    radius: int
-    codewords: Sequence[Codeword]
-    blocks: tuple[int, ...]
-    per_block_radius: tuple[int, ...]
-    block_code_sizes: tuple[int, ...]
+    __slots__ = ("graph", "n", "radius", "codewords", "blocks", "per_block_radius", "block_code_sizes")
 
-    def __post_init__(self):
-        if self.radius != sum(self.per_block_radius):
+    def __init__(self, graph: ColorGraph, n: int, radius: int, codewords: Sequence[Codeword],
+                 blocks: tuple[int, ...], per_block_radius: tuple[int, ...],
+                 block_code_sizes: tuple[int, ...]):
+        if radius != sum(per_block_radius):
             raise ValueError("code radius must be the sum of the per-block radii")
-        if self.n != sum(self.blocks):
+        if n != sum(blocks):
             raise ValueError("block sizes must partition the coordinates")
+        self.graph, self.n, self.radius, self.codewords = graph, n, radius, codewords
+        self.blocks, self.per_block_radius, self.block_code_sizes = blocks, per_block_radius, block_code_sizes
+
+    def __repr__(self) -> str:
+        return (f"CoveringCode(graph={self.graph!r}, n={self.n}, radius={self.radius}, "
+                f"blocks={self.blocks}, per_block_radius={self.per_block_radius}, "
+                f"block_code_sizes={self.block_code_sizes})")
 
 
 def _finite_distance_matrix(g: ColorGraph) -> np.ndarray:
@@ -273,7 +274,8 @@ class BlockPicks:
     _PYTHON_UPDATES, then hands its gains and uncovered flags to numpy and
     goes on there, with the same picks; graphs whose dual profiles are not
     uniform go to numpy after pick 0. code() makes the remaining picks and
-    checks the finished code once.
+    checks the finished code once; called before any pick, it goes to numpy
+    after pick 0 when the whole block's gain updates exceed _PYTHON_UPDATES.
     """
 
     def __init__(self, g: ColorGraph, n: int, r: int):
@@ -302,35 +304,38 @@ class BlockPicks:
         """
         if self._code is not None:
             return self._code
-        self.picks.extend(self._greedy)
         g, n, r, d = self.g, self.n, self.r, self.g.d
+        vol = ball_volume(profile(g), n, r)
+        if not self.picks and d**n * vol > _PYTHON_UPDATES:
+            # asked for whole before any pick: no list phase pays off, so numpy from pick 1
+            self._greedy = self._make_picks(budget=0)
+        self.picks.extend(self._greedy)
         if self.numpy:
             _check_block_cover(_finite_distance_matrix(g), n, d, r, self.picks)
         else:
             _check_cover_by_balls(g, n, r, self.picks)
-        vol = ball_volume(profile(g), n, r)
         bound = (1 + math.log(d**n)) * d**n / vol
         if _dual_uniform(g):
             if len(self.picks) > bound + 1e-9:
                 raise RuntimeError(f"greedy exceeded its guarantee: {len(self.picks)} > {bound}")
         else:
-            log.debug("skipping greedy size guarantee: dual profiles not uniform")
-        log.debug(
-            "greedy cover d=%d n=%d r=%d on the %s (%d gain updates): %d codewords (bound %.1f)",
+            _debug(__name__, "skipping greedy size guarantee: dual profiles not uniform")
+        _debug(
+            __name__, "greedy cover d=%d n=%d r=%d on the %s (%d gain updates): %d codewords (bound %.1f)",
             d, n, r, f"numpy path from pick {self.list_picks}" if self.numpy else "python path",
             d**n * vol, len(self.picks), bound,
         )
         self._code = tuple(self.picks)
         return self._code
 
-    def _make_picks(self) -> Iterator[Codeword]:
+    def _make_picks(self, budget: int | None = None) -> Iterator[Codeword]:
         """The incremental greedy on plain lists, picking as np.argmax does.
 
         Each pick is yielded before its gain update, which runs when the next
         pick is asked for, on lists while the updates done stay within
-        _PYTHON_UPDATES, else on numpy from there on. Gains only fall, so
-        `gain` bounds them all and no center before `start` reaches it: each
-        scan for the first center at `gain` resumes there.
+        `budget` (None: _PYTHON_UPDATES), else on numpy from there on. Gains
+        only fall, so `gain` bounds them all and no center before `start`
+        reaches it: each scan for the first center at `gain` resumes there.
         """
         g, n, r, d = self.g, self.n, self.r, self.g.d
         rows = g.distances
@@ -339,10 +344,11 @@ class BlockPicks:
         vol = len(offsets)
         ranks = tuple(zip(*(_index_to_point(o, n, d) for o in offsets)))
         ball_tables = _ball_tables([sorted(range(d), key=row.__getitem__) for row in rows], ranks, d)
-        dual_tables, budget = None, -1  # without dual tables, numpy recounts the gains
+        dual_tables, limit = None, -1  # without dual tables, numpy recounts the gains
         if _dual_uniform(g):
             inward = [sorted(range(d), key=col.__getitem__) for col in zip(*rows)]
-            dual_tables, budget = _ball_tables(inward, ranks, d), _PYTHON_UPDATES
+            dual_tables = _ball_tables(inward, ranks, d)
+            limit = _PYTHON_UPDATES if budget is None else budget
         uncovered = bytearray(b"\1") * d**n
         gains = [vol] * d**n
         remaining, gain, start, done = d**n, vol, 0, 0
@@ -364,7 +370,7 @@ class BlockPicks:
             if not remaining:
                 return
             done += gain * vol
-            if done > budget:
+            if done > limit:
                 break
             for x in newly:
                 uncovered[x] = 0
@@ -530,7 +536,7 @@ def plan_blocks(
     b = -(-n // max_block)
     base, extra = divmod(n, b)
     sizes = [base + 1] * extra + [base] * (b - extra)
-    x = Fraction(1, k * p.delta)
+    x = Ratio(1, k * p.delta)
     radii = {size: select_radius(p, size, x) for size in sorted(set(sizes))}
     return tuple((size, radii[size]) for size in sizes)
 
@@ -549,8 +555,8 @@ def build_code(g: ColorGraph, n: int, k: int, block_cap: int = DEFAULT_BLOCK_CAP
     vol = ball_volume(profile(g), n, code.radius)
     if len(code.codewords) * vol < g.d**n:
         raise RuntimeError("covering-code counting bound violated")
-    log.debug(
-        "code d=%d n=%d k=%d: %d blocks, radius %d, %d codewords",
+    _debug(
+        __name__, "code d=%d n=%d k=%d: %d blocks, radius %d, %d codewords",
         g.d, n, k, len(blocks), code.radius, len(code.codewords),
     )
     return code

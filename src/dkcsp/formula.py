@@ -9,8 +9,7 @@ plain tuples of colors, length n.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -24,7 +23,6 @@ __all__ = [
     "constraint",
     "evaluate",
     "generate_random",
-    "normalize",
     "parse_instance",
     "serialize_instance",
 ]
@@ -40,20 +38,32 @@ class ParseError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(NamedTuple):
     """The literal (x_var != color)."""
 
     var: int
     color: int
 
 
-@dataclass(frozen=True)
 class Constraint:
-    literals: tuple[Literal, ...]
+    __slots__ = ("literals",)
+
+    def __init__(self, literals: tuple[Literal, ...]):
+        self.literals = literals
 
     def __len__(self) -> int:
         return len(self.literals)
+
+    def __eq__(self, other):
+        if type(other) is not Constraint:
+            return NotImplemented
+        return self.literals == other.literals
+
+    def __hash__(self) -> int:
+        return hash(self.literals)
+
+    def __repr__(self) -> str:
+        return f"Constraint(literals={self.literals!r})"
 
 
 def constraint(*pairs: tuple[int, int]) -> Constraint:
@@ -61,36 +71,45 @@ def constraint(*pairs: tuple[int, int]) -> Constraint:
     return Constraint(tuple(Literal(v, c) for v, c in pairs))
 
 
-@dataclass(frozen=True)
 class Formula:
     """A (d,k)-CSP formula. k is the declared maximum constraint width."""
 
-    n: int
-    d: int
-    k: int
-    constraints: tuple[Constraint, ...]
+    __slots__ = ("n", "d", "k", "constraints")
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"variable count must be nonnegative, got {self.n}")
-        if self.d < 2:
-            raise ValueError(f"color count must be at least 2, got {self.d}")
-        if self.k < 1:
-            raise ValueError(f"max constraint width must be at least 1, got {self.k}")
-        for i, con in enumerate(self.constraints):
-            if len(con.literals) > self.k:
-                raise ValueError(
-                    f"constraint {i} has {len(con.literals)} literals, width limit is {self.k}"
-                )
+    def __init__(self, n: int, d: int, k: int, constraints: tuple[Constraint, ...]):
+        if n < 0:
+            raise ValueError(f"variable count must be nonnegative, got {n}")
+        if d < 2:
+            raise ValueError(f"color count must be at least 2, got {d}")
+        if k < 1:
+            raise ValueError(f"max constraint width must be at least 1, got {k}")
+        for i, con in enumerate(constraints):
+            if len(con.literals) > k:
+                raise ValueError(f"constraint {i} has {len(con.literals)} literals, width limit is {k}")
             for lit in con.literals:
-                if not 1 <= lit.var <= self.n:
-                    raise ValueError(f"constraint {i}: variable {lit.var} out of range 1..{self.n}")
-                if not 1 <= lit.color <= self.d:
-                    raise ValueError(f"constraint {i}: color {lit.color} out of range 1..{self.d}")
+                if not 1 <= lit.var <= n:
+                    raise ValueError(f"constraint {i}: variable {lit.var} out of range 1..{n}")
+                if not 1 <= lit.color <= d:
+                    raise ValueError(f"constraint {i}: color {lit.color} out of range 1..{d}")
+        self.n, self.d, self.k, self.constraints = n, d, k, constraints
 
     @property
     def m(self) -> int:
         return len(self.constraints)
+
+    def _key(self) -> tuple:
+        return self.n, self.d, self.k, self.constraints
+
+    def __eq__(self, other):
+        if type(other) is not Formula:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"Formula(n={self.n}, d={self.d}, k={self.k}, constraints={self.constraints!r})"
 
 
 def _check_assignment(f: Formula, a: Sequence[int]) -> None:
@@ -188,33 +207,6 @@ def evaluate(f: Formula, a: Sequence[int]) -> tuple[bool, Optional[int]]:
         if all(a[lit.var - 1] == lit.color for lit in con.literals):
             return False, i
     return True, None
-
-
-def normalize(f: Formula) -> Formula:
-    """Drop duplicate literals and tautological constraints.
-
-    A constraint holding two literals on the same variable with different
-    colors is satisfied by every assignment and is removed. Constraint order
-    is otherwise preserved; the result is satisfaction-equivalent.
-    """
-    kept: list[Constraint] = []
-    for con in f.constraints:
-        seen: set[tuple[int, int]] = set()
-        color_of: dict[int, int] = {}
-        lits: list[Literal] = []
-        tautology = False
-        for lit in con.literals:
-            if color_of.get(lit.var, lit.color) != lit.color:
-                tautology = True
-                break
-            if (lit.var, lit.color) in seen:
-                continue
-            seen.add((lit.var, lit.color))
-            color_of[lit.var] = lit.color
-            lits.append(lit)
-        if not tautology:
-            kept.append(Constraint(tuple(lits)))
-    return Formula(f.n, f.d, f.k, tuple(kept))
 
 
 def generate_random(

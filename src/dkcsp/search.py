@@ -18,16 +18,15 @@ recursing into them.
 from __future__ import annotations
 
 import itertools
-import logging
 import random
 import sys
 from contextlib import closing
-from dataclasses import dataclass
 from functools import reduce
 from operator import and_
 from types import SimpleNamespace
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
+from . import _debug
 from .colorgraph import ColorGraph
 from .formula import Formula, evaluate
 
@@ -40,22 +39,32 @@ __all__ = [
     "schoening_solve",
 ]
 
-log = logging.getLogger(__name__)
-
 RngLike = Union[random.Random, int, None]
 
 
-@dataclass
 class SearchStats:
-    nodes_visited: int = 0
-    balls_searched: int = 0
-    repetitions: int = 0
-    steps: int = 0
-    max_ball_nodes: int = 0
+    """Counters of a solve, updated as it runs."""
+
+    __slots__ = ("nodes_visited", "balls_searched", "repetitions", "steps", "max_ball_nodes")
+
+    def __init__(self, nodes_visited: int = 0, balls_searched: int = 0, repetitions: int = 0,
+                 steps: int = 0, max_ball_nodes: int = 0):
+        self.nodes_visited, self.balls_searched, self.repetitions = nodes_visited, balls_searched, repetitions
+        self.steps, self.max_ball_nodes = steps, max_ball_nodes
+
+    def _key(self) -> tuple[int, ...]:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not SearchStats:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self) -> str:
+        return "SearchStats(" + ", ".join(f"{name}={getattr(self, name)}" for name in self.__slots__) + ")"
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     """status is "sat", "unsat" (deterministic only) or "unknown" (randomized)."""
 
     status: str
@@ -156,8 +165,8 @@ class _ConstraintBits:
             for con in f.constraints
         ]
         self.picks = [(len(t), len(t).bit_length(), t) for t in self.literals]
-        log.debug(
-            "constraint state n=%d d=%d m=%d: %d groups of %d, %d table entries, %d table bytes",
+        _debug(
+            __name__, "constraint state n=%d d=%d m=%d: %d groups of %d, %d table entries, %d table bytes",
             f.n, f.d, f.m, len(self.tables), g, sum(map(len, self.tables)), self.table_bytes,
         )
 

@@ -3,31 +3,39 @@
 T(n,r) counts assignments at product distance exactly r from a fixed center;
 it obeys T(n,r) = sum_i d_i * T(n-1, r-i) over the distance profile
 (d_0..d_s), equivalently sum_r T(n,r) x^r = (sum_i d_i x^i)^n. Everything
-here is exact integer/rational arithmetic; callers convert to float only for
-display.
+here is exact integer arithmetic; callers convert to float only for display.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Union
+from typing import TYPE_CHECKING, NamedTuple, Union
 
 from .colorgraph import DistanceProfile
 
+if TYPE_CHECKING:
+    from fractions import Fraction
 __all__ = [
+    "Ratio",
     "ShellTable",
     "ball_volume",
     "select_radius",
     "shell_counts",
 ]
 
-Rational = Union[Fraction, int]
+
+class Ratio(NamedTuple):
+    """numerator/denominator (denominator > 0), read by select_radius as it
+    reads a Fraction, for callers that need not import fractions."""
+
+    numerator: int
+    denominator: int
 
 
-@dataclass(frozen=True)
-class ShellTable:
+Rational = Union["Fraction", int, Ratio]
+
+
+class ShellTable(NamedTuple):
     """Exact counts T(n, 0..s*n) of points on each distance shell."""
 
     profile: DistanceProfile
@@ -69,19 +77,14 @@ def select_radius(p: DistanceProfile, n: int, x: Rational) -> int:
     """The radius maximizing T(n,r) * x^r, ties broken toward smaller r.
 
     This is the radius at which the generating-function lower bound on the
-    ball volume is tight enough for the covering-code construction.
+    ball volume is tight enough for the covering-code construction. With
+    x = a/b and R the largest radius, the scores times b^R are the integers
+    T(n,r) a^r b^(R-r), which are compared instead.
     """
-    x = Fraction(x)
-    if x <= 0:
+    a, b = x.numerator, x.denominator
+    if a <= 0:
         raise ValueError("x must be positive")
     counts = shell_counts(p, n).counts
-    best_r = 0
-    best_score = Fraction(counts[0])
-    power = Fraction(1)
-    for r in range(1, len(counts)):
-        power *= x
-        score = counts[r] * power
-        if score > best_score:
-            best_score = score
-            best_r = r
-    return best_r
+    top = len(counts) - 1
+    scores = [t * a**r * b ** (top - r) for r, t in enumerate(counts)]
+    return scores.index(max(scores))

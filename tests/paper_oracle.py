@@ -1,15 +1,66 @@
-"""The paper's volume bounds and walk identities, used by the tests only.
+"""The paper's definitions, volume bounds and walk identities, used by the tests only.
 
-No solver path calls these: they restate lemmas of the analysis so the tests
-can check the program's exact counts and bases against them.
+No solver path calls these: they restate the product distance, the formula
+normal form and lemmas of the analysis so the tests can check the program's
+exact counts and bases against them.
 """
 
 import math
 from fractions import Fraction
+from typing import Optional, Sequence
 
 from dkcsp.analysis import base_for_graph, solve_lambda
-from dkcsp.colorgraph import DistanceProfile, directed_cycle, profile
+from dkcsp.colorgraph import ColorGraph, DistanceProfile, directed_cycle, profile
+from dkcsp.formula import Constraint, Formula, Literal
 from dkcsp.volume import Rational, select_radius, shell_counts
+
+
+def color_distance(g: ColorGraph, c1: int, c2: int) -> Optional[int]:
+    """Shortest-path length from color c1 to color c2; None if unreachable."""
+    return g.distances[c1 - 1][c2 - 1]
+
+
+def assignment_distance(g: ColorGraph, a: Sequence[int], b: Sequence[int]) -> int:
+    """Sum of per-coordinate graph distances from a to b (order matters if directed)."""
+    if len(a) != len(b):
+        raise ValueError(f"assignment lengths differ: {len(a)} vs {len(b)}")
+    dist = g.distances
+    total = 0
+    for x, y in zip(a, b):
+        if not (1 <= x <= g.d and 1 <= y <= g.d):
+            raise ValueError(f"color out of range 1..{g.d}")
+        step = dist[x - 1][y - 1]
+        if step is None:
+            raise ValueError(f"color {y} unreachable from {x}")
+        total += step
+    return total
+
+
+def normalize(f: Formula) -> Formula:
+    """Drop duplicate literals and tautological constraints.
+
+    A constraint holding two literals on the same variable with different
+    colors is satisfied by every assignment and is removed. Constraint order
+    is otherwise preserved; the result is satisfaction-equivalent.
+    """
+    kept: list[Constraint] = []
+    for con in f.constraints:
+        seen: set[tuple[int, int]] = set()
+        color_of: dict[int, int] = {}
+        lits: list[Literal] = []
+        tautology = False
+        for lit in con.literals:
+            if color_of.get(lit.var, lit.color) != lit.color:
+                tautology = True
+                break
+            if (lit.var, lit.color) in seen:
+                continue
+            seen.add((lit.var, lit.color))
+            color_of[lit.var] = lit.color
+            lits.append(lit)
+        if not tautology:
+            kept.append(Constraint(tuple(lits)))
+    return Formula(f.n, f.d, f.k, tuple(kept))
 
 
 def cycle_optimality_check(p: DistanceProfile, k: int) -> bool:

@@ -25,7 +25,6 @@ from dkcsp.analysis import (
 )
 from dkcsp.cli import main
 from dkcsp.colorgraph import (
-    assignment_distance,
     complete,
     directed_cycle,
     hypercube,
@@ -37,7 +36,7 @@ from dkcsp.search import det_solve, graph_searchball
 from dkcsp.volume import ball_volume, select_radius, shell_counts
 
 from cover_oracle import verify_cover
-from paper_oracle import lower_bound, success_probability_identity, upper_bound
+from paper_oracle import assignment_distance, lower_bound, success_probability_identity, upper_bound
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 from speedup_bench import family  # noqa: E402

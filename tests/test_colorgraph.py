@@ -1,11 +1,13 @@
 import itertools
+import pickle
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from dkcsp.colorgraph import (
-    assignment_distance,
+    ColorGraph,
+    DistanceProfile,
     complete,
     directed_cycle,
     from_edges,
@@ -13,6 +15,11 @@ from dkcsp.colorgraph import (
     parse_graph_file,
     profile,
 )
+
+from dkcsp.covercode import build_code
+from dkcsp.volume import shell_counts
+
+from paper_oracle import assignment_distance, color_distance
 
 
 def bfs_distances(out_lists, src):
@@ -48,8 +55,8 @@ class TestBuilders:
 
     def test_cycle_asymmetry(self):
         g = directed_cycle(4)
-        assert g.distance(1, 4) == 3
-        assert g.distance(4, 1) == 1
+        assert color_distance(g, 1, 4) == 3
+        assert color_distance(g, 4, 1) == 1
 
     def test_hypercube_1_is_complete_2(self):
         assert hypercube(1).out == complete(2).out
@@ -88,19 +95,19 @@ class TestDistances:
 
     def test_cycle_walk(self):
         g = directed_cycle(3)
-        assert g.distance(1, 3) == 2
-        assert g.distance(3, 1) == 1
+        assert color_distance(g, 1, 3) == 2
+        assert color_distance(g, 3, 1) == 1
 
     def test_complete_all_one(self):
         g = complete(4)
         for c1, c2 in itertools.permutations(range(1, 5), 2):
-            assert g.distance(c1, c2) == 1
+            assert color_distance(g, c1, c2) == 1
 
     def test_disconnected_has_none(self):
         g = from_edges(3, [(1, 2)])
-        assert g.distance(1, 2) == 1
-        assert g.distance(2, 1) is None
-        assert g.distance(1, 3) is None
+        assert color_distance(g, 1, 2) == 1
+        assert color_distance(g, 2, 1) is None
+        assert color_distance(g, 1, 3) is None
 
 
 class TestProfile:
@@ -191,3 +198,53 @@ class TestGraphFile:
     def test_bad_edge(self):
         with pytest.raises(ValueError, match="line 2"):
             parse_graph_file("g 2\n1 2 3\n")
+
+
+class TestRecords:
+    """Graphs and profiles are lru_cache keys: equal values hash equal and
+    share cache entries. Their constructor checks raise, so they also run
+    under python -O."""
+
+    def test_equal_graphs_share_a_code(self):
+        g = ColorGraph(3, directed_cycle(3).out, name="cycle")
+        assert g is not directed_cycle(3)
+        assert g == directed_cycle(3) and hash(g) == hash(directed_cycle(3))
+        assert build_code(g, 6, 3, 81) is build_code(directed_cycle(3), 6, 3, 81)
+        assert ColorGraph(3, g.out) != g  # the name is part of the value
+        assert ColorGraph(3, g.out).name == "custom"
+
+    def test_equal_profiles_share_shell_counts(self):
+        p = DistanceProfile(3, (1, 1, 1))
+        assert p == profile(directed_cycle(3)) and hash(p) == hash(profile(directed_cycle(3)))
+        assert shell_counts(p, 7) is shell_counts(profile(directed_cycle(3)), 7)
+        assert p != DistanceProfile(4, (1, 1, 1))
+        assert repr(p) == "DistanceProfile(d=3, counts=(1, 1, 1))"
+
+    def test_distances_computed_once(self):
+        g = from_edges(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
+        assert g.distances is g.distances
+        back = pickle.loads(pickle.dumps(g))
+        assert back == g and back.distances == g.distances
+
+    @pytest.mark.parametrize("args,match", [
+        ((0, ()), "at least one color"),
+        ((2, ((2,),)), "expected 2 out-neighbor lists"),
+        ((3, ((3, 2), (1,), (1,))), "sorted and distinct"),
+        ((3, ((2, 2), (1,), (1,))), "sorted and distinct"),
+        ((2, ((3,), (1,))), "neighbor 3 of color 1 out of range"),
+        ((2, ((1,), (1,))), "self-loop at color 1"),
+    ])
+    def test_graph_checks_raise(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            ColorGraph(*args)
+
+    @pytest.mark.parametrize("args,match", [
+        ((3, ()), "start with d_0 = 1"),
+        ((3, (2, 1)), "start with d_0 = 1"),
+        ((3, (1, 2, 0)), "trailing zeros"),
+        ((3, (1, 2, 1)), "exceed color count"),
+        ((9, (1, 1, 2)), "violates d_2 <= delta"),
+    ])
+    def test_profile_checks_raise(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            DistanceProfile(*args)

@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 
 from dkcsp import covercode
 from dkcsp.colorgraph import (
-    assignment_distance,
     complete,
     directed_cycle,
     from_edges,
@@ -28,6 +27,7 @@ from dkcsp.covercode import (
 from dkcsp.volume import ball_volume, select_radius
 
 from cover_oracle import dist_from_center, first_uncovered, verify_cover
+from paper_oracle import assignment_distance
 
 
 # out-profile (1, 2, 1) for every color, but color 1 has in-degree 3: the
@@ -119,11 +119,14 @@ class TestGreedyCover:
         (directed_cycle(3), 3, 252, (2, 3, 3, 1, 1, 3, 2, 2, 3),
          "d7d545c07c41ac26098b5f34daf2b1cab42be7e44918d89d0089aaef7c2701a8"),
     ], ids=["complete3", "cycle3"])
-    def test_det_sat_block_codes_pinned(self, g, r, count, last, digest):
+    def test_det_sat_block_codes_pinned(self, g, r, count, last, digest, caplog):
         # the 9-coordinate blocks of the n=18, cap 19683 codes; values are
-        # those of the eager greedy that recounted every gain per pick
+        # those of the eager greedy that recounted every gain per pick. Built
+        # cold, such a block skips the list phase: numpy from pick 1
         assert select_radius(profile(g), 9, Fraction(1, 3 * profile(g).delta)) == r
+        caplog.set_level("DEBUG", logger="dkcsp.covercode")
         code = greedy_cover(g, 9, r)
+        assert "numpy path from pick 1 " in caplog.text
         assert len(code) == count
         assert code[0] == (1,) * 9
         assert code[-1] == last
@@ -241,8 +244,8 @@ class TestPythonPath:
         assert greedy_cover(g, n, r) == self.numpy_cover(monkeypatch, g, n, r)
 
     def test_threshold_boundary(self, monkeypatch, caplog):
-        # a pick's gain update runs on lists only if the updates done stay
-        # within the limit; the last pick needs none
+        # once a pick is taken, a pick's gain update runs on lists only if the
+        # updates done stay within the limit; the last pick needs none
         g, n, r = complete(3), 5, 1
         # pick 0 covers a whole ball: its update costs Vol^2
         total, first = gain_updates(g, n, r), ball_volume(profile(g), n, r) ** 2
@@ -253,7 +256,22 @@ class TestPythonPath:
             monkeypatch.setattr(covercode, "_PYTHON_UPDATES", limit)
             build_code.cache_clear()
             caplog.clear()
+            next(iter(covercode.block_picks(g, n, r)))  # as det_solve's first row takes it
             greedy_cover(g, n, r)
+            assert f"on the {path} (2673 gain updates)" in caplog.text, limit
+
+    def test_cold_code_keeps_the_block_rule(self, monkeypatch, caplog):
+        # a code asked for whole before any pick compares the block's total
+        # updates with the limit: all on lists, or numpy from pick 1
+        g, n, r = complete(3), 5, 1
+        total = gain_updates(g, n, r)
+        caplog.set_level("DEBUG", logger="dkcsp.covercode")
+        for limit, path in [(total, "python path"), (total - 1, "numpy path from pick 1"),
+                            (0, "numpy path from pick 1")]:
+            monkeypatch.setattr(covercode, "_PYTHON_UPDATES", limit)
+            build_code.cache_clear()
+            caplog.clear()
+            assert greedy_cover(g, n, r) == eager_greedy(g, n, r)
             assert f"on the {path} (2673 gain updates)" in caplog.text, limit
 
     def test_non_uniform_dual_stays_on_numpy(self, caplog):
@@ -521,6 +539,23 @@ class TestVerifyCover:
         code = build_code(complete(2), 3, 3)
         with pytest.raises(ValueError, match="cap"):
             verify_cover(code, cap=4)
+
+
+class TestCoveringCodeChecks:
+    """The constructor checks raise, so they also run under python -O."""
+
+    def test_radius_must_add_up(self):
+        with pytest.raises(ValueError, match="sum of the per-block radii"):
+            CoveringCode(complete(2), 3, 2, ((1, 1, 1),), (3,), (1,), (1,))
+
+    def test_blocks_must_partition(self):
+        with pytest.raises(ValueError, match="partition the coordinates"):
+            CoveringCode(complete(2), 4, 1, ((1, 1, 1),), (3,), (1,), (1,))
+
+    def test_repr_names_the_shape(self):
+        code = build_code(directed_cycle(3), 10, 3, 4096)
+        assert repr(code).endswith("name='cycle'), n=10, radius=2, blocks=(5, 5), "
+                                   "per_block_radius=(1, 1), block_code_sizes=(54, 54))")
 
 
 class TestCodeFile:

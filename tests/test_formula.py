@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,10 +13,11 @@ from dkcsp.formula import (
     constraint,
     evaluate,
     generate_random,
-    normalize,
     parse_instance,
     serialize_instance,
 )
+
+from paper_oracle import normalize
 
 
 def naive_evaluate(f, a):
@@ -245,3 +247,37 @@ class TestBruteForce:
                 assert found == a
                 return
         assert found is None
+
+
+class TestRecords:
+    """Formulas are plain records: value equality, pickling for the process
+    pool, and constructor checks that raise (so they also run under python -O)."""
+
+    def test_pickle_round_trip(self):
+        f = generate_random(6, 3, 3, 20, 5)
+        for record in (f, f.constraints[0], f.constraints[0].literals[0]):
+            back = pickle.loads(pickle.dumps(record, pickle.HIGHEST_PROTOCOL))
+            assert back == record and type(back) is type(record)
+        assert pickle.loads(pickle.dumps(f)).m == 20
+
+    def test_value_equality_and_hash(self):
+        a, b = generate_random(6, 3, 3, 20, 5), generate_random(6, 3, 3, 20, 5)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != Formula(6, 3, 3, a.constraints[1:])
+        assert Formula(6, 3, 3, ()) != Formula(6, 3, 2, ())
+        assert constraint((1, 2)) == Constraint((Literal(var=1, color=2),))
+        assert len({constraint((1, 2)), constraint((1, 2)), constraint((2, 1))}) == 2
+        assert repr(constraint((1, 2))) == "Constraint(literals=(Literal(var=1, color=2),))"
+
+    @pytest.mark.parametrize("args,match", [
+        ((-1, 3, 3, ()), "variable count"),
+        ((2, 1, 3, ()), "color count"),
+        ((2, 3, 0, ()), "width must be at least 1"),
+        ((2, 3, 1, (constraint((1, 1), (2, 2)),)), "2 literals, width limit is 1"),
+        ((2, 3, 2, (constraint((3, 1)),)), "variable 3 out of range"),
+        ((2, 3, 2, (constraint((1, 4)),)), "color 4 out of range"),
+        ((2, 3, 2, (constraint((1, 0)),)), "color 0 out of range"),
+    ])
+    def test_constructor_checks_raise(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            Formula(*args)

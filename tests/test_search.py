@@ -12,7 +12,6 @@ import pytest
 
 from dkcsp import covercode, search
 from dkcsp.colorgraph import (
-    assignment_distance,
     complete,
     directed_cycle,
     from_edges,
@@ -36,6 +35,8 @@ from dkcsp.search import (
     schoening_run,
     schoening_solve,
 )
+
+from paper_oracle import assignment_distance
 
 
 def ball_oracle(f, g, center, r):
@@ -371,6 +372,27 @@ class TestJobs:
             det_solve(f, complete(3), block_cap=19683, jobs=0)
         with pytest.raises(ValueError, match="jobs"):
             schoening_solve(f, complete(3), 5, rng=NoDraws(1), jobs=0)
+
+
+class TestRecords:
+    """SearchStats is a mutable record with value equality, and SolveResult a
+    named tuple: the jobs-independence tests compare both."""
+
+    def test_search_stats(self):
+        stats = SearchStats(nodes_visited=3)
+        assert stats == SearchStats(3, 0, 0, 0, 0) != SearchStats(nodes_visited=3, steps=1)
+        stats.steps += 2
+        assert stats == SearchStats(nodes_visited=3, steps=2)
+        assert repr(stats) == ("SearchStats(nodes_visited=3, balls_searched=0, repetitions=0, "
+                               "steps=2, max_ball_nodes=0)")
+        with pytest.raises(TypeError):
+            hash(stats)
+
+    def test_solve_result(self):
+        result = SolveResult("sat", (1, 2), SearchStats(balls_searched=1))
+        assert result == SolveResult("sat", (1, 2), SearchStats(balls_searched=1))
+        assert result != SolveResult("sat", (1, 2), SearchStats(balls_searched=2))
+        assert (result.status, result.assignment, result.stats.balls_searched) == ("sat", (1, 2), 1)
 
 
 def eager_det_solve(f, g, cap):

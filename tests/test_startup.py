@@ -6,12 +6,16 @@ for the plain-list greedy: small blocks (3^3 and 3^5 blocks here) leave it
 unloaded, a 3^8 block loads it. A solve whose witness lies in the first row
 of a multi-block code loads neither numpy nor the pool, even for 3^9 blocks
 at --jobs 2: that row is searched while the greedy makes its first picks.
-`--help` and the random walk load none of the code-building modules.
+`--help` loads no dkcsp module besides the CLI, and the random walk none of
+the code-building modules. `--help`, det solves and the walk load none of
+the standard-library modules the solvers do without (dataclasses, logging,
+fractions, inspect), and markov none that numpy does not load itself.
 
 Each command runs in a fresh interpreter with PYTHONPATH=src, as
-`python -m dkcsp.cli ...` does, and reports its exit code, which of the
-guarded modules ended up in sys.modules, the OPENBLAS_NUM_THREADS it left
-and, on Linux, how many threads the process had after the command.
+`python -m dkcsp.cli ...` does, and reports its exit code, the modules the
+command added to sys.modules, which of the guarded ones are among them, the
+OPENBLAS_NUM_THREADS it left and, on Linux, how many threads the process
+had after the command.
 """
 
 import json
@@ -30,30 +34,40 @@ GUARDED = ("numpy", "multiprocessing", "concurrent.futures.process")
 
 PROBE = """
 import json, os, runpy, sys
+before = set(sys.modules)
 sys.argv = ["dkcsp", *sys.argv[1:]]
 try:
     runpy.run_module("dkcsp.cli", run_name="__main__", alter_sys=True)
     code = 0
 except SystemExit as exc:
     code = exc.code
+added = set(sys.modules) - before
 threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
-print(json.dumps({"code": code, "loaded": [m for m in %r if m in sys.modules],
-                  "dkcsp": sorted(m for m in sys.modules if m.startswith("dkcsp.")),
+print(json.dumps({"code": code, "added": sorted(added), "loaded": [m for m in %r if m in added],
+                  "dkcsp": sorted(m for m in added if m.startswith("dkcsp.")),
                   "blas": os.environ.get("OPENBLAS_NUM_THREADS"), "threads": threads}))
 """ % (GUARDED,)
 BUILDING = {"dkcsp.analysis", "dkcsp.covercode", "dkcsp.volume"}
+# standard-library modules no solve path needs: records, debug output and
+# radius selection do without them
+UNNEEDED = {"dataclasses", "logging", "fractions", "inspect"}
 
 
-def probe(*argv, blas=None):
-    """The probe's report and stdout lines of one `dkcsp` run with
+def run_python(script, *argv, blas=None):
+    """A fresh interpreter running `script` with PYTHONPATH=src, and
     OPENBLAS_NUM_THREADS set to `blas`, or unset when it is None."""
     env = dict(os.environ)
     env.pop("OPENBLAS_NUM_THREADS", None)
     if blas is not None:
         env["OPENBLAS_NUM_THREADS"] = blas
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], cwd=ROOT, env=env,
+    return subprocess.run([sys.executable, "-c", script, *argv], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def probe(*argv, blas=None):
+    """The probe's report and stdout lines of one `dkcsp` run."""
+    proc = run_python(PROBE, *argv, blas=blas)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     return json.loads(lines[-1]), lines[:-1]
@@ -115,7 +129,7 @@ def test_walk_solve_loads_no_numpy(unsat_instance):
 
 
 @pytest.mark.parametrize("argv,modules", [
-    (["--help"], ["dkcsp.colorgraph", "dkcsp.formula"]),
+    (["--help"], []),
     (["solve", "--method", "schoening", "--reps", "5", "--seed", "1"],
      ["dkcsp.colorgraph", "dkcsp.formula", "dkcsp.search"]),
 ], ids=["help", "walk"])
@@ -125,6 +139,48 @@ def test_commands_load_no_code_modules(unsat_instance, argv, modules):
     assert lines
     assert report["dkcsp"] == modules
     assert not BUILDING & set(report["dkcsp"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    ["solve", "--method", "det", "--graph", "complete", "--block-cap", "4096", "--jobs", "1"],
+    ["solve", "--method", "det", "--graph", "cycle", "--block-cap", "4096", "--jobs", "1"],
+    ["solve", "--method", "schoening", "--graph", "cycle", "--reps", "20", "--seed", "3"],
+], ids=["help", "det-complete", "det-cycle", "walk"])
+def test_commands_load_no_unneeded_stdlib(unsat_instance_10, argv):
+    # the det solves are shaped as perfbench's det-unsat: n=10 in two 3^5 blocks
+    report, lines = probe(*argv, *([unsat_instance_10] if "solve" in argv else []))
+    assert report["code"] == (0 if "det" not in argv else 20)
+    assert lines
+    assert UNNEEDED.isdisjoint(report["added"])
+
+
+def test_markov_loads_no_unneeded_stdlib():
+    report, lines = probe("markov", "--d", "3", "--k", "3", "--seed", "1", "--trials", "2000")
+    assert report["code"] == 0
+    assert lines[-1].startswith("simulated ")
+    assert report["loaded"] == ["numpy"]
+    assert (UNNEEDED - {"inspect"}).isdisjoint(report["added"])  # numpy itself loads inspect
+
+
+def test_configured_logging_still_gets_debug_records(unsat_instance):
+    # a library caller that configures logging before solving sees the
+    # records as before, though dkcsp itself never imports logging
+    script = (
+        "import logging, sys\n"
+        "logging.basicConfig(level=logging.DEBUG)\n"
+        "from dkcsp.colorgraph import directed_cycle\n"
+        "from dkcsp.formula import parse_instance\n"
+        "from dkcsp.search import det_solve\n"
+        "with open(sys.argv[1]) as fh:\n"
+        "    f = parse_instance(fh.read())\n"
+        "print(det_solve(f, directed_cycle(3), block_cap=81).status)\n"
+    )
+    proc = run_python(script, unsat_instance)
+    assert (proc.returncode, proc.stdout) == (0, "unsat\n"), proc.stderr
+    assert "DEBUG:dkcsp.search:constraint state n=6 d=3" in proc.stderr
+    assert "DEBUG:dkcsp.covercode:greedy cover d=3 n=3 " in proc.stderr
+    assert "DEBUG:dkcsp.covercode:code d=3 n=6 " in proc.stderr
 
 
 @pytest.fixture(scope="module")

@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from dkcsp.colorgraph import assignment_distance, complete, directed_cycle, hypercube, profile
+from dkcsp.colorgraph import complete, directed_cycle, hypercube, profile
 from dkcsp.volume import ball_volume, select_radius, shell_counts
 
-from paper_oracle import lower_bound, upper_bound
+from paper_oracle import assignment_distance, lower_bound, upper_bound
 
 GRAPHS = [complete(2), complete(3), complete(4), directed_cycle(2), directed_cycle(3),
           directed_cycle(4), hypercube(1), hypercube(2)]
