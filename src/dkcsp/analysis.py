@@ -25,12 +25,12 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
-from .colorgraph import DistanceProfile, complete, directed_cycle, profile
-
 if TYPE_CHECKING:
     from fractions import Fraction
 
     import numpy as np
+
+    from .colorgraph import DistanceProfile
 __all__ = [
     "BaseReport",
     "LambdaSolution",
@@ -85,6 +85,8 @@ class BaseReport(NamedTuple):
 
 
 def base_report(d: int, k: int, p: Optional[DistanceProfile] = None) -> BaseReport:
+    from .colorgraph import complete, directed_cycle, profile
+
     schoening_base = base_schoening(d, k)
     complete_base = base_for_graph(profile(complete(d)), k)
     cycle_base = base_for_graph(profile(directed_cycle(d)), k)

@@ -160,6 +160,7 @@ def test_markov_loads_no_unneeded_stdlib():
     assert report["code"] == 0
     assert lines[-1].startswith("simulated ")
     assert report["loaded"] == ["numpy"]
+    assert report["dkcsp"] == ["dkcsp.analysis"]
     assert (UNNEEDED - {"inspect"}).isdisjoint(report["added"])  # numpy itself loads inspect
 
 
