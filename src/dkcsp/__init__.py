@@ -24,7 +24,7 @@ _EXPORTS = {
     "covercode": ("CoveringCode", "build_code", "greedy_cover", "product_code"),
     "formula": ("Constraint", "Formula", "Literal", "brute_force_solve", "evaluate",
                 "generate_random", "parse_instance", "serialize_instance"),
-    "search": ("SolveResult", "det_solve", "graph_searchball", "schoening_solve"),
+    "search": ("SolveResult", "det_solve", "schoening_solve"),
     "volume": ("ball_volume", "select_radius", "shell_counts"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

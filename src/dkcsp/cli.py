@@ -77,6 +77,7 @@ def _format_witness(result: SolveResult) -> str:
 def cmd_gen(args: argparse.Namespace) -> int:
     from . import formula as fmod
 
+    fmod.check_random_shape(args.n, args.d, args.k, args.m)  # before the planted draw
     seed = _resolve_seed(args.seed)
     rng = random.Random(seed)
     planted = None

@@ -7,18 +7,17 @@ balls as candidate sets, and take the Cartesian product of the block codes
 (radii add across blocks).
 
 The greedy keeps every center's gain (uncovered points in its ball) and
-updates it incrementally: all balls are one offset set relabeled per center,
-so each pick subtracts its newly covered points from the gains of the
-centers whose balls hold them. It is a sequence of picks made on demand
-(BlockPicks), shared per block through block_picks, so a caller can use the
-first picks before the rest exist: det_solve searches the balls of the
-product's first row while the last block's greedy runs. When the graph's
-dual profiles are uniform, the picks run on plain lists while the gain
-updates done stay within _PYTHON_UPDATES, and then on numpy arrays from the
-same state, with the same picks; so blocks under that budget never import
-numpy. Other graphs go to numpy after pick 0, which needs no gain update.
-A block code asked for whole before any pick goes to numpy after pick 0
-when the whole block's gain updates, d^n * Vol, exceed that budget.
+updates it incrementally: each pick subtracts its newly covered points from
+the gains of the centers whose balls hold them, the points' inward balls. It
+is a sequence of picks made on demand (BlockPicks), shared per block through
+block_picks, so a caller can use the first picks before the rest exist:
+det_solve searches the balls of the product's first row while the last
+block's greedy runs. The picks run on plain lists while the gain updates
+done stay within _PYTHON_UPDATES, and then on numpy arrays from the same
+state, with the same picks; so blocks under that budget never import numpy.
+A block code asked for whole hands off at the next gain update when the
+whole block's gain updates, d^n * Vol, exceed that budget. Graphs whose
+inward distance profiles differ between colors stay on lists.
 Each finished block code is checked to cover its block (by marking every
 codeword's ball, or on numpy by one transfer-DP pass), which by additivity
 proves coverage of the product; the checks raise, so they also run under
@@ -168,8 +167,9 @@ def _dual_uniform(g: ColorGraph) -> bool:
     """True when every color sees the same distance counts looking inward.
 
     Vertex-transitive graphs have uniform profiles in both directions. The
-    greedy size guarantee averages over dual balls, and the incremental gain
-    update relabels one dual ball per point, so both need this to hold.
+    greedy size guarantee averages over dual balls, and the dual-ball tables
+    (the lists' fast gain update and the whole numpy phase) relabel one
+    offset set per point, so both need this to hold.
     """
     return len({tuple(sorted(col)) for col in zip(*g.distances)}) == 1
 
@@ -270,12 +270,13 @@ class BlockPicks:
 
     Iterating makes each pick when it is first reached and keeps it, so the
     first j picks cost the gain updates of j - 1 picks (pick 0 costs none).
-    The greedy runs on plain lists while its gain updates stay within
-    _PYTHON_UPDATES, then hands its gains and uncovered flags to numpy and
-    goes on there, with the same picks; graphs whose dual profiles are not
-    uniform go to numpy after pick 0. code() makes the remaining picks and
-    checks the finished code once; called before any pick, it goes to numpy
-    after pick 0 when the whole block's gain updates exceed _PYTHON_UPDATES.
+    The greedy runs on plain lists while its gain updates done stay within
+    `list_updates` (_PYTHON_UPDATES), then hands its gains and uncovered flags
+    to numpy and goes on there, with the same picks. Graphs whose dual
+    profiles are not uniform stay on lists. code() makes the remaining picks
+    and checks the finished code once; when the whole block's gain updates
+    exceed _PYTHON_UPDATES, it lowers `list_updates` to 0 first, so the picks
+    hand off at their next gain update.
     """
 
     def __init__(self, g: ColorGraph, n: int, r: int):
@@ -283,6 +284,7 @@ class BlockPicks:
         self.picks: list[Codeword] = []
         self.list_picks = 0  # picks made on lists
         self.numpy = False  # whether numpy made the rest
+        self.list_updates = _PYTHON_UPDATES  # read by the running greedy at each gain update
         self._greedy = self._make_picks()
         self._code: tuple[Codeword, ...] | None = None
 
@@ -306,9 +308,9 @@ class BlockPicks:
             return self._code
         g, n, r, d = self.g, self.n, self.r, self.g.d
         vol = ball_volume(profile(g), n, r)
-        if not self.picks and d**n * vol > _PYTHON_UPDATES:
-            # asked for whole before any pick: no list phase pays off, so numpy from pick 1
-            self._greedy = self._make_picks(budget=0)
+        if d**n * vol > _PYTHON_UPDATES:
+            # no list phase of the rest pays off: numpy from the next gain update
+            self.list_updates = 0
         self.picks.extend(self._greedy)
         if self.numpy:
             _check_block_cover(_finite_distance_matrix(g), n, d, r, self.picks)
@@ -328,27 +330,30 @@ class BlockPicks:
         self._code = tuple(self.picks)
         return self._code
 
-    def _make_picks(self, budget: int | None = None) -> Iterator[Codeword]:
+    def _make_picks(self) -> Iterator[Codeword]:
         """The incremental greedy on plain lists, picking as np.argmax does.
 
         Each pick is yielded before its gain update, which runs when the next
-        pick is asked for, on lists while the updates done stay within
-        `budget` (None: _PYTHON_UPDATES), else on numpy from there on. Gains
-        only fall, so `gain` bounds them all and no center before `start`
-        reaches it: each scan for the first center at `gain` resumes there.
+        pick is asked for: on lists while the updates done stay within
+        `list_updates`, else on numpy from there on. The centers whose balls
+        hold a newly covered point are its inward ball: the ball's rank offsets
+        relabeled inward when the dual profiles are uniform, else enumerated
+        from the point's own distance columns, and then the picks never leave
+        the lists. Gains only fall, so `gain` bounds them all and no center
+        before `start` reaches it: each scan for the first center at `gain`
+        resumes there.
         """
         g, n, r, d = self.g, self.n, self.r, self.g.d
         rows = g.distances
+        cols = tuple(zip(*rows))
         # 1-based rank offsets of the ball: ranks into color 1's sorted distance row
         offsets = _ball_indices([sorted(rows[0])] * n, r)
         vol = len(offsets)
         ranks = tuple(zip(*(_index_to_point(o, n, d) for o in offsets)))
         ball_tables = _ball_tables([sorted(range(d), key=row.__getitem__) for row in rows], ranks, d)
-        dual_tables, limit = None, -1  # without dual tables, numpy recounts the gains
+        dual_tables = None
         if _dual_uniform(g):
-            inward = [sorted(range(d), key=col.__getitem__) for col in zip(*rows)]
-            dual_tables = _ball_tables(inward, ranks, d)
-            limit = _PYTHON_UPDATES if budget is None else budget
+            dual_tables = _ball_tables([sorted(range(d), key=col.__getitem__) for col in cols], ranks, d)
         uncovered = bytearray(b"\1") * d**n
         gains = [vol] * d**n
         remaining, gain, start, done = d**n, vol, 0, 0
@@ -370,11 +375,14 @@ class BlockPicks:
             if not remaining:
                 return
             done += gain * vol
-            if done > limit:
+            if dual_tables is not None and done > self.list_updates:
                 break
             for x in newly:
                 uncovered[x] = 0
-                for holder in _ball(dual_tables, _index_to_point(x, n, d)):
+                point = _index_to_point(x, n, d)
+                holders = (_ball(dual_tables, point) if dual_tables is not None
+                           else _ball_indices([cols[c - 1] for c in point], r))
+                for holder in holders:
                     gains[holder] -= 1
         self.numpy = True
         yield from self._numpy_picks(ball_tables, dual_tables, uncovered, gains, remaining, newly)
@@ -383,29 +391,23 @@ class BlockPicks:
         """The same greedy on numpy arrays, from the lists' state and the last
         pick's newly covered points, whose update is still to be made."""
         import numpy as np
-        g, n, r, d = self.g, self.n, self.r, self.g.d
+        n, d = self.n, self.g.d
         shape = (d,) * n
         ball_tables = np.array(ball_tables)
-        if dual_tables is not None:
-            dual_tables = np.array(dual_tables)
-            slice_len = max(1, _UPDATE_PAIRS // ball_tables.shape[-1])
-        else:
-            mat = _finite_distance_matrix(g)
+        dual_tables = np.array(dual_tables)
+        slice_len = max(1, _UPDATE_PAIRS // ball_tables.shape[-1])
         coords = np.arange(n)
         uncovered = np.frombuffer(uncovered, dtype=bool)
         gains = np.array(gains, dtype=np.int64)
         newly = np.array(newly, dtype=np.int64)
         while True:
             uncovered[newly] = False
-            if dual_tables is None:
-                gains = _coverage_gains(mat, n, d, r, uncovered)
-            else:
-                for lo in range(0, newly.size, slice_len):
-                    digits = np.unravel_index(newly[lo : lo + slice_len], shape)
-                    holders = dual_tables[0, digits[0]]
-                    for i in range(1, n):
-                        holders += dual_tables[i, digits[i]]
-                    gains -= np.bincount(holders.ravel(), minlength=d**n)
+            for lo in range(0, newly.size, slice_len):
+                digits = np.unravel_index(newly[lo : lo + slice_len], shape)
+                holders = dual_tables[0, digits[0]]
+                for i in range(1, n):
+                    holders += dual_tables[i, digits[i]]
+                gains -= np.bincount(holders.ravel(), minlength=d**n)
             if not remaining:
                 return
             best = int(np.argmax(gains))
@@ -462,15 +464,15 @@ def greedy_cover(
     ties broken toward the lexicographically smallest center. Every ball is
     one set of rank offsets (sum of sorted row distances at most r) relabeled
     per coordinate by the center's colors, since all colors share one
-    distance profile. When the dual profiles are uniform too, the centers
-    whose balls hold a point are the same offsets relabeled inward, and each
-    pick subtracts its newly covered points from the gains through those
-    dual balls; otherwise the gains are recounted by the transfer DP after
-    every pick. The gains are exact integers either way, and plain lists
-    (the first 2^18 gain updates) and numpy arrays (the rest) give the same
-    picks. The finished code is checked to cover the block, and its size
-    against the (1 + ln d^n_block) * d^n_block / Vol guarantee. Codes are
-    shared with block_picks, so they are cached like build_code's.
+    distance profile. Each pick subtracts its newly covered points from the
+    gains of the centers whose balls hold them: the same offsets relabeled
+    inward when the dual profiles are uniform too, else each point's inward
+    ball enumerated from the distance columns. The gains are exact integers,
+    and plain lists (the first 2^18 gain updates) and numpy arrays (the rest)
+    give the same picks. The finished code is checked to cover the block,
+    and, when the dual profiles are uniform, its size against the
+    (1 + ln d^n_block) * d^n_block / Vol guarantee. Codes are shared with
+    block_picks, so they are cached like build_code's.
     """
     if n_block == 0:
         _check_block(g, n_block, r, cap)

@@ -20,6 +20,7 @@ __all__ = [
     "Literal",
     "ParseError",
     "brute_force_solve",
+    "check_random_shape",
     "constraint",
     "evaluate",
     "generate_random",
@@ -209,6 +210,19 @@ def evaluate(f: Formula, a: Sequence[int]) -> tuple[bool, Optional[int]]:
     return True, None
 
 
+def check_random_shape(n: int, d: int, k: int, m: int) -> None:
+    """Raise ValueError unless generate_random can draw m constraints of k
+    literals over n variables with d colors."""
+    if n < 0 or m < 0:
+        raise ValueError("n and m must be nonnegative")
+    if d < 2:
+        raise ValueError("d must be at least 2")
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if m > 0 and k > n:
+        raise ValueError(f"cannot pick {k} distinct variables out of {n}")
+
+
 def generate_random(
     n: int,
     d: int,
@@ -224,14 +238,7 @@ def generate_random(
     resampled, so the result is guaranteed satisfiable by `planted`. A fixed
     seed gives bit-identical output.
     """
-    if n < 0 or m < 0:
-        raise ValueError("n and m must be nonnegative")
-    if d < 2:
-        raise ValueError("d must be at least 2")
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if m > 0 and k > n:
-        raise ValueError(f"cannot pick {k} distinct variables out of {n}")
+    check_random_shape(n, d, k, m)
     if planted is not None:
         if len(planted) != n or any(not 1 <= v <= d for v in planted):
             raise ValueError("planted assignment out of range")

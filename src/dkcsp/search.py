@@ -34,8 +34,6 @@ __all__ = [
     "SearchStats",
     "SolveResult",
     "det_solve",
-    "graph_searchball",
-    "schoening_run",
     "schoening_solve",
 ]
 
@@ -191,15 +189,6 @@ def _check_graph(f: Formula, g: ColorGraph) -> None:
         raise ValueError(f"graph has {g.d} colors, formula has {f.d}")
 
 
-def _check_center(f: Formula, g: ColorGraph, center: Sequence[int]) -> None:
-    _check_graph(f, g)
-    if len(center) != f.n:
-        raise ValueError(f"center has length {len(center)}, expected {f.n}")
-    for v in center:
-        if not 1 <= v <= f.d:
-            raise ValueError(f"center color {v} out of range 1..{f.d}")
-
-
 def _searchball_core(
     state: _ConstraintBits, out: tuple[tuple[int, ...], ...], center: Sequence[int], r: int
 ) -> tuple[Optional[tuple[int, ...]], int]:
@@ -239,24 +228,6 @@ def _searchball_core(
         return None
 
     return rec(r, reduce(and_, map(getitem, tables, idx))), nodes
-
-
-def graph_searchball(
-    f: Formula, g: ColorGraph, center: Sequence[int], r: int
-) -> tuple[Optional[tuple[int, ...]], SearchStats]:
-    """Search the radius-r ball around `center` for a satisfying assignment.
-
-    Branches on the first unsatisfied constraint: for each literal (x != c)
-    in constraint order, re-colors x to each out-neighbor of c in sorted
-    order and recurses with radius r - 1. Returns the first witness found
-    (deterministic order) or None if the ball contains none.
-    """
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    _check_center(f, g, center)
-    witness, nodes = _searchball_core(_ConstraintBits(f), g.out, center, r)
-    stats = SearchStats(nodes_visited=nodes, balls_searched=1, max_ball_nodes=nodes)
-    return witness, stats
 
 
 def _validate_walk_graph(f: Formula, g: ColorGraph) -> None:
@@ -311,30 +282,6 @@ def _walk_core(
         idx[j] += deltas[i] * w
     u = reduce(and_, map(getitem, tables, idx))
     return (None if u else state.coloring(idx)), steps
-
-
-def schoening_run(
-    f: Formula,
-    g: ColorGraph,
-    steps: int,
-    rng: RngLike,
-    stats: Optional[SearchStats] = None,
-) -> Optional[tuple[int, ...]]:
-    """One random-walk run of at most `steps` re-coloring steps.
-
-    Starts from a uniform random assignment; while some constraint is
-    unsatisfied, picks one of its literals uniformly at random and re-colors
-    the literal's variable to a uniform out-neighbor of the literal's color.
-    With the complete graph this is the classic walk (new color uniform among
-    the d-1 others). Returns a satisfying assignment or None.
-    """
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    _validate_walk_graph(f, g)
-    witness, taken = _walk_core(_ConstraintBits(f), _walk_moves(g.out), rng, steps)
-    if stats is not None:
-        stats.steps += taken
-    return witness
 
 
 def _verify_witness(f: Formula, witness: tuple[int, ...]) -> None:
@@ -424,10 +371,15 @@ def schoening_solve(
     rng: RngLike = None,
     jobs: int = 1,
 ) -> SolveResult:
-    """Repeat schoening_run with independent per-repetition substreams.
+    """Repeat a random walk with independent per-repetition substreams.
 
-    Walk length is steps_multiplier * n, default 3(d-1) (the classic 3n for
-    d = 2). Results are reproducible given a seed, independently of `jobs`.
+    Each walk starts from a uniform random assignment; while some constraint
+    is unsatisfied, it picks one of its literals uniformly at random and
+    re-colors the literal's variable to a uniform out-neighbor of the
+    literal's color. With the complete graph this is the classic walk (new
+    color uniform among the d-1 others). Walk length is steps_multiplier * n,
+    default 3(d-1) (the classic 3n for d = 2). Results are reproducible given
+    a seed, independently of `jobs`.
     """
     _check_jobs(jobs)
     if repetitions < 1:

@@ -1,8 +1,10 @@
-"""The paper's definitions, volume bounds and walk identities, used by the tests only.
+"""The paper's definitions, procedures, volume bounds and walk identities, used by the tests only.
 
 No solver path calls these: they restate the product distance, the formula
 normal form and lemmas of the analysis so the tests can check the program's
-exact counts and bases against them.
+exact counts and bases against them, and expose the paper's two named
+procedures, the search of one ball (graph_searchball) and one random walk
+(schoening_run), on the solvers' own kernels.
 """
 
 import math
@@ -12,6 +14,16 @@ from typing import Optional, Sequence
 from dkcsp.analysis import base_for_graph, solve_lambda
 from dkcsp.colorgraph import ColorGraph, DistanceProfile, directed_cycle, profile
 from dkcsp.formula import Constraint, Formula, Literal
+from dkcsp.search import (
+    RngLike,
+    SearchStats,
+    _check_graph,
+    _ConstraintBits,
+    _searchball_core,
+    _validate_walk_graph,
+    _walk_core,
+    _walk_moves,
+)
 from dkcsp.volume import Rational, select_radius, shell_counts
 
 
@@ -34,6 +46,59 @@ def assignment_distance(g: ColorGraph, a: Sequence[int], b: Sequence[int]) -> in
             raise ValueError(f"color {y} unreachable from {x}")
         total += step
     return total
+
+
+def _check_center(f: Formula, g: ColorGraph, center: Sequence[int]) -> None:
+    _check_graph(f, g)
+    if len(center) != f.n:
+        raise ValueError(f"center has length {len(center)}, expected {f.n}")
+    for v in center:
+        if not 1 <= v <= f.d:
+            raise ValueError(f"center color {v} out of range 1..{f.d}")
+
+
+def graph_searchball(
+    f: Formula, g: ColorGraph, center: Sequence[int], r: int
+) -> tuple[Optional[tuple[int, ...]], SearchStats]:
+    """Search the radius-r ball around `center` for a satisfying assignment.
+
+    Branches on the first unsatisfied constraint: for each literal (x != c)
+    in constraint order, re-colors x to each out-neighbor of c in sorted
+    order and recurses with radius r - 1. Returns the first witness found
+    (deterministic order) or None if the ball contains none.
+    """
+    if r < 0:
+        raise ValueError("radius must be nonnegative")
+    _check_center(f, g, center)
+    witness, nodes = _searchball_core(_ConstraintBits(f), g.out, center, r)
+    stats = SearchStats(nodes_visited=nodes, balls_searched=1, max_ball_nodes=nodes)
+    return witness, stats
+
+
+def schoening_run(
+    f: Formula,
+    g: ColorGraph,
+    steps: int,
+    rng: RngLike,
+    stats: Optional[SearchStats] = None,
+) -> Optional[tuple[int, ...]]:
+    """One random-walk run of at most `steps` re-coloring steps.
+
+    Starts from a uniform random assignment; while some constraint is
+    unsatisfied, picks one of its literals uniformly at random and re-colors
+    the literal's variable to a uniform out-neighbor of the literal's color.
+    With the complete graph this is the classic walk (new color uniform among
+    the d-1 others). Returns a satisfying assignment or None.
+    """
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
+    _validate_walk_graph(f, g)
+    witness, taken = _walk_core(_ConstraintBits(f), _walk_moves(g.out), rng, steps)
+    if stats is not None:
+        stats.steps += taken
+    return witness
+
+
 
 
 def normalize(f: Formula) -> Formula:

@@ -32,11 +32,17 @@ from dkcsp.colorgraph import (
 )
 from dkcsp.covercode import build_code
 from dkcsp.formula import brute_force_solve, evaluate, generate_random
-from dkcsp.search import det_solve, graph_searchball
+from dkcsp.search import det_solve
 from dkcsp.volume import ball_volume, select_radius, shell_counts
 
 from cover_oracle import verify_cover
-from paper_oracle import assignment_distance, lower_bound, success_probability_identity, upper_bound
+from paper_oracle import (
+    assignment_distance,
+    graph_searchball,
+    lower_bound,
+    success_probability_identity,
+    upper_bound,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 from speedup_bench import family  # noqa: E402

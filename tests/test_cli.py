@@ -42,6 +42,19 @@ class TestGen:
         assert rc == 0
         assert brute_force_solve(parse_instance(out)) is not None
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--d", "1", "--n", "4", "--k", "2"], "d must be at least 2"),
+        (["--d", "0", "--n", "4", "--k", "2"], "d must be at least 2"),
+        (["--d", "3", "--n", "2", "--k", "3"], "cannot pick 3 distinct variables out of 2"),
+        (["--d", "3", "--n", "-1", "--k", "1"], "n and m must be nonnegative"),
+    ], ids=["d1", "d0", "k-over-n", "negative-n"])
+    def test_planted_bad_input_fails_before_any_output(self, capsys, argv, message):
+        for seed in (["--seed", "1"], []):  # nor a fresh seed is printed
+            rc = main(["gen", *argv, "--m", "3", *seed, "--planted"])
+            captured = capsys.readouterr()
+            assert rc == 1
+            assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
 
 class TestSolve:
     def test_det_sat_exit_10(self, instance, capsys):

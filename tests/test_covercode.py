@@ -192,10 +192,13 @@ class TestIncrementalGreedy:
         assert len(code) > 1
         assert calls == [5]  # the final coverage check only
 
-    def test_non_uniform_dual_recounts_per_pick(self, monkeypatch):
+    def test_non_uniform_dual_runs_no_dp_in_the_pick_loop(self, monkeypatch):
+        # inward balls come from the distance columns, on lists, whatever the limit
+        monkeypatch.setattr(covercode, "_PYTHON_UPDATES", 0)
         calls = self._count_gain_passes(monkeypatch)
         code = greedy_cover(NON_UNIFORM_DUAL, 3, 1)
-        assert len(calls) == len(code) + 1
+        assert len(code) > 1
+        assert calls == []  # its cover check marks balls too
 
 
 def gain_updates(g, n, r):
@@ -244,7 +247,7 @@ class TestPythonPath:
         assert greedy_cover(g, n, r) == self.numpy_cover(monkeypatch, g, n, r)
 
     def test_threshold_boundary(self, monkeypatch, caplog):
-        # once a pick is taken, a pick's gain update runs on lists only if the
+        # streamed picks make each gain update on lists only while the
         # updates done stay within the limit; the last pick needs none
         g, n, r = complete(3), 5, 1
         # pick 0 covers a whole ball: its update costs Vol^2
@@ -256,9 +259,26 @@ class TestPythonPath:
             monkeypatch.setattr(covercode, "_PYTHON_UPDATES", limit)
             build_code.cache_clear()
             caplog.clear()
-            next(iter(covercode.block_picks(g, n, r)))  # as det_solve's first row takes it
-            greedy_cover(g, n, r)
+            picks = covercode.block_picks(g, n, r)
+            streamed = list(picks)  # as det_solve's first row takes them
+            assert greedy_cover(g, n, r) == tuple(streamed) == eager_greedy(g, n, r)
             assert f"on the {path} (2673 gain updates)" in caplog.text, limit
+
+    def test_code_after_streamed_picks_hands_off_at_the_next_update(self, monkeypatch, caplog):
+        # the block is over the limit, but the limit is not reached in the
+        # first picks: code() hands the rest to numpy from the next update
+        g, n, r = complete(3), 5, 1
+        total = gain_updates(g, n, r)
+        caplog.set_level("DEBUG", logger="dkcsp.covercode")
+        monkeypatch.setattr(covercode, "_PYTHON_UPDATES", total - 1)
+        picks = covercode.block_picks(g, n, r)
+        head = list(itertools.islice(picks, 3))
+        assert not picks.numpy
+        code = greedy_cover(g, n, r)
+        assert code == eager_greedy(g, n, r)
+        assert code[:3] == tuple(head)
+        assert (picks.numpy, picks.list_picks) == (True, 3)
+        assert "on the numpy path from pick 3 (2673 gain updates)" in caplog.text
 
     def test_cold_code_keeps_the_block_rule(self, monkeypatch, caplog):
         # a code asked for whole before any pick compares the block's total
@@ -274,10 +294,13 @@ class TestPythonPath:
             assert greedy_cover(g, n, r) == eager_greedy(g, n, r)
             assert f"on the {path} (2673 gain updates)" in caplog.text, limit
 
-    def test_non_uniform_dual_stays_on_numpy(self, caplog):
+    def test_non_uniform_dual_stays_on_lists(self, monkeypatch, caplog):
+        monkeypatch.setattr(covercode, "_PYTHON_UPDATES", -1)
         caplog.set_level("DEBUG", logger="dkcsp.covercode")
-        greedy_cover(NON_UNIFORM_DUAL, 2, 1)
-        assert "on the numpy path" in caplog.text
+        picks = covercode.block_picks(NON_UNIFORM_DUAL, 3, 1)
+        assert picks.code() == eager_greedy(NON_UNIFORM_DUAL, 3, 1)
+        assert (picks.numpy, picks.list_picks) == (False, len(picks.code()))
+        assert "on the python path" in caplog.text
 
     @pytest.mark.parametrize("g", [complete(3), directed_cycle(3)], ids=["complete3", "cycle3"])
     def test_benchmark_blocks_pick_their_paths(self, caplog, g):

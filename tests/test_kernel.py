@@ -23,10 +23,10 @@ from dkcsp.search import (
     SearchStats,
     _ConstraintBits,
     det_solve,
-    graph_searchball,
-    schoening_run,
     schoening_solve,
 )
+
+from paper_oracle import graph_searchball, schoening_run
 
 
 class CountState:

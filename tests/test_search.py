@@ -31,12 +31,10 @@ from dkcsp.search import (
     SolveResult,
     _ConstraintBits,
     det_solve,
-    graph_searchball,
-    schoening_run,
     schoening_solve,
 )
 
-from paper_oracle import assignment_distance
+from paper_oracle import assignment_distance, graph_searchball, schoening_run
 
 
 def ball_oracle(f, g, center, r):

@@ -6,6 +6,8 @@ for the plain-list greedy: small blocks (3^3 and 3^5 blocks here) leave it
 unloaded, a 3^8 block loads it. A solve whose witness lies in the first row
 of a multi-block code loads neither numpy nor the pool, even for 3^9 blocks
 at --jobs 2: that row is searched while the greedy makes its first picks.
+A graph whose inward distance profiles differ between colors builds its
+code on lists whatever the block size, so it never loads numpy.
 `--help` loads no dkcsp module besides the CLI, and the random walk none of
 the code-building modules. `--help`, det solves and the walk load none of
 the standard-library modules the solvers do without (dataclasses, logging,
@@ -18,6 +20,7 @@ OPENBLAS_NUM_THREADS it left and, on Linux, how many threads the process
 had after the command.
 """
 
+import hashlib
 import json
 import os
 import random
@@ -253,3 +256,35 @@ def test_callers_blas_thread_count_wins(unsat_instance_8):
     assert (report["code"], lines) == (20, ["s UNSATISFIABLE"])
     assert report["blas"] == "2"
     assert report["loaded"] == ["numpy"]
+
+
+# out-profile (1, 2, 1) for every color, in-degrees (3, 3, 1, 1): the graph of
+# test_covercode.NON_UNIFORM_DUAL
+NON_UNIFORM_DUAL = "g 4\n1 2\n1 4\n2 1\n2 3\n3 1\n3 2\n4 1\n4 2\n"
+
+
+@pytest.fixture(scope="module")
+def non_uniform_graph(tmp_path_factory):
+    path = tmp_path_factory.mktemp("startup") / "non_uniform.g"
+    path.write_text(NON_UNIFORM_DUAL)
+    return f"file:{path}"
+
+
+def test_non_uniform_code_loads_no_numpy(non_uniform_graph):
+    # one 4^6 block: the greedy's inward balls come from the distance columns
+    code, loaded, lines = run_cli("code", "--d", "4", "--n", "6", "--k", "3", "--graph", non_uniform_graph)
+    assert code == 0
+    assert lines[0] == "code 4 6 1 514"
+    assert hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest() == (
+        "5f29e3137d4ae122cb8f6a6db89e10fef2b8929c2f358da5a4d9cbc798f8f79b")
+    assert loaded == []
+
+
+def test_non_uniform_det_solve_loads_no_numpy(tmp_path, non_uniform_graph):
+    f = generate_random(6, 4, 3, 800, 0)
+    assert brute_force_solve(f) is None
+    path = tmp_path / "unsat.csp"
+    path.write_text(serialize_instance(f))
+    code, loaded, lines = run_cli("solve", "--method", "det", "--graph", non_uniform_graph, str(path))
+    assert (code, lines) == (20, ["s UNSATISFIABLE"])
+    assert loaded == []
