@@ -16,13 +16,19 @@ tracks the distance to a fixed witness as a biased random walk (down 1 with
 probability 1/k, up d-1 otherwise) absorbed at 0. It gives the walk's reach
 probability three ways: lambda^j from the fixed point, the exact
 finite-horizon sum of the hitting-time formula (reach_within), and a Monte
-Carlo run (markov_simulate) that jumps each walk over the steps that cannot
-reach 0, in batches of bounded memory, and uses neither of the other two.
+Carlo run (markov_simulate) that uses neither of the other two. The
+simulation advances each walk a generation at a time: a walk at distance p
+takes its next p steps with one binomial draw, since only p down-steps in a
+row reach 0 among them. Its walks run in chunks, each drawing from its own
+child of the seed's SeedSequence, so the estimate depends on the seed alone
+while the chunks run on up to two threads and at most 2^14 walks are live.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
 if TYPE_CHECKING:
@@ -37,6 +43,7 @@ __all__ = [
     "base_for_graph",
     "base_report",
     "base_schoening",
+    "check_simulation",
     "markov_simulate",
     "reach_probability",
     "reach_within",
@@ -207,8 +214,45 @@ def reach_within(d: int, k: int, j: int, max_steps: int) -> float:
     return min(math.fsum(terms), 1.0)
 
 
-# Walks simulated together; bounds the simulation's memory whatever `trials` is.
+# Walks per chunk. Chunk i draws from its own random stream, so the estimate
+# does not depend on how many threads run the chunks.
+_CHUNK = 1 << 13
+# Walks live at once over all threads; bounds memory whatever `trials` is.
 _BATCH = 1 << 14
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def check_simulation(d: int, k: int, j_start: int, max_steps: int, trials: int) -> None:
+    """Raise ValueError unless markov_simulate can run these walks."""
+    _check_dk(d, k)
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    if j_start < 0 or max_steps < 0:
+        raise ValueError("j_start and max_steps must be nonnegative")
+
+
+def _chunk_hits(
+    gen: np.random.Generator, size: int, d: int, k: int, j_start: int, max_steps: int
+) -> int:
+    """How many of `size` walks from j_start reach 0 within max_steps."""
+    import numpy as np
+
+    positions = np.full(size, j_start, dtype=np.int64)
+    remaining = np.full(size, max_steps, dtype=np.int64)
+    hits = 0
+    while positions.size:
+        hits += positions.size - int(np.count_nonzero(positions))
+        live = (positions != 0) & (positions <= remaining)
+        positions, remaining = positions[live], remaining[live]
+        remaining -= positions
+        positions = d * gen.binomial(positions, (k - 1) / k)
+    return hits
 
 
 def markov_simulate(
@@ -226,36 +270,67 @@ def markov_simulate(
     retired; walks above their remaining step budget are dropped, since
     down-steps are -1 and they cannot reach 0 in time.
 
-    Each iteration jumps every live walk over the steps that cannot reach 0:
-    a walk at p cannot reach 0 in its next p-1 steps, so it moves s =
-    max(p-1, 1) steps at once, to p + (d-1)s - d*Binomial(s, 1/k), and s is
-    taken from its budget. Hits are counted at the same positions a
-    step-by-step walk would pass through, so the estimate has the same law,
-    from one binomial draw per live walk per iteration. Walks run in batches
-    of 2^14, so memory is O(batch) whatever `trials` is.
+    Each iteration advances every live walk by one generation, with one
+    binomial draw. Read the distance as a count of pending individuals: a
+    step settles one, giving it d children on an up-step (+d-1) and none on
+    a down-step (-1). The walk hits 0 at the step that settles the last one,
+    so it hits 0 within max_steps exactly when its family's total size is at
+    most max_steps. The p individuals pending now are one generation: they
+    take the next p steps and leave d*Binomial(p, (k-1)/k) children, 0 just
+    when all p steps went down. So a walk at p is charged p steps and moved
+    there, and dropped once its generation exceeds the steps left; the
+    estimate has the law of the step-by-step walk.
+
+    The walks run in chunks of 2^13. Chunk i draws from child i of
+    np.random.SeedSequence(rng) for an int or None seed, and of rng.spawn
+    for a passed Generator, so the result depends on the arguments alone,
+    never on how many threads ran. The chunks run on min(chunks, usable
+    CPUs, 2) threads, the caller's among them (numpy's binomial draws
+    release the GIL), so at most 2^14 walks are live and memory is
+    O(2^14) whatever `trials` is. An error in any thread stops further
+    chunks and is raised here, and every thread is joined before return.
     """
     import numpy as np
-    _check_dk(d, k)
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if j_start < 0 or max_steps < 0:
-        raise ValueError("j_start and max_steps must be nonnegative")
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    reached = 0
-    for start in range(0, trials, _BATCH):
-        size = min(_BATCH, trials - start)
-        positions = np.full(size, j_start, dtype=np.int64)
-        remaining = np.full(size, max_steps, dtype=np.int64)
+
+    check_simulation(d, k, j_start, max_steps, trials)
+    # children spawned one at a time in chunk order are those of spawn(n_chunks)
+    source = rng if isinstance(rng, np.random.Generator) else np.random.SeedSequence(rng)
+    n_chunks = -(-trials // _CHUNK)
+    chunk_ids = iter(range(n_chunks))
+    lock, stop = threading.Lock(), threading.Event()
+    hits: list[int] = []
+    errors: list[BaseException] = []
+
+    def run_chunks() -> None:
         while True:
-            hit = positions == 0
-            reached += int(np.count_nonzero(hit))
-            live = ~hit & (positions <= remaining)
-            positions, remaining = positions[live], remaining[live]
-            if not positions.size:
-                break
-            jump = np.maximum(positions - 1, 1)
-            positions += (d - 1) * jump - d * gen.binomial(jump, 1 / k)
-            remaining -= jump
-    freq = reached / trials
+            with lock:
+                i = None if stop.is_set() else next(chunk_ids, None)
+                if i is None:
+                    return
+                gen = np.random.default_rng(source.spawn(1)[0])
+            size = min(_CHUNK, trials - i * _CHUNK)
+            hits.append(_chunk_hits(gen, size, d, k, j_start, max_steps))
+
+    def worker() -> None:
+        try:
+            run_chunks()
+        except BaseException as exc:  # raised again in the caller
+            errors.append(exc)
+            stop.set()
+
+    threads: list[threading.Thread] = []
+    try:
+        for _ in range(min(n_chunks, _usable_cpus(), _BATCH // _CHUNK) - 1):
+            thread = threading.Thread(target=worker)
+            thread.start()
+            threads.append(thread)
+        run_chunks()
+    finally:
+        stop.set()
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    freq = sum(hits) / trials
     stderr = math.sqrt(freq * (1 - freq) / trials)
     return freq, stderr

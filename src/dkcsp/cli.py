@@ -99,6 +99,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.method == "det":
         result = search.det_solve(f, g, block_cap=args.block_cap, jobs=args.jobs)
     elif args.method == "schoening":
+        search.check_walk(f, g, args.reps, args.steps_mult, args.jobs)  # before the seed is printed
         seed = _resolve_seed(args.seed)
         result = search.schoening_solve(
             f, g, args.reps, steps_multiplier=args.steps_mult, rng=seed, jobs=args.jobs
@@ -179,6 +180,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 def cmd_markov(args: argparse.Namespace) -> int:
     from . import analysis
 
+    analysis.check_simulation(args.d, args.k, args.j, args.max_steps, args.trials)  # before the seed is printed
     sol = analysis.solve_lambda(args.d, args.k)
     pj = analysis.reach_probability(args.d, args.k, args.j)
     seed = _resolve_seed(args.seed)

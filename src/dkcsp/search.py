@@ -33,6 +33,7 @@ from .formula import Formula, evaluate
 __all__ = [
     "SearchStats",
     "SolveResult",
+    "check_walk",
     "det_solve",
     "schoening_solve",
 ]
@@ -363,6 +364,18 @@ def _run_chunks(items: Sequence, args: tuple, jobs: int, context: tuple = ()) ->
         pool.shutdown(cancel_futures=True)
 
 
+def check_walk(
+    f: Formula, g: ColorGraph, repetitions: int, steps_multiplier: Optional[int] = None, jobs: int = 1
+) -> None:
+    """Raise ValueError unless schoening_solve can run these walks."""
+    _check_jobs(jobs)
+    if repetitions < 1:
+        raise ValueError("repetitions must be at least 1")
+    _validate_walk_graph(f, g)
+    if steps_multiplier is not None and steps_multiplier < 0:
+        raise ValueError("steps multiplier must be nonnegative")
+
+
 def schoening_solve(
     f: Formula,
     g: ColorGraph,
@@ -381,13 +394,8 @@ def schoening_solve(
     default 3(d-1) (the classic 3n for d = 2). Results are reproducible given
     a seed, independently of `jobs`.
     """
-    _check_jobs(jobs)
-    if repetitions < 1:
-        raise ValueError("repetitions must be at least 1")
-    _validate_walk_graph(f, g)
+    check_walk(f, g, repetitions, steps_multiplier, jobs)
     c = steps_multiplier if steps_multiplier is not None else 3 * (f.d - 1)
-    if c < 0:
-        raise ValueError("steps multiplier must be nonnegative")
     steps = c * f.n
     master = _as_rng(rng)
     seeds = [master.getrandbits(64) for _ in range(repetitions)]

@@ -1,10 +1,13 @@
 import math
+import sys
+import threading
 import time
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+import dkcsp.analysis as analysis
 from dkcsp.analysis import (
     _BATCH,
     base_for_graph,
@@ -288,6 +291,70 @@ class TestMarkovSimulate:
         target = exact_reach_within(d, k, j, max_steps)
         freq, se = markov_simulate(d, k, j, max_steps, 200_000, 20261018)
         assert abs(freq - target) <= 4 * se + 1e-3
+
+    # the chunks' streams fix the result; threads only change who runs them
+    ARGS = (3, 3, 2, 300)
+
+    def run_at(self, monkeypatch, workers, chunk=None, trials=40_000, rng=5):
+        monkeypatch.setattr(analysis, "_usable_cpus", lambda: workers)
+        if chunk is not None:
+            monkeypatch.setattr(analysis, "_CHUNK", chunk)
+        return markov_simulate(*self.ARGS, trials, rng)
+
+    def test_same_result_at_1_2_3_workers(self, monkeypatch):
+        assert self.run_at(monkeypatch, 1) == self.run_at(monkeypatch, 2)
+        small = {self.run_at(monkeypatch, w, chunk=1 << 11) for w in (1, 2, 3)}
+        assert len(small) == 1
+
+    def test_stress_many_small_chunks(self, monkeypatch):
+        # 8 workers on 2 cores over 313 chunks of 64 walks, switching often:
+        # a lost or doubled chunk would move the hit count
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            start = time.perf_counter()
+            threaded = self.run_at(monkeypatch, 8, chunk=64, trials=20_000)
+        finally:
+            sys.setswitchinterval(interval)
+        assert time.perf_counter() - start < 30
+        assert threaded == self.run_at(monkeypatch, 1, chunk=64, trials=20_000)
+        assert threading.active_count() == before
+
+    def test_worker_error_is_raised_and_threads_joined(self, monkeypatch):
+        import numpy as np
+
+        real = np.random.default_rng
+        made, raised = [], []
+
+        class FailingThird:
+            def __init__(self, gen):
+                self.gen = gen
+                self.fail = len(made) == 2
+                made.append(bool(raised))
+
+            def binomial(self, n, p):
+                if self.fail:
+                    raised.append(True)
+                    raise RuntimeError("binomial failed in chunk 2")
+                return self.gen.binomial(n, p)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: FailingThird(real(seed)))
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="chunk 2"):
+            self.run_at(monkeypatch, 4, chunk=1 << 10, trials=200 << 10)
+        assert threading.active_count() == before
+        # once the error is recorded no chunk starts; only the other workers
+        # can start one between the raise and the record
+        assert made.count(True) <= 3
+        assert len(made) < 200
+
+    def test_generator_seed_spawns_the_same_streams(self):
+        # default_rng(s).spawn(n) and SeedSequence(s).spawn(n) give the same children
+        import numpy as np
+
+        assert markov_simulate(*self.ARGS, 3 * _BATCH, np.random.default_rng(17)) == (
+            markov_simulate(*self.ARGS, 3 * _BATCH, 17))
 
 
 class TestReachWithin:

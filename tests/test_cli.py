@@ -118,6 +118,17 @@ class TestSolve:
         assert captured.out == ""
         assert "jobs" in captured.err
 
+    @pytest.mark.parametrize("bad", [["--reps", "0"], ["--steps-mult", "-1"], ["--jobs", "0"]],
+                             ids=["reps", "steps-mult", "jobs"])
+    def test_walk_bad_input_fails_before_output(self, instance, capsys, bad):
+        # no --seed: the fresh seed is not printed either
+        rc = main(["solve", "--method", "schoening", *bad, str(instance)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+
     def test_missing_file_exit_1(self, capsys):
         rc = main(["solve", "/nonexistent/no.csp"])
         assert rc == 1
@@ -230,13 +241,15 @@ class TestMarkov:
         within = lines.index("P[2] within 500 steps 0.133974596216")
         assert lines[within + 1].startswith("simulated ")
 
-    @pytest.mark.parametrize("bad", [["--trials", "0"], ["--j", "-1"]])
+    @pytest.mark.parametrize("bad", [["--trials", "0"], ["--j", "-1"], ["--max-steps", "-1"]])
     def test_bad_input_fails_before_output(self, capsys, bad):
-        rc = main(["markov", "--d", "3", "--k", "3", "--seed", "1", *bad])
+        # no --seed: the fresh seed is not printed either
+        rc = main(["markov", "--d", "3", "--k", "3", *bad])
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.out == ""
-        assert "error" in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
 
 
 class TestUsage:

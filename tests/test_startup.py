@@ -11,7 +11,9 @@ code on lists whatever the block size, so it never loads numpy.
 `--help` loads no dkcsp module besides the CLI, and the random walk none of
 the code-building modules. `--help`, det solves and the walk load none of
 the standard-library modules the solvers do without (dataclasses, logging,
-fractions, inspect), and markov none that numpy does not load itself.
+fractions, inspect), and markov none that numpy does not load itself: its
+simulation threads come from `threading`, not `concurrent.futures`, and all
+have ended when the command returns.
 
 Each command runs in a fresh interpreter with PYTHONPATH=src, as
 `python -m dkcsp.cli ...` does, and reports its exit code, the modules the
@@ -165,6 +167,16 @@ def test_markov_loads_no_unneeded_stdlib():
     assert report["loaded"] == ["numpy"]
     assert report["dkcsp"] == ["dkcsp.analysis"]
     assert (UNNEEDED - {"inspect"}).isdisjoint(report["added"])  # numpy itself loads inspect
+
+
+def test_threaded_markov_leaves_one_thread():
+    # 20,000 walks are three chunks, so on two usable CPUs a second thread runs some
+    report, lines = probe("markov", "--d", "3", "--k", "3", "--seed", "1", "--trials", "20000")
+    assert report["code"] == 0
+    assert lines[-1].startswith("simulated ")
+    assert {"concurrent.futures", "logging"}.isdisjoint(report["added"])
+    if sys.platform.startswith("linux"):
+        assert report["threads"] == 1  # every chunk thread was joined
 
 
 def test_configured_logging_still_gets_debug_records(unsat_instance):
