@@ -95,6 +95,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     with open(args.instance, encoding="utf-8") as fh:
         f = fmod.parse_instance(fh.read())
     g = _graph_from_flag(args.graph, f.d)
+    if args.verify_oracle:
+        fmod.check_brute_force(f)  # before the solve and the seed
 
     if args.method == "det":
         result = search.det_solve(f, g, block_cap=args.block_cap, jobs=args.jobs)

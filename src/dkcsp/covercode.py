@@ -9,15 +9,15 @@ balls as candidate sets, and take the Cartesian product of the block codes
 The greedy keeps every center's gain (uncovered points in its ball) and
 updates it incrementally: each pick subtracts its newly covered points from
 the gains of the centers whose balls hold them, the points' inward balls. It
-is a sequence of picks made on demand (BlockPicks), shared per block through
-block_picks, so a caller can use the first picks before the rest exist:
-det_solve searches the balls of the product's first row while the last
-block's greedy runs. The picks run on plain lists while the gain updates
-done stay within _PYTHON_UPDATES, and then on numpy arrays from the same
-state, with the same picks; so blocks under that budget never import numpy.
-A block code asked for whole hands off at the next gain update when the
-whole block's gain updates, d^n * Vol, exceed that budget. Graphs whose
-inward distance profiles differ between colors stay on lists.
+is a sequence of picks made on demand (BlockPicks), one per block, so the
+first picks can be used before the rest exist: first_row yields the code's
+first row as the last block's greedy makes its picks. The picks run on
+plain lists while the gain updates done stay within _PYTHON_UPDATES, and
+then on numpy arrays from the same state, with the same picks; so blocks
+under that budget never import numpy. A block code asked for whole hands
+off at the next gain update when the whole block's gain updates,
+d^n * Vol, exceed that budget. Graphs whose inward distance profiles differ
+between colors stay on lists.
 Each finished block code is checked to cover its block (by marking every
 codeword's ball, or on numpy by one transfer-DP pass), which by additivity
 proves coverage of the product; the checks raise, so they also run under
@@ -48,8 +48,8 @@ __all__ = [
     "BlockPicks",
     "CoveringCode",
     "ProductCodewords",
-    "block_picks",
     "build_code",
+    "first_row",
     "format_code_file",
     "greedy_cover",
     "plan_blocks",
@@ -436,22 +436,9 @@ def _check_block(g: ColorGraph, n_block: int, r: int, cap: int) -> int:
     return min(r, p.s * n_block)
 
 
-def block_picks(g: ColorGraph, n_block: int, r: int, cap: int = DEFAULT_BLOCK_CAP) -> BlockPicks:
-    """The picks of greedy_cover(g, n_block, r, cap) for n_block >= 1, made on demand.
-
-    One BlockPicks per block and effective radius is kept (until
-    build_code.cache_clear()), so det_solve can search the balls of the first
-    picks while the greedy is still running, and build_code then finishes
-    the same greedy instead of starting it again.
-    """
-    r_eff = _check_block(g, n_block, r, cap)
-    if n_block == 0:
-        raise ValueError("a block needs at least one coordinate")
-    return _shared_picks(g, n_block, r_eff)
-
-
 @lru_cache(maxsize=None)
 def _shared_picks(g: ColorGraph, n: int, r: int) -> BlockPicks:
+    """One greedy per block and effective radius, until build_code.cache_clear()."""
     return BlockPicks(g, n, r)
 
 
@@ -471,13 +458,13 @@ def greedy_cover(
     and plain lists (the first 2^18 gain updates) and numpy arrays (the rest)
     give the same picks. The finished code is checked to cover the block,
     and, when the dual profiles are uniform, its size against the
-    (1 + ln d^n_block) * d^n_block / Vol guarantee. Codes are shared with
-    block_picks, so they are cached like build_code's.
+    (1 + ln d^n_block) * d^n_block / Vol guarantee. The picks are shared
+    with first_row, so they are cached like build_code's codes.
     """
+    r_eff = _check_block(g, n_block, r, cap)
     if n_block == 0:
-        _check_block(g, n_block, r, cap)
         return ((),)
-    return block_picks(g, n_block, r, cap).code()
+    return _shared_picks(g, n_block, r_eff).code()
 
 
 def product_code(
@@ -541,6 +528,22 @@ def plan_blocks(
     x = Ratio(1, k * p.delta)
     radii = {size: select_radius(p, size, x) for size in sorted(set(sizes))}
     return tuple((size, radii[size]) for size in sizes)
+
+
+def first_row(
+    g: ColorGraph, n: int, k: int, block_cap: int = DEFAULT_BLOCK_CAP
+) -> tuple[int, Iterator[Codeword]]:
+    """The radius of build_code(g, n, k, block_cap) and its codewords 0..|C_B|-1, made on demand.
+
+    Codeword j is (C_1[0], ..., C_{B-1}[0], C_B[j]), as in ProductCodewords;
+    pick j of the last block's greedy is made when the iterator reaches it.
+    build_code finishes and checks the same picks; nothing here checks them.
+    """
+    blocks = plan_blocks(g, n, k, block_cap)
+    picks = [_shared_picks(g, size, _check_block(g, size, r, block_cap)) for size, r in blocks]
+    *head, last = picks or [((),)]  # n = 0: one block of the empty codeword
+    prefix = tuple(itertools.chain.from_iterable(next(iter(block)) for block in head))
+    return sum(r for _, r in blocks), (prefix + cw for cw in last)
 
 
 @lru_cache(maxsize=None)

@@ -9,10 +9,8 @@ plain tuples of colors, length n.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-if TYPE_CHECKING:
-    import numpy as np
 __all__ = [
     "BRUTE_FORCE_CAP",
     "Constraint",
@@ -20,6 +18,7 @@ __all__ = [
     "Literal",
     "ParseError",
     "brute_force_solve",
+    "check_brute_force",
     "check_random_shape",
     "constraint",
     "evaluate",
@@ -29,6 +28,7 @@ __all__ = [
 ]
 
 BRUTE_FORCE_CAP = 10_000_000
+_BRUTE_FORCE_CHUNK = 1 << 16  # assignments brute_force_solve checks at once
 
 
 class ParseError(ValueError):
@@ -254,32 +254,32 @@ def generate_random(
     return Formula(n, d, k, tuple(cons))
 
 
-def _assignment_grid(n: int, d: int) -> np.ndarray:
-    """All d^n assignments as rows in lexicographic order (variable 1 varies slowest)."""
-    import numpy as np
-    total = d**n
-    idx = np.arange(total, dtype=np.int64)
-    cols = [(idx // d ** (n - 1 - i)) % d + 1 for i in range(n)]
-    return np.stack(cols, axis=1).astype(np.int16)
+def check_brute_force(f: Formula, cap: int = BRUTE_FORCE_CAP) -> None:
+    """Raise ValueError unless brute_force_solve(f, cap) can scan f's d^n assignments."""
+    if f.d**f.n > cap:
+        raise ValueError(f"search space {f.d}^{f.n} exceeds cap {cap}")
 
 
 def brute_force_solve(f: Formula, cap: int = BRUTE_FORCE_CAP) -> Optional[tuple[int, ...]]:
-    """Exhaustive search for the lexicographically smallest satisfying assignment."""
+    """Exhaustive search for the lexicographically smallest satisfying assignment,
+    over the assignments in lexicographic order, _BRUTE_FORCE_CHUNK at a time."""
     import numpy as np
+    check_brute_force(f, cap)
+    if not all(con.literals for con in f.constraints):
+        return None
     total = f.d**f.n
-    if total > cap:
-        raise ValueError(f"search space {f.d}^{f.n} exceeds cap {cap}")
-    if f.n == 0:
-        return () if evaluate(f, ())[0] else None
-    grid = _assignment_grid(f.n, f.d)
-    sat = np.ones(total, dtype=bool)
-    for con in f.constraints:
-        if not con.literals:
-            return None
-        falsified = np.ones(total, dtype=bool)
-        for lit in con.literals:
-            falsified &= grid[:, lit.var - 1] == lit.color
-        sat &= ~falsified
-        if not sat.any():
-            return None
-    return tuple(int(v) for v in grid[int(np.argmax(sat))])
+    for start in range(0, total, _BRUTE_FORCE_CHUNK):
+        idx = np.arange(start, min(total, start + _BRUTE_FORCE_CHUNK), dtype=np.int64)
+        cols = [(idx // f.d ** (f.n - 1 - i) % f.d + 1).astype(np.int16) for i in range(f.n)]
+        sat = np.ones(idx.size, dtype=bool)
+        for con in f.constraints:
+            falsified = np.ones(idx.size, dtype=bool)
+            for lit in con.literals:
+                falsified &= cols[lit.var - 1] == lit.color
+            sat &= ~falsified
+            if not sat.any():
+                break
+        if sat.any():
+            first = int(np.argmax(sat))
+            return tuple(int(col[first]) for col in cols)
+    return None

@@ -3,21 +3,20 @@
 The deterministic solver covers the assignment space with product-distance
 balls (see covercode) and searches each ball by branching over the literals
 of the first unsatisfied constraint, re-coloring along graph edges only. It
-loads covercode when it runs, searches the balls of the code's first row
-while the code is still being built, and finishes the code (with numpy or
-the process pool where they are needed) only when that row holds no
-witness. The randomized solver is the classic multi-restart random walk,
-generalized to move along graph edges. Both find the first unsatisfied
-constraint with one shared state (_ConstraintBits): bitset tables
-precomputed per group of consecutive variables, so the unsatisfied set is
-one AND per group and a re-coloring is one add to the group's table index.
-The ball search counts and tests its radius-1 leaves inline instead of
-recursing into them.
+takes one path for every code: it loads covercode, searches the balls of
+the code's first row while the code is being built, and only when that row
+holds no witness finishes the code (with numpy where a block needs it) and
+searches the rest (in the process pool when jobs > 1). The randomized
+solver is the classic multi-restart random walk, generalized to move along
+graph edges. Both find the first unsatisfied constraint with one shared
+state (_ConstraintBits): bitset tables precomputed per group of consecutive
+variables, so the unsatisfied set is one AND per group and a re-coloring is
+one add to the group's table index. The ball search counts and tests its
+radius-1 leaves inline instead of recursing into them.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 import sys
 from contextlib import closing
@@ -413,29 +412,22 @@ def schoening_solve(
 def _ball_results(f: Formula, g: ColorGraph, block_cap: Optional[int], jobs: int) -> Iterator:
     """(witness or None, nodes) of each codeword's ball search, in code order.
 
-    A code of several blocks is searched while it is built: the first row of
-    the product, (C_1[0], ..., C_{B-1}[0], C_B[j]) for every j, searches ball j
-    as soon as the last block's greedy has made pick j, in process. Only past
-    that row is the whole code built and checked (build_code finishes the
-    same picks), and the other balls go through _run_chunks. A one-block code
-    is built first.
+    The code's first row (covercode.first_row) is searched in process, ball j
+    as soon as the last block's greedy has made pick j. Only past that row is
+    the whole code built and checked, and the other balls (none for a
+    one-block or n = 0 code) go through _run_chunks.
     """
     from . import covercode
 
     if block_cap is None:
         block_cap = covercode.DEFAULT_BLOCK_CAP
-    blocks = covercode.plan_blocks(g, f.n, f.k, block_cap)
-    args = (_searchball_core, f, g.out, sum(r for _, r in blocks))
-    context, searched = (), 0
-    if len(blocks) > 1:
-        context = _chunk_context(*args)
-        *head, last = (covercode.block_picks(g, size, r, block_cap) for size, r in blocks)
-        prefix = tuple(itertools.chain.from_iterable(next(iter(picks)) for picks in head))
-        row = _search_chunk((prefix + cw for cw in last), context)
-        yield from row
-        searched = len(row)
+    radius, row = covercode.first_row(g, f.n, f.k, block_cap)
+    args = (_searchball_core, f, g.out, radius)
+    context = _chunk_context(*args)
+    searched = _search_chunk(row, context)
+    yield from searched
     code = covercode.build_code(g, f.n, f.k, block_cap)
-    with closing(_run_chunks(code.codewords[searched:], args, jobs, context)) as results:
+    with closing(_run_chunks(code.codewords[len(searched):], args, jobs, context)) as results:
         yield from results
 
 
@@ -449,10 +441,10 @@ def det_solve(
 
     Searches the ball of each codeword of build_code(g, n, k, block_cap) in
     order (block_cap None means covercode.DEFAULT_BLOCK_CAP), stopping at the
-    first witness. The first row of a multi-block code is searched while the
-    code is built; the code's coverage and counting checks all run before an
-    "unsat" answer, which its coverage makes complete. Output (including
-    stats) does not depend on `jobs`.
+    first witness. The code's first row is searched while the code is built,
+    and only the balls past it go to the process pool; the code's coverage
+    and counting checks all run before an "unsat" answer, which its coverage
+    makes complete. Output (including stats) does not depend on `jobs`.
     """
     _check_jobs(jobs)
     _check_graph(f, g)

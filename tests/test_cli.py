@@ -1,13 +1,32 @@
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from dkcsp.cli import main
 from dkcsp.covercode import CoveringCode, build_code
 from dkcsp.colorgraph import directed_cycle
-from dkcsp.formula import brute_force_solve, parse_instance
+from dkcsp.formula import brute_force_solve, generate_random, parse_instance, serialize_instance
 
 from cover_oracle import verify_cover
+
+ROOT = Path(__file__).resolve().parent.parent
+# a fresh `dkcsp solve --method brute`, then its exit code and peak RSS in MB:
+# VmHWM where there is one, as ru_maxrss can hold the forking parent's peak
+BRUTE_PEAK = """
+import os, resource, sys
+from dkcsp.cli import main
+code = main(["solve", "--method", "brute", sys.argv[1]])
+if os.path.exists("/proc/self/status"):
+    with open("/proc/self/status") as fh:
+        peak = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024
+else:
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (1 << (20 if sys.platform == "darwin" else 10))
+print("exit", code, "peak", peak)
+"""
 
 
 @pytest.fixture
@@ -128,6 +147,33 @@ class TestSolve:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("method", ["det", "schoening", "brute"])
+    def test_verify_oracle_over_cap_fails_before_output(self, tmp_path, capsys, method):
+        # 3^16 > BRUTE_FORCE_CAP: no solve runs and no fresh seed is printed
+        path = tmp_path / "big.csp"
+        assert main(["gen", "--n", "16", "--d", "3", "--k", "3", "--m", "60", "--seed", "1",
+                     "-o", str(path)]) == 0
+        rc = main(["solve", "--method", method, "--verify-oracle", "-v", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == "error: search space 3^16 exceeds cap 10000000\n"
+
+    def test_brute_memory_does_not_grow_with_the_space(self, tmp_path):
+        # an UNSAT instance scans all 3^13 assignments; the whole grid at
+        # once peaked at about 400 MB
+        path = tmp_path / "unsat13.csp"
+        path.write_text(serialize_instance(generate_random(13, 3, 3, 700, 3)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", BRUTE_PEAK, str(path)], cwd=ROOT, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[:-1] == ["s UNSATISFIABLE"]
+        assert lines[-1].startswith("exit 20 peak ")
+        assert float(lines[-1].split()[-1]) < 100
 
     def test_missing_file_exit_1(self, capsys):
         rc = main(["solve", "/nonexistent/no.csp"])

@@ -17,6 +17,7 @@ from dkcsp.colorgraph import (
     profile,
 )
 from dkcsp.covercode import (
+    DEFAULT_BLOCK_CAP,
     CoveringCode,
     ProductCodewords,
     build_code,
@@ -96,7 +97,7 @@ class TestGreedyCover:
 
     def test_deterministic(self):
         a = greedy_cover(directed_cycle(3), 4, 2)
-        assert greedy_cover(directed_cycle(3), 4, 2) is a  # shared with block_picks
+        assert greedy_cover(directed_cycle(3), 4, 2) is a  # shared with _shared_picks
         build_code.cache_clear()
         assert greedy_cover(directed_cycle(3), 4, 2) == a
 
@@ -259,7 +260,7 @@ class TestPythonPath:
             monkeypatch.setattr(covercode, "_PYTHON_UPDATES", limit)
             build_code.cache_clear()
             caplog.clear()
-            picks = covercode.block_picks(g, n, r)
+            picks = covercode._shared_picks(g, n, r)
             streamed = list(picks)  # as det_solve's first row takes them
             assert greedy_cover(g, n, r) == tuple(streamed) == eager_greedy(g, n, r)
             assert f"on the {path} (2673 gain updates)" in caplog.text, limit
@@ -271,7 +272,7 @@ class TestPythonPath:
         total = gain_updates(g, n, r)
         caplog.set_level("DEBUG", logger="dkcsp.covercode")
         monkeypatch.setattr(covercode, "_PYTHON_UPDATES", total - 1)
-        picks = covercode.block_picks(g, n, r)
+        picks = covercode._shared_picks(g, n, r)
         head = list(itertools.islice(picks, 3))
         assert not picks.numpy
         code = greedy_cover(g, n, r)
@@ -297,7 +298,7 @@ class TestPythonPath:
     def test_non_uniform_dual_stays_on_lists(self, monkeypatch, caplog):
         monkeypatch.setattr(covercode, "_PYTHON_UPDATES", -1)
         caplog.set_level("DEBUG", logger="dkcsp.covercode")
-        picks = covercode.block_picks(NON_UNIFORM_DUAL, 3, 1)
+        picks = covercode._shared_picks(NON_UNIFORM_DUAL, 3, 1)
         assert picks.code() == eager_greedy(NON_UNIFORM_DUAL, 3, 1)
         assert (picks.numpy, picks.list_picks) == (False, len(picks.code()))
         assert "on the python path" in caplog.text
@@ -332,7 +333,7 @@ class TestHandOff:
         for limit, list_picks in [(-1, 1), (0, 1), (first, 2), (total // 2, None), (total, len(all_lists))]:
             build_code.cache_clear()
             monkeypatch.setattr(covercode, "_PYTHON_UPDATES", limit)
-            picks = covercode.block_picks(g, n, r)
+            picks = covercode._shared_picks(g, n, r)
             streamed = []
             for pick in picks:  # one pick at a time, as det_solve takes them
                 streamed.append(pick)
@@ -345,16 +346,58 @@ class TestHandOff:
 
     def test_resumed_picks_match(self):
         g = directed_cycle(3)
-        picks = covercode.block_picks(g, 5, 2)
+        picks = covercode._shared_picks(g, 5, 2)
         head = list(itertools.islice(picks, 3))
-        assert covercode.block_picks(g, 5, 2) is picks
+        assert covercode._shared_picks(g, 5, 2) is picks
         assert len(picks.picks) == 3
         assert next(iter(picks)) == (1,) * 5
         code = greedy_cover(g, 5, 2)
         assert code[:3] == tuple(head)
         assert list(picks) == list(code)
         build_code.cache_clear()
-        assert covercode.block_picks(g, 5, 2) is not picks
+        assert covercode._shared_picks(g, 5, 2) is not picks
+
+
+class TestFirstRow:
+    """first_row: the radius and first |C_B| codewords of build_code's code,
+    each pick of the last block's greedy made only when the row reaches it."""
+
+    @pytest.mark.parametrize("g,n,cap,blocks", [
+        (complete(3), 0, 81, ()),
+        (complete(3), 6, 729, (6,)),
+        (directed_cycle(3), 8, 81, (4, 4)),
+        (directed_cycle(3), 10, 81, (4, 3, 3)),
+        (complete(4), 5, 64, (3, 2)),
+    ], ids=["n0", "one-block", "two-equal", "three-unequal", "complete4"])
+    def test_matches_built_code(self, g, n, cap, blocks):
+        radius, row = covercode.first_row(g, n, 3, cap)
+        row = tuple(row)
+        code = build_code(g, n, 3, cap)
+        assert code.blocks == blocks
+        assert radius == code.radius
+        assert len(row) == (code.block_code_sizes[-1] if blocks else 1)
+        assert row == tuple(code.codewords[: len(row)])
+
+    def test_picks_made_as_the_row_is_read(self):
+        g = complete(4)
+        (head_size, head_r), (size, r) = covercode.plan_blocks(g, 5, 3, 64)
+        _, row = covercode.first_row(g, 5, 3, 64)
+        assert len(covercode._shared_picks(g, head_size, head_r).picks) == 1
+        last = covercode._shared_picks(g, size, r)
+        assert last.picks == []
+        taken = list(itertools.islice(row, 2))
+        assert len(last.picks) == 2
+        assert [cw[-size:] for cw in taken] == last.picks
+        assert tuple(taken) == tuple(build_code(g, 5, 3, 64).codewords[:2])
+
+    @pytest.mark.parametrize("g,n,cap,match", [
+        (complete(3), 4, 2, "cap"),
+        (complete(3), -1, DEFAULT_BLOCK_CAP, "n must be nonnegative"),
+        (from_edges(4, [(1, 2), (2, 1), (3, 4), (4, 3)]), 3, 64, "disconnected"),
+    ], ids=["cap", "negative-n", "disconnected"])
+    def test_bad_input_fails_at_the_call(self, g, n, cap, match):
+        with pytest.raises(ValueError, match=match):
+            covercode.first_row(g, n, 3, cap)
 
 
 class TestCoverageGains:
@@ -630,7 +673,7 @@ class TestResultChecks:
     def check_short_block(monkeypatch, limit):
         # a greedy that stopped one pick early must not get past the check
         monkeypatch.setattr(covercode, "_PYTHON_UPDATES", limit)
-        picks = covercode.block_picks(complete(3), 5, 1)
+        picks = covercode._shared_picks(complete(3), 5, 1)
         picks.picks.extend(picks._greedy)
         picks.picks.pop()
         with pytest.raises(RuntimeError, match="outside every"):

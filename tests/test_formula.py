@@ -4,6 +4,7 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
+from dkcsp import formula
 from dkcsp.formula import (
     Constraint,
     Formula,
@@ -238,6 +239,19 @@ class TestBruteForce:
 
     def test_n_zero(self):
         assert brute_force_solve(Formula(0, 2, 1, ())) == ()
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5, 7, 64])
+    def test_chunks_keep_the_lexicographic_order(self, monkeypatch, chunk):
+        # chunk boundaries fall before, on and after the first witness, which
+        # is assignment 239 of 243 for one case and absent for two
+        cases = [generate_random(n, d, 3, m, seed) for n, d, m in [(4, 3, 40), (5, 2, 20), (5, 3, 110)]
+                 for seed in range(6)]
+        want = [brute_force_solve(f) for f in cases]
+        assert want == [next((a for a in itertools.product(range(1, f.d + 1), repeat=f.n)
+                              if evaluate(f, a)[0]), None) for f in cases]
+        assert want.count(None) == 2 and (3, 3, 3, 3, 1) in want
+        monkeypatch.setattr(formula, "_BRUTE_FORCE_CHUNK", chunk)
+        assert [brute_force_solve(f) for f in cases] == want
 
     @given(random_formulas(max_n=5))
     def test_lexicographically_smallest(self, f):

@@ -363,7 +363,7 @@ class TestJobs:
             def getrandbits(self, k):
                 raise AssertionError("seed drawn before the jobs check")
 
-        for name in ("plan_blocks", "block_picks", "build_code"):
+        for name in ("plan_blocks", "first_row", "build_code"):
             monkeypatch.setattr(covercode, name, no_build)
         f = generate_random(18, 3, 3, 250, 1)
         with pytest.raises(ValueError, match="jobs"):
@@ -454,10 +454,23 @@ class TestStreamedSearch:
         result = det_solve(generate_random(8, 3, 3, 100, 2), g, block_cap=81)
         assert (result.status, result.stats.balls_searched) == ("sat", 6)
         size, r = covercode.plan_blocks(g, 8, 3, 81)[-1]
-        picks = covercode.block_picks(g, size, r, 81)
+        picks = covercode._shared_picks(g, size, r)
         assert len(picks.picks) == 6
         assert len(picks.code()) == 9
         build_code.cache_clear()
+
+
+class TestZeroVariables:
+    """At n = 0 the code is the single empty codeword: one ball of one node."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("constraints,status,assignment", [
+        ((), "sat", ()), ((Constraint(()),), "unsat", None),
+    ], ids=["sat", "unsat"])
+    def test_det_solve(self, constraints, status, assignment, jobs):
+        for g in (complete(3), directed_cycle(3)):
+            result = det_solve(Formula(0, 3, 2, constraints), g, jobs=jobs)
+            assert result == SolveResult(status, assignment, SearchStats(1, 1, 0, 0, 1))
 
 
 class FlipsAfter:
@@ -533,15 +546,17 @@ class TestStopFlag:
         monkeypatch.setattr(search, "_worker", ())
         sizes = []
         monkeypatch.setattr(InlinePool, "sizes", sizes)
-        f = Formula(1, 3, 1, (constraint((1, 1)), constraint((1, 2)), constraint((1, 3))))
+        # two one-coordinate blocks of 3 codewords: the first row's 3 balls
+        # are searched in process, the other 6 in 6 chunks of one
+        f = Formula(2, 3, 1, (constraint((1, 1)), constraint((1, 2)), constraint((1, 3))))
         result = det_solve(f, complete(3), block_cap=3, jobs=64)
         assert result.status == "unsat"
-        assert result.stats.balls_searched == 3
+        assert result.stats.balls_searched == 9
         g = directed_cycle(3)
         pooled = schoening_solve(generate_random(*UNSAT), g, 5, rng=4, jobs=64)
         monkeypatch.undo()
         assert pooled == schoening_solve(generate_random(*UNSAT), g, 5, rng=4)
-        assert sizes == [3, 5]
+        assert sizes == [6, 5]
 
     def test_spawn_start_method_matches_serial(self):
         root = Path(__file__).resolve().parent.parent

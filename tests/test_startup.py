@@ -3,9 +3,11 @@ nor the process pool, and those that do load numpy start no BLAS threads.
 
 A det solve loads numpy only when a block of its covering code is too large
 for the plain-list greedy: small blocks (3^3 and 3^5 blocks here) leave it
-unloaded, a 3^8 block loads it. A solve whose witness lies in the first row
-of a multi-block code loads neither numpy nor the pool, even for 3^9 blocks
-at --jobs 2: that row is searched while the greedy makes its first picks.
+unloaded, a 3^8 block loads it. A solve whose witness lies in the first
+balls of the code's first row loads neither numpy nor the pool, even for
+3^9 blocks at --jobs 2, or for the one 3^12 or 4^10 block of a default-cap
+code, which takes 15-35 s to build in full: that row is searched while the
+greedy makes its first picks.
 A graph whose inward distance profiles differ between colors builds its
 code on lists whatever the block size, so it never loads numpy.
 `--help` loads no dkcsp module besides the CLI, and the random walk none of
@@ -32,6 +34,8 @@ from pathlib import Path
 
 import pytest
 
+from dkcsp.colorgraph import complete, directed_cycle
+from dkcsp.covercode import plan_blocks
 from dkcsp.formula import brute_force_solve, generate_random, serialize_instance
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,7 +62,7 @@ BUILDING = {"dkcsp.analysis", "dkcsp.covercode", "dkcsp.volume"}
 UNNEEDED = {"dataclasses", "logging", "fractions", "inspect"}
 
 
-def run_python(script, *argv, blas=None):
+def run_python(script, *argv, blas=None, timeout=120):
     """A fresh interpreter running `script` with PYTHONPATH=src, and
     OPENBLAS_NUM_THREADS set to `blas`, or unset when it is None."""
     env = dict(os.environ)
@@ -67,12 +71,12 @@ def run_python(script, *argv, blas=None):
         env["OPENBLAS_NUM_THREADS"] = blas
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", script, *argv], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=timeout)
 
 
-def probe(*argv, blas=None):
+def probe(*argv, blas=None, timeout=120):
     """The probe's report and stdout lines of one `dkcsp` run."""
-    proc = run_python(PROBE, *argv, blas=blas)
+    proc = run_python(PROBE, *argv, blas=blas, timeout=timeout)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     return json.loads(lines[-1]), lines[:-1]
@@ -219,6 +223,28 @@ def test_first_row_witness_loads_no_numpy_or_pool(det_sat_instances, graph):
                                       "--block-cap", "19683", "--jobs", "2", path)
         assert (code, lines[0]) == (10, "s SATISFIABLE")
         assert loaded == []
+
+
+# d, n whose default-cap code is one block of 3^12 or 4^10 points, which takes
+# 15-35 s to build in full
+ONE_BLOCK_SAT = {"d3-n12": (3, 12), "d4-n10": (4, 10)}
+
+
+@pytest.mark.parametrize("graph", ["complete", "cycle"])
+@pytest.mark.parametrize("shape", list(ONE_BLOCK_SAT))
+def test_default_cap_witness_in_ball_one_needs_no_code_build(tmp_path, shape, graph):
+    # codeword 0 is the greedy's first pick, (1, ..., 1); the planted point is
+    # one edge away from it, inside the code's radius, so ball 1 holds a witness
+    d, n = ONE_BLOCK_SAT[shape]
+    g = complete(d) if graph == "complete" else directed_cycle(d)
+    ((size, r),) = plan_blocks(g, n, 3)
+    assert (size, g.distances[0][1]) == (n, 1) and r >= 1
+    f = generate_random(n, d, 3, 10 * n, 1, (2,) + (1,) * (n - 1))
+    path = tmp_path / "sat.csp"
+    path.write_text(serialize_instance(f))
+    report, lines = probe("solve", "--method", "det", "--graph", graph, str(path), timeout=10)
+    assert (report["code"], lines[0]) == (10, "s SATISFIABLE")
+    assert report["loaded"] == []
 
 
 def test_unsat_two_block_solve_loads_the_pool(unsat_instance_10):
