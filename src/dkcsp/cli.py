@@ -121,7 +121,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     if args.verify_oracle:
-        oracle = fmod.brute_force_solve(f)
+        oracle = result.assignment if args.method == "brute" else fmod.brute_force_solve(f)
         if result.status == "sat" and oracle is None:
             raise RuntimeError("solver returned SAT but exhaustive search finds no witness")
         if result.status == "unsat" and oracle is not None:

@@ -12,7 +12,10 @@ graph edges. Both find the first unsatisfied constraint with one shared
 state (_ConstraintBits): bitset tables precomputed per group of consecutive
 variables, so the unsatisfied set is one AND per group and a re-coloring is
 one add to the group's table index. The ball search counts and tests its
-radius-1 leaves inline instead of recursing into them.
+radius-1 leaves inline instead of recursing into them, and rejects all the
+leaves of a literal with one AND when they cannot clear the node's
+unsatisfied set. A chunk context builds the ball searcher (or the walker)
+once, so each ball only resets its index list and node count.
 """
 
 from __future__ import annotations
@@ -189,45 +192,88 @@ def _check_graph(f: Formula, g: ColorGraph) -> None:
         raise ValueError(f"graph has {g.d} colors, formula has {f.d}")
 
 
-def _searchball_core(
-    state: _ConstraintBits, out: tuple[tuple[int, ...], ...], center: Sequence[int], r: int
-) -> tuple[Optional[tuple[int, ...]], int]:
-    """Recursive ball search; returns (witness or None, nodes visited)."""
-    tables, literals, coloring = state.tables, state.literals, state.coloring
+def _ball_searcher(
+    state: _ConstraintBits, out: tuple[tuple[int, ...], ...], r: int
+) -> Callable[[Sequence[int]], tuple[Optional[tuple[int, ...]], int]]:
+    """The radius-r ball search: center -> (witness or None, nodes visited).
+
+    Built once per chunk context; a call resets only the index list and the
+    node count. A node branches on the literals of its first unsatisfied
+    constraint in order, re-coloring the literal's variable to each
+    out-neighbor of its color in sorted order. A node with one edit left
+    counts its leaves in place. Its unsatisfied set is `rest` (what the other
+    variables leave) AND the old color's row, so one AND of the set with a
+    literal's cover (the AND of its leaves' rows) rejects the leaves that
+    keep an unsatisfied constraint. Each constraint in the set holds the
+    variable at its old color or not at all, so a literal's leaves pass or
+    fail together, and only those that pass cost `rest` and one AND each.
+    """
+    tables, coloring = state.tables, state.coloring
     getitem = list.__getitem__
-    idx = state.index(center)
+    # branches[j, w, c]: the branch of every literal on the variable at (j, w)
+    # with color c: (j, c * w, children, cover), children holding (c2 * w,
+    # row[c2]) per out-neighbor c2 of c and cover the AND of those rows;
+    # plan[i]: the branches of constraint i's literals, in order
+    branches: dict[tuple[int, int, int], tuple] = {}
+    for lits in state.literals:
+        for c, j, w, row in lits:
+            if (j, w, c) not in branches:
+                children = tuple((c2 * w, row[c2]) for c2 in out[c - 1])
+                branches[j, w, c] = (j, c * w, children, reduce(and_, (b for _, b in children), -1))
+    plan = [tuple(branches[j, w, c] for c, j, w, _ in lits) for lits in state.literals]
+    idx: list[int] = []
     nodes = 0
+
+    def last(unsat: int) -> Optional[tuple[int, ...]]:
+        nonlocal nodes
+        nodes += 1
+        if not unsat:
+            return coloring(idx)
+        for j, cw, children, cover in plan[(unsat & -unsat).bit_length() - 1]:
+            if unsat & cover:
+                nodes += len(children)
+                continue
+            base = idx[j] - cw
+            idx[j] = base
+            rest = reduce(and_, map(getitem, tables, idx))
+            for c2w, bits in children:
+                nodes += 1
+                if not rest & bits:
+                    idx[j] = base + c2w
+                    return coloring(idx)
+            idx[j] = base + cw
+        return None
 
     def rec(budget: int, unsat: int) -> Optional[tuple[int, ...]]:
         nonlocal nodes
         nodes += 1
         if not unsat:
             return coloring(idx)
-        if budget == 0:
-            return None
-        for c, j, w, row in literals[(unsat & -unsat).bit_length() - 1]:
-            # the constraint is unsatisfied, so the literal's variable has color c;
-            # with it freed, `rest` is what the other variables leave
-            base = idx[j] - c * w
+        for j, cw, children, _ in plan[(unsat & -unsat).bit_length() - 1]:
+            # the constraint is unsatisfied, so the literal's variable has its
+            # color; with it freed, `rest` is what the other variables leave
+            base = idx[j] - cw
             idx[j] = base
             rest = reduce(and_, map(getitem, tables, idx))
-            if budget == 1:
-                # the children are leaves: count and test them here
-                for c2 in out[c - 1]:
-                    nodes += 1
-                    if not rest & row[c2]:
-                        idx[j] = base + c2 * w
-                        return coloring(idx)
-            else:
-                for c2 in out[c - 1]:
-                    idx[j] = base + c2 * w
-                    found = rec(budget - 1, rest & row[c2])
-                    if found is not None:
-                        return found
-            idx[j] = base + c * w
+            for c2w, bits in children:
+                idx[j] = base + c2w
+                found = rec(budget - 1, rest & bits) if budget > 2 else last(rest & bits)
+                if found is not None:
+                    return found
+            idx[j] = base + cw
         return None
 
-    return rec(r, reduce(and_, map(getitem, tables, idx))), nodes
+    def search(center: Sequence[int]) -> tuple[Optional[tuple[int, ...]], int]:
+        nonlocal nodes
+        idx[:] = state.index(center)
+        nodes = 0
+        unsat = reduce(and_, map(getitem, tables, idx))
+        if r == 0:
+            return (None if unsat else coloring(idx)), 1
+        found = rec(r, unsat) if r > 1 else last(unsat)
+        return found, nodes
+
+    return search
 
 
 def _validate_walk_graph(f: Formula, g: ColorGraph) -> None:
@@ -294,9 +340,19 @@ _NEVER = SimpleNamespace(value=0)  # the stop flag of an in-process run: never s
 _worker: tuple = ()  # a pool worker's chunk context, built once by _init_worker
 
 
-def _chunk_context(core: Callable, f: Formula, out: tuple, arg: int, stop=_NEVER) -> tuple:
-    """(core, state, out, arg, stop): what _search_chunk needs besides its items."""
-    return core, _ConstraintBits(f), out, arg, stop
+def _walker(state: _ConstraintBits, moves: tuple, steps: int) -> Callable:
+    """The walk of `steps` steps: a function of the seed returning _walk_core's result."""
+    return lambda seed: _walk_core(state, moves, seed, steps)
+
+
+def _chunk_context(make: Callable, f: Formula, out: tuple, arg: int, stop=_NEVER) -> tuple:
+    """(run, stop): what _search_chunk needs besides its items.
+
+    run = make(state, out, arg) maps one item to (witness or None, count); it
+    is built once per context, so once per solve in process and once per pool
+    worker.
+    """
+    return make(_ConstraintBits(f), out, arg), stop
 
 
 def _init_worker(*args) -> None:
@@ -305,16 +361,16 @@ def _init_worker(*args) -> None:
 
 
 def _search_chunk(items: Sequence, context: tuple = ()) -> list[tuple[Optional[tuple[int, ...]], int]]:
-    """core(state, out, item, arg) per item, up to the first witness or until stop is set.
+    """run(item) per item, up to the first witness or until stop is set.
 
     Without a context, the worker's own (set by _init_worker) is used.
     """
-    core, state, out, arg, stop = context or _worker
+    run, stop = context or _worker
     results = []
     for item in items:
         if stop.value:
             break
-        results.append(core(state, out, item, arg))
+        results.append(run(item))
         if results[-1][0] is not None:
             break
     return results
@@ -333,7 +389,7 @@ def _check_jobs(jobs: int) -> None:
 def _run_chunks(items: Sequence, args: tuple, jobs: int, context: tuple = ()) -> Iterator:
     """Yield _search_chunk's per-item results over all chunks of `items`, in item order.
 
-    args = (core, formula, out, arg) becomes one context, built in process when
+    args = (make, formula, out, arg) becomes one context, built in process when
     jobs == 1 (or taken from `context` if given), else once in each of up to
     `jobs` processes that take the chunks (sent as items alone) and are read
     back in order, so the caller sees the same results for every `jobs`.
@@ -399,7 +455,7 @@ def schoening_solve(
     master = _as_rng(rng)
     seeds = [master.getrandbits(64) for _ in range(repetitions)]
     stats = SearchStats()
-    with closing(_run_chunks(seeds, (_walk_core, f, _walk_moves(g.out), steps), jobs)) as results:
+    with closing(_run_chunks(seeds, (_walker, f, _walk_moves(g.out), steps), jobs)) as results:
         for witness, used in results:
             stats.repetitions += 1
             stats.steps += used
@@ -422,7 +478,7 @@ def _ball_results(f: Formula, g: ColorGraph, block_cap: Optional[int], jobs: int
     if block_cap is None:
         block_cap = covercode.DEFAULT_BLOCK_CAP
     radius, row = covercode.first_row(g, f.n, f.k, block_cap)
-    args = (_searchball_core, f, g.out, radius)
+    args = (_ball_searcher, f, g.out, radius)
     context = _chunk_context(*args)
     searched = _search_chunk(row, context)
     yield from searched

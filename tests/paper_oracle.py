@@ -18,8 +18,8 @@ from dkcsp.search import (
     RngLike,
     SearchStats,
     _check_graph,
+    _ball_searcher,
     _ConstraintBits,
-    _searchball_core,
     _validate_walk_graph,
     _walk_core,
     _walk_moves,
@@ -70,7 +70,7 @@ def graph_searchball(
     if r < 0:
         raise ValueError("radius must be nonnegative")
     _check_center(f, g, center)
-    witness, nodes = _searchball_core(_ConstraintBits(f), g.out, center, r)
+    witness, nodes = _ball_searcher(_ConstraintBits(f), g.out, r)(center)
     stats = SearchStats(nodes_visited=nodes, balls_searched=1, max_ball_nodes=nodes)
     return witness, stats
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from dkcsp import formula
 from dkcsp.cli import main
 from dkcsp.covercode import CoveringCode, build_code
 from dkcsp.colorgraph import directed_cycle
@@ -114,6 +115,23 @@ class TestSolve:
                    "--block-cap", "729", str(instance)])
         capsys.readouterr()
         assert rc == 10
+
+    @pytest.mark.parametrize("m,rc", [(10, 10), (200, 20)], ids=["sat", "unsat"])
+    def test_brute_verify_oracle_solves_once(self, tmp_path, capsys, monkeypatch, m, rc):
+        path = tmp_path / "inst.csp"
+        path.write_text(serialize_instance(generate_random(6, 3, 3, m, 42)))
+        assert main(["solve", "--method", "brute", "-v", str(path)]) == rc
+        plain = capsys.readouterr()
+        calls = []
+
+        def counted(f):
+            calls.append(f)
+            return brute_force_solve(f)
+
+        monkeypatch.setattr(formula, "brute_force_solve", counted)
+        assert main(["solve", "--method", "brute", "--verify-oracle", "-v", str(path)]) == rc
+        assert capsys.readouterr() == plain
+        assert len(calls) == 1
 
     def test_jobs_match_sequential(self, instance, capsys):
         rc1 = main(["solve", "--method", "det", "--graph", "cycle",

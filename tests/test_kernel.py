@@ -14,9 +14,9 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dkcsp.colorgraph import complete, directed_cycle, hypercube
+from dkcsp.colorgraph import complete, directed_cycle, from_edges, hypercube
 from dkcsp.covercode import build_code
-from dkcsp.formula import Constraint, Formula, Literal, evaluate, generate_random
+from dkcsp.formula import Constraint, Formula, Literal, constraint, evaluate, generate_random
 from dkcsp import search
 from dkcsp.search import (
     _TABLE_BYTES,
@@ -254,7 +254,7 @@ class TestAgainstCountState:
         assert calls > draws  # some draws were rejected and redrawn
 
     def test_det_solve_shares_state_across_balls(self, g):
-        # _search_chunk reuses one state for every ball of a chunk
+        # _search_chunk reuses one searcher, and its state, for every ball of a chunk
         for rng, f in self.instances(g, 6):
             cap = g.d ** min(f.n, 5)
             code = build_code(g, f.n, f.k, cap)
@@ -266,6 +266,60 @@ class TestAgainstCountState:
                     break
             result = det_solve(f, g, block_cap=cap)
             assert (result.assignment, result.stats.nodes_visited) == (witness, nodes)
+
+
+class TestLeafFilter:
+    """A node with one edit left rejects a leaf whose row meets the node's own
+    unsatisfied set; a leaf that clears that set is still tested against what
+    the other variables leave. Witnesses and node counts against the oracle."""
+
+    # at (1, 1) only x1 != 1 is unsatisfied; re-coloring x1 clears it but breaks
+    # the constraint that only x1 = 1 satisfied: x1 != 2 or x2 != 1 at (2, 1),
+    # and x1 != 3 or x2 != 1 at (3, 1) when the third constraint is there
+    BROKEN = (constraint((1, 1)), constraint((1, 2), (2, 1)))
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("g", [complete(3), directed_cycle(3)], ids=["complete", "cycle"])
+    def test_leaf_clearing_unsat_breaks_another(self, g, r):
+        f = Formula(2, 3, 2, self.BROKEN + (constraint((1, 3), (2, 1)),))
+        state = _ConstraintBits(f)
+        for leaf in [(c2, 1) for c2 in g.out[0]]:
+            assert state.unsat(leaf) and not state.unsat((1, 1)) & state.unsat(leaf)
+        witness, stats = graph_searchball(f, g, (1, 1), r)
+        assert (witness, stats.nodes_visited) == oracle_searchball(f, g, (1, 1), r)
+        assert (witness is None) == (r == 1)
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("g", [complete(3), directed_cycle(3)], ids=["complete", "cycle"])
+    def test_constraint_off_the_variable_rejects_every_leaf(self, g, r):
+        # at (1, 1) both constraints are unsatisfied, and no re-coloring of x1
+        # clears x2 != 1: x1's leaves are rejected together
+        f = Formula(2, 3, 1, (constraint((1, 1)), constraint((2, 1))))
+        witness, stats = graph_searchball(f, g, (1, 1), r)
+        assert (witness, stats.nodes_visited) == oracle_searchball(f, g, (1, 1), r)
+        assert (witness is None) == (r == 1)
+
+    @pytest.mark.parametrize("r,nodes", [(1, 3), (2, 4), (3, 5)])
+    def test_witness_after_a_rejected_leaf(self, r, nodes):
+        # the last node before the witness is (1, 1) or (2, 1) with one edit
+        # left; its first leaf clears the node's unsatisfied constraint, breaks
+        # the other one and is rejected, and its second, (3, 1), is the witness
+        f = Formula(2, 3, 2, self.BROKEN)
+        g = complete(3)
+        witness, stats = graph_searchball(f, g, (1, 1), r)
+        assert (witness, stats.nodes_visited) == oracle_searchball(f, g, (1, 1), r) == ((3, 1), nodes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_oracle(self, data):
+        f = data.draw(formulas())
+        # a directed path leaves the last color with no out-neighbor
+        graphs = [complete(f.d), directed_cycle(f.d), from_edges(f.d, [(c, c + 1) for c in range(1, f.d)])]
+        g = data.draw(st.sampled_from(graphs + ([hypercube(2)] if f.d == 4 else [])))
+        center = tuple(data.draw(st.lists(st.integers(1, f.d), min_size=f.n, max_size=f.n)))
+        r = data.draw(st.integers(0, 4))
+        witness, stats = graph_searchball(f, g, center, r)
+        assert (witness, stats.nodes_visited) == oracle_searchball(f, g, center, r)
 
 
 # the largest group size at each d: (d+1)^g <= 2^10

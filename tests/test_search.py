@@ -397,9 +397,9 @@ def eager_det_solve(f, g, cap):
     """The ball search over a code built in full first: every codeword's ball
     in code order, up to the first witness, in process."""
     code = build_code(g, f.n, f.k, cap)
-    state, stats = _ConstraintBits(f), SearchStats()
+    searchball, stats = search._ball_searcher(_ConstraintBits(f), g.out, code.radius), SearchStats()
     for cw in code.codewords:
-        witness, nodes = search._searchball_core(state, g.out, cw, code.radius)
+        witness, nodes = searchball(cw)
         stats.nodes_visited += nodes
         stats.balls_searched += 1
         stats.max_ball_nodes = max(stats.max_ball_nodes, nodes)
@@ -522,7 +522,7 @@ for args in (%r, %r):
 class TestStopFlag:
     def context(self, stop):
         f = generate_random(*UNSAT)
-        return search._chunk_context(search._searchball_core, f, directed_cycle(3).out, 1, stop)
+        return search._chunk_context(search._ball_searcher, f, directed_cycle(3).out, 1, stop)
 
     def centers(self, count):
         return list(itertools.islice(itertools.product((1, 2, 3), repeat=UNSAT[0]), count))
