@@ -44,7 +44,7 @@ def main() -> int:
     ap.add_argument("--m", type=int, default=350)
     ap.add_argument("--count", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--block-cap", type=int, default=1 << 16)
+    ap.add_argument("--block-cap", type=int, default=None)
     args = ap.parse_args()
 
     nodes = {"complete": 0, "cycle": 0}

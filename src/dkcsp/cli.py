@@ -138,8 +138,7 @@ def cmd_code(args: argparse.Namespace) -> int:
     from . import covercode
 
     g = _graph_from_flag(args.graph, args.d)
-    cap = covercode.DEFAULT_BLOCK_CAP if args.block_cap is None else args.block_cap
-    code = covercode.build_code(g, args.n, args.k, block_cap=cap)
+    code = covercode.build_code(g, args.n, args.k, block_cap=args.block_cap)
     _write_output(covercode.format_code_file(code), args.output)
     return 0
 
@@ -217,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=None, help="RNG seed (fresh if omitted)")
         if "block-cap" in names:
             p.add_argument("--block-cap", type=int, default=None,
-                           help="max ground-set size per covering-code block (default 2^20)")
+                           help="max ground-set size per covering-code block (default: none)")
         if "jobs" in names:
             p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
         if "output" in names:

@@ -6,22 +6,18 @@ enough to enumerate, run greedy set cover over each block's ground set with
 balls as candidate sets, and take the Cartesian product of the block codes
 (radii add across blocks).
 
-The greedy keeps every center's gain (uncovered points in its ball) and
-updates it incrementally: each pick subtracts its newly covered points from
-the gains of the centers whose balls hold them, the points' inward balls. It
-is a sequence of picks made on demand (BlockPicks), one per block, so the
-first picks can be used before the rest exist: first_row yields the code's
-first row as the last block's greedy makes its picks. The picks run on
-plain lists while the gain updates done stay within _PYTHON_UPDATES, and
-then on numpy arrays from the same state, with the same picks; so blocks
-under that budget never import numpy. A block code asked for whole hands
-off at the next gain update when the whole block's gain updates,
-d^n * Vol, exceed that budget. Graphs whose inward distance profiles differ
-between colors stay on lists.
-Each finished block code is checked to cover its block (by marking every
-codeword's ball, or on numpy by one transfer-DP pass), which by additivity
-proves coverage of the product; the checks raise, so they also run under
-python -O.
+The greedy keeps every center's gain (uncovered points in its ball) on plain
+lists and updates it incrementally: each pick subtracts its newly covered
+points from the gains of the centers whose balls hold them, the points'
+inward balls. A block of d^b points at radius r costs d^b * Vol(b, r) such
+gain updates in all, and plan_blocks keeps every block within
+_MAX_GAIN_UPDATES of them, so no default code builds a block that takes
+more than a few seconds. The greedy is a sequence of picks made on demand
+(BlockPicks), one per block, so the first picks can be used before the rest
+exist: first_row yields the code's first row as the last block's greedy
+makes its picks. Each finished block code is checked to cover its block by
+marking every codeword's ball, which by additivity proves coverage of the
+product; the check raises, so it also runs under python -O.
 
 The product itself is never materialised: ProductCodewords is a read-only
 sequence over the block codes, and a contiguous slice of it is the same
@@ -35,16 +31,13 @@ import math
 import operator
 from collections.abc import Sequence
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from . import _debug
 from .colorgraph import ColorGraph, profile
 from .volume import Ratio, ball_volume, select_radius
 
-if TYPE_CHECKING:
-    import numpy as np
 __all__ = [
-    "DEFAULT_BLOCK_CAP",
     "BlockPicks",
     "CoveringCode",
     "ProductCodewords",
@@ -56,12 +49,10 @@ __all__ = [
     "product_code",
 ]
 
-DEFAULT_BLOCK_CAP = 1 << 20
-# (newly covered point, dual-ball center) pairs one gain update holds at once
-_UPDATE_PAIRS = 1 << 20
-# the greedy runs on plain lists while its gain updates stay within this many:
-# up to the point where the list greedy has cost as much as importing numpy
-_PYTHON_UPDATES = 1 << 18
+# the most gain updates, d^b * Vol(b, r), one block's greedy may make (up to
+# about 2 s on lists): the smallest power of two that admits the 3^9 blocks
+# of every k = 3 code with an explicit cap of 3^9 (cycle, r = 3: 4,153,113)
+_MAX_GAIN_UPDATES = 1 << 22
 
 Codeword = tuple[int, ...]
 
@@ -155,21 +146,13 @@ class CoveringCode:
                 f"block_code_sizes={self.block_code_sizes})")
 
 
-def _finite_distance_matrix(g: ColorGraph) -> np.ndarray:
-    import numpy as np
-    rows = g.distances
-    if any(x is None for row in rows for x in row):
-        raise ValueError(f"graph {g.name!r} is not strongly connected")
-    return np.array(rows, dtype=np.int64)
-
-
 def _dual_uniform(g: ColorGraph) -> bool:
     """True when every color sees the same distance counts looking inward.
 
     Vertex-transitive graphs have uniform profiles in both directions. The
     greedy size guarantee averages over dual balls, and the dual-ball tables
-    (the lists' fast gain update and the whole numpy phase) relabel one
-    offset set per point, so both need this to hold.
+    of the fast gain update relabel one offset set per point, so both need
+    this to hold.
     """
     return len({tuple(sorted(col)) for col in zip(*g.distances)}) == 1
 
@@ -191,30 +174,6 @@ def _ball_indices(rows: Sequence[Sequence[int]], r: int) -> list[int]:
     return [idx for idx, _ in ball]
 
 
-def _coverage_gains(mat: np.ndarray, n: int, d: int, r: int, weights: np.ndarray) -> np.ndarray:
-    """For every candidate center a, the total weight of points within distance r of a.
-
-    Transfer DP over coordinates: carry, per point, a degree-truncated count
-    vector indexed by accumulated distance (degrees above r are dropped).
-    Each step converts one coordinate from point-space to center-space.
-    """
-    import numpy as np
-    size = d**n
-    cap = r + 1
-    q = np.zeros((size, cap), dtype=np.int64)
-    q[:, 0] = weights
-    for coord in range(n):
-        view = q.reshape(d**coord, d, d ** (n - 1 - coord), cap)
-        nxt = np.zeros_like(view)
-        for ca in range(d):
-            for cb in range(d):
-                m = int(mat[ca, cb])
-                if m < cap:
-                    nxt[:, ca, :, m:] += view[:, cb, :, : cap - m]
-        q = nxt.reshape(size, cap)
-    return q.sum(axis=1)
-
-
 def _ball_tables(order: Sequence[Sequence[int]], ranks: Sequence[Sequence[int]], d: int) -> list:
     """Point-index contributions of a rank-offset ball relabeled around every color.
 
@@ -232,29 +191,13 @@ def _ball(tables: list, point: Sequence[int]):
     return map(sum, zip(*[table[c - 1] for table, c in zip(tables, point)]))
 
 
-def _check_block_cover(
-    mat: np.ndarray, n: int, d: int, r: int, code: Sequence[Codeword]
-) -> None:
-    """Raise RuntimeError unless the radius-r balls of `code` cover [d]^n.
-
-    One transfer-DP pass over the reversed distances counts, for every point,
-    the codewords within distance r of it. Coverage of every block proves
-    coverage of the product code, by additivity of the product distance.
-    """
-    import numpy as np
-    indicator = np.zeros(d**n, dtype=np.int64)
-    indicator[np.ravel_multi_index(tuple(np.array(code).T - 1), (d,) * n)] = 1
-    counts = _coverage_gains(mat.T, n, d, r, indicator)
-    if not counts.all():
-        missing = _index_to_point(int(np.argmin(counts)), n, d)
-        raise RuntimeError(f"block code leaves {missing} outside every radius-{r} ball")
-
-
 def _check_cover_by_balls(g: ColorGraph, n: int, r: int, code: Sequence[Codeword]) -> None:
     """Raise RuntimeError unless the radius-r balls of `code` cover [g.d]^n.
 
     Marks every codeword's ball, enumerated from g.distances alone, so the
-    check shares no table with the greedy that built the code.
+    check shares no table with the greedy that built the code. Coverage of
+    every block proves coverage of the product code, by additivity of the
+    product distance.
     """
     covered = bytearray(g.d**n)
     for cw in code:
@@ -270,21 +213,12 @@ class BlockPicks:
 
     Iterating makes each pick when it is first reached and keeps it, so the
     first j picks cost the gain updates of j - 1 picks (pick 0 costs none).
-    The greedy runs on plain lists while its gain updates done stay within
-    `list_updates` (_PYTHON_UPDATES), then hands its gains and uncovered flags
-    to numpy and goes on there, with the same picks. Graphs whose dual
-    profiles are not uniform stay on lists. code() makes the remaining picks
-    and checks the finished code once; when the whole block's gain updates
-    exceed _PYTHON_UPDATES, it lowers `list_updates` to 0 first, so the picks
-    hand off at their next gain update.
+    code() makes the remaining picks and checks the finished code once.
     """
 
     def __init__(self, g: ColorGraph, n: int, r: int):
         self.g, self.n, self.r = g, n, r
         self.picks: list[Codeword] = []
-        self.list_picks = 0  # picks made on lists
-        self.numpy = False  # whether numpy made the rest
-        self.list_updates = _PYTHON_UPDATES  # read by the running greedy at each gain update
         self._greedy = self._make_picks()
         self._code: tuple[Codeword, ...] | None = None
 
@@ -300,22 +234,14 @@ class BlockPicks:
     def code(self) -> tuple[Codeword, ...]:
         """Every pick, once checked to cover the block within the size guarantee.
 
-        The checks raise, so they also run under python -O: marking every
-        codeword's ball when the picks stayed on lists, else one transfer-DP
-        pass on numpy.
+        The checks raise, so they also run under python -O.
         """
         if self._code is not None:
             return self._code
         g, n, r, d = self.g, self.n, self.r, self.g.d
-        vol = ball_volume(profile(g), n, r)
-        if d**n * vol > _PYTHON_UPDATES:
-            # no list phase of the rest pays off: numpy from the next gain update
-            self.list_updates = 0
         self.picks.extend(self._greedy)
-        if self.numpy:
-            _check_block_cover(_finite_distance_matrix(g), n, d, r, self.picks)
-        else:
-            _check_cover_by_balls(g, n, r, self.picks)
+        _check_cover_by_balls(g, n, r, self.picks)
+        vol = ball_volume(profile(g), n, r)
         bound = (1 + math.log(d**n)) * d**n / vol
         if _dual_uniform(g):
             if len(self.picks) > bound + 1e-9:
@@ -323,25 +249,22 @@ class BlockPicks:
         else:
             _debug(__name__, "skipping greedy size guarantee: dual profiles not uniform")
         _debug(
-            __name__, "greedy cover d=%d n=%d r=%d on the %s (%d gain updates): %d codewords (bound %.1f)",
-            d, n, r, f"numpy path from pick {self.list_picks}" if self.numpy else "python path",
-            d**n * vol, len(self.picks), bound,
+            __name__, "greedy cover d=%d n=%d r=%d (%d gain updates): %d codewords (bound %.1f)",
+            d, n, r, d**n * vol, len(self.picks), bound,
         )
         self._code = tuple(self.picks)
         return self._code
 
     def _make_picks(self) -> Iterator[Codeword]:
-        """The incremental greedy on plain lists, picking as np.argmax does.
+        """The incremental greedy on plain lists.
 
         Each pick is yielded before its gain update, which runs when the next
-        pick is asked for: on lists while the updates done stay within
-        `list_updates`, else on numpy from there on. The centers whose balls
-        hold a newly covered point are its inward ball: the ball's rank offsets
-        relabeled inward when the dual profiles are uniform, else enumerated
-        from the point's own distance columns, and then the picks never leave
-        the lists. Gains only fall, so `gain` bounds them all and no center
-        before `start` reaches it: each scan for the first center at `gain`
-        resumes there.
+        pick is asked for. The centers whose balls hold a newly covered point
+        are its inward ball: the ball's rank offsets relabeled inward when the
+        dual profiles are uniform, else enumerated from the point's own
+        distance columns. Gains only fall, so `gain` bounds them all and no
+        center before `start` reaches it: each scan for the first center at
+        `gain` resumes there.
         """
         g, n, r, d = self.g, self.n, self.r, self.g.d
         rows = g.distances
@@ -356,7 +279,7 @@ class BlockPicks:
             dual_tables = _ball_tables([sorted(range(d), key=col.__getitem__) for col in cols], ranks, d)
         uncovered = bytearray(b"\1") * d**n
         gains = [vol] * d**n
-        remaining, gain, start, done = d**n, vol, 0, 0
+        remaining, gain, start = d**n, vol, 0
         while True:
             if gain <= 0:
                 raise RuntimeError("greedy cover found no center covering an uncovered point")
@@ -367,16 +290,12 @@ class BlockPicks:
                 continue
             pick = _index_to_point(start, n, d)
             yield pick
-            self.list_picks += 1
             newly = [x for x in _ball(ball_tables, pick) if uncovered[x]]
             if len(newly) != gain:
                 raise RuntimeError(f"greedy gain {gain} but {len(newly)} points newly covered")
             remaining -= gain
             if not remaining:
                 return
-            done += gain * vol
-            if dual_tables is not None and done > self.list_updates:
-                break
             for x in newly:
                 uncovered[x] = 0
                 point = _index_to_point(x, n, d)
@@ -384,46 +303,11 @@ class BlockPicks:
                            else _ball_indices([cols[c - 1] for c in point], r))
                 for holder in holders:
                     gains[holder] -= 1
-        self.numpy = True
-        yield from self._numpy_picks(ball_tables, dual_tables, uncovered, gains, remaining, newly)
-
-    def _numpy_picks(self, ball_tables, dual_tables, uncovered, gains, remaining, newly) -> Iterator:
-        """The same greedy on numpy arrays, from the lists' state and the last
-        pick's newly covered points, whose update is still to be made."""
-        import numpy as np
-        n, d = self.n, self.g.d
-        shape = (d,) * n
-        ball_tables = np.array(ball_tables)
-        dual_tables = np.array(dual_tables)
-        slice_len = max(1, _UPDATE_PAIRS // ball_tables.shape[-1])
-        coords = np.arange(n)
-        uncovered = np.frombuffer(uncovered, dtype=bool)
-        gains = np.array(gains, dtype=np.int64)
-        newly = np.array(newly, dtype=np.int64)
-        while True:
-            uncovered[newly] = False
-            for lo in range(0, newly.size, slice_len):
-                digits = np.unravel_index(newly[lo : lo + slice_len], shape)
-                holders = dual_tables[0, digits[0]]
-                for i in range(1, n):
-                    holders += dual_tables[i, digits[i]]
-                gains -= np.bincount(holders.ravel(), minlength=d**n)
-            if not remaining:
-                return
-            best = int(np.argmax(gains))
-            if gains[best] <= 0:
-                raise RuntimeError("greedy cover found no center covering an uncovered point")
-            pick = _index_to_point(best, n, d)
-            yield pick
-            ball = ball_tables[coords, np.subtract(pick, 1)].sum(axis=0)
-            newly = ball[uncovered[ball]]
-            if newly.size != gains[best]:
-                raise RuntimeError(f"greedy gain {gains[best]} but {newly.size} points newly covered")
-            remaining -= newly.size
 
 
-def _check_block(g: ColorGraph, n_block: int, r: int, cap: int) -> int:
-    """Raise ValueError unless the greedy can cover [d]^n_block; return the effective radius."""
+def _check_block(g: ColorGraph, n_block: int, r: int, cap: int | None) -> int:
+    """Raise ValueError unless the greedy can cover [d]^n_block within the
+    cap (None: no cap) and _MAX_GAIN_UPDATES; return the effective radius."""
     if n_block < 0:
         raise ValueError("n must be nonnegative")
     if r < 0:
@@ -431,9 +315,14 @@ def _check_block(g: ColorGraph, n_block: int, r: int, cap: int) -> int:
     p = profile(g)
     if not p.spans_all_colors:
         raise ValueError(f"graph {g.name!r} is disconnected; no finite covering radius")
-    if g.d**n_block > cap:
+    if cap is not None and g.d**n_block > cap:
         raise ValueError(f"block ground set {g.d}^{n_block} exceeds cap {cap}")
-    return min(r, p.s * n_block)
+    r = min(r, p.s * n_block)
+    updates = g.d**n_block * ball_volume(p, n_block, r)
+    if updates > _MAX_GAIN_UPDATES:
+        raise ValueError(f"block {g.d}^{n_block} at radius {r} needs {updates} gain updates, "
+                         f"over the budget of {_MAX_GAIN_UPDATES}")
+    return r
 
 
 @lru_cache(maxsize=None)
@@ -443,7 +332,7 @@ def _shared_picks(g: ColorGraph, n: int, r: int) -> BlockPicks:
 
 
 def greedy_cover(
-    g: ColorGraph, n_block: int, r: int, cap: int = DEFAULT_BLOCK_CAP
+    g: ColorGraph, n_block: int, r: int, cap: int | None = None
 ) -> tuple[tuple[int, ...], ...]:
     """Greedy set cover of [d]^n_block by radius-r balls.
 
@@ -454,10 +343,10 @@ def greedy_cover(
     distance profile. Each pick subtracts its newly covered points from the
     gains of the centers whose balls hold them: the same offsets relabeled
     inward when the dual profiles are uniform too, else each point's inward
-    ball enumerated from the distance columns. The gains are exact integers,
-    and plain lists (the first 2^18 gain updates) and numpy arrays (the rest)
-    give the same picks. The finished code is checked to cover the block,
-    and, when the dual profiles are uniform, its size against the
+    ball enumerated from the distance columns. A block over the cap (None:
+    no cap) or over _MAX_GAIN_UPDATES gain updates, d^n_block * Vol, is a
+    ValueError before any pick. The finished code is checked to cover the
+    block, and, when the dual profiles are uniform, its size against the
     (1 + ln d^n_block) * d^n_block / Vol guarantee. The picks are shared
     with first_row, so they are cached like build_code's codes.
     """
@@ -498,13 +387,15 @@ def product_code(
 
 
 def plan_blocks(
-    g: ColorGraph, n: int, k: int, block_cap: int = DEFAULT_BLOCK_CAP
+    g: ColorGraph, n: int, k: int, block_cap: int | None = None
 ) -> tuple[tuple[int, int], ...]:
     """The (size, radius) of each block of build_code(g, n, k, block_cap), in order.
 
-    Splits n into the fewest blocks whose ground sets fit under block_cap,
-    larger blocks first, and gives each the radius select_radius picks for
-    x = 1/(k * delta).
+    Each size b gets the radius r_b that select_radius picks for
+    x = 1/(k * delta). The largest block size is the largest b <= n whose
+    ground set d^b fits under block_cap (None: no cap) and whose greedy
+    makes at most _MAX_GAIN_UPDATES gain updates, d^b * Vol(b, r_b). n is
+    split into the fewest blocks of at most that size, larger blocks first.
     """
     p = profile(g)
     if p.delta < 1:
@@ -515,23 +406,26 @@ def plan_blocks(
         raise ValueError("n must be nonnegative")
     if n == 0:
         return ()
-    max_block = 0
-    space = 1
-    while space * g.d <= block_cap:
-        space *= g.d
-        max_block += 1
+    x = Ratio(1, k * p.delta)
+    # Vol >= 1, so no block over the budget in points fits it in gain updates
+    ceiling = _MAX_GAIN_UPDATES if block_cap is None else min(block_cap, _MAX_GAIN_UPDATES)
+    max_block, size = 0, 1
+    while size <= n and g.d**size <= ceiling:
+        if g.d**size * ball_volume(p, size, select_radius(p, size, x)) <= _MAX_GAIN_UPDATES:
+            max_block = size
+        size += 1
     if max_block == 0:
-        raise ValueError(f"block cap {block_cap} cannot fit a single color axis (d={g.d})")
+        raise ValueError(f"block cap {block_cap} and {_MAX_GAIN_UPDATES} gain updates "
+                         f"cannot fit a single color axis (d={g.d})")
     b = -(-n // max_block)
     base, extra = divmod(n, b)
     sizes = [base + 1] * extra + [base] * (b - extra)
-    x = Ratio(1, k * p.delta)
     radii = {size: select_radius(p, size, x) for size in sorted(set(sizes))}
     return tuple((size, radii[size]) for size in sizes)
 
 
 def first_row(
-    g: ColorGraph, n: int, k: int, block_cap: int = DEFAULT_BLOCK_CAP
+    g: ColorGraph, n: int, k: int, block_cap: int | None = None
 ) -> tuple[int, Iterator[Codeword]]:
     """The radius of build_code(g, n, k, block_cap) and its codewords 0..|C_B|-1, made on demand.
 
@@ -547,7 +441,7 @@ def first_row(
 
 
 @lru_cache(maxsize=None)
-def build_code(g: ColorGraph, n: int, k: int, block_cap: int = DEFAULT_BLOCK_CAP) -> CoveringCode:
+def build_code(g: ColorGraph, n: int, k: int, block_cap: int | None = None) -> CoveringCode:
     """Covering code for [d]^n tuned to width-k constraints.
 
     Covers each distinct block of plan_blocks once, takes the product and

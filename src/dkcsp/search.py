@@ -5,9 +5,8 @@ balls (see covercode) and searches each ball by branching over the literals
 of the first unsatisfied constraint, re-coloring along graph edges only. It
 takes one path for every code: it loads covercode, searches the balls of
 the code's first row while the code is being built, and only when that row
-holds no witness finishes the code (with numpy where a block needs it) and
-searches the rest (in the process pool when jobs > 1). The randomized
-solver is the classic multi-restart random walk, generalized to move along
+holds no witness finishes the code and searches the rest (in the process
+pool when jobs > 1). The randomized solver is the classic multi-restart random walk, generalized to move along
 graph edges. Both find the first unsatisfied constraint with one shared
 state (_ConstraintBits): bitset tables precomputed per group of consecutive
 variables, so the unsatisfied set is one AND per group and a re-coloring is
@@ -475,8 +474,6 @@ def _ball_results(f: Formula, g: ColorGraph, block_cap: Optional[int], jobs: int
     """
     from . import covercode
 
-    if block_cap is None:
-        block_cap = covercode.DEFAULT_BLOCK_CAP
     radius, row = covercode.first_row(g, f.n, f.k, block_cap)
     args = (_ball_searcher, f, g.out, radius)
     context = _chunk_context(*args)
@@ -496,11 +493,11 @@ def det_solve(
     """Complete deterministic solver: covering code plus ball search.
 
     Searches the ball of each codeword of build_code(g, n, k, block_cap) in
-    order (block_cap None means covercode.DEFAULT_BLOCK_CAP), stopping at the
-    first witness. The code's first row is searched while the code is built,
-    and only the balls past it go to the process pool; the code's coverage
-    and counting checks all run before an "unsat" answer, which its coverage
-    makes complete. Output (including stats) does not depend on `jobs`.
+    order (block_cap None: no cap, only covercode's gain-update budget per
+    block), stopping at the first witness. The code's first row is searched
+    while the code is built, and only the balls past it go to the process
+    pool; the code's coverage and counting checks all run before an "unsat"
+    answer, which its coverage makes complete. Output (including stats) does not depend on `jobs`.
     """
     _check_jobs(jobs)
     _check_graph(f, g)

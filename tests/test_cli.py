@@ -352,7 +352,7 @@ class TestLogLevel:
         assert logged.out == plain.out
         assert plain.err == ""
         assert "DEBUG dkcsp.covercode: greedy cover d=3 n=5" in logged.err
-        assert "on the python path (1458 gain updates)" in logged.err
+        assert "(1458 gain updates)" in logged.err
         assert "DEBUG dkcsp.covercode: code d=3 n=5 k=3" in logged.err
 
     def test_debug_reports_constraint_state(self, instance, capsys, restore_logging):

@@ -17,7 +17,6 @@ from dkcsp.colorgraph import (
     profile,
 )
 from dkcsp.covercode import (
-    DEFAULT_BLOCK_CAP,
     CoveringCode,
     ProductCodewords,
     build_code,
@@ -27,7 +26,13 @@ from dkcsp.covercode import (
 )
 from dkcsp.volume import ball_volume, select_radius
 
-from cover_oracle import dist_from_center, first_uncovered, verify_cover
+from cover_oracle import (
+    coverage_gains,
+    dist_from_center,
+    finite_distance_matrix,
+    first_uncovered,
+    verify_cover,
+)
 from paper_oracle import assignment_distance
 
 
@@ -120,14 +125,11 @@ class TestGreedyCover:
         (directed_cycle(3), 3, 252, (2, 3, 3, 1, 1, 3, 2, 2, 3),
          "d7d545c07c41ac26098b5f34daf2b1cab42be7e44918d89d0089aaef7c2701a8"),
     ], ids=["complete3", "cycle3"])
-    def test_det_sat_block_codes_pinned(self, g, r, count, last, digest, caplog):
+    def test_det_sat_block_codes_pinned(self, g, r, count, last, digest):
         # the 9-coordinate blocks of the n=18, cap 19683 codes; values are
-        # those of the eager greedy that recounted every gain per pick. Built
-        # cold, such a block skips the list phase: numpy from pick 1
+        # those of the eager greedy that recounted every gain per pick
         assert select_radius(profile(g), 9, Fraction(1, 3 * profile(g).delta)) == r
-        caplog.set_level("DEBUG", logger="dkcsp.covercode")
         code = greedy_cover(g, 9, r)
-        assert "numpy path from pick 1 " in caplog.text
         assert len(code) == count
         assert code[0] == (1,) * 9
         assert code[-1] == last
@@ -136,12 +138,12 @@ class TestGreedyCover:
 
 def eager_greedy(g, n, r):
     """The greedy as it was before the incremental update: recount every gain per pick."""
-    mat = covercode._finite_distance_matrix(g)
+    mat = finite_distance_matrix(g)
     r_eff = min(r, profile(g).s * n)
     uncovered = np.ones(g.d**n, dtype=np.int64)
     code = []
     while uncovered.any():
-        gains = covercode._coverage_gains(mat, n, g.d, r_eff, uncovered)
+        gains = coverage_gains(mat, n, g.d, r_eff, uncovered)
         best = int(np.argmax(gains))
         center = covercode._index_to_point(best, n, g.d)
         code.append(center)
@@ -167,182 +169,31 @@ class TestIncrementalGreedy:
         for r in range(profile(g).s * 5 + 1):
             assert greedy_cover(g, 5, r) == eager_greedy(g, 5, r), r
 
-    def test_sliced_update_matches(self, monkeypatch):
-        monkeypatch.setattr(covercode, "_PYTHON_UPDATES", -1)  # the sliced update is numpy's
-        whole = greedy_cover(directed_cycle(3), 6, 3)
-        build_code.cache_clear()
-        monkeypatch.setattr(covercode, "_UPDATE_PAIRS", 1)
-        assert greedy_cover(directed_cycle(3), 6, 3) == whole
-
-    def _count_gain_passes(self, monkeypatch):
-        calls = []
-        real = covercode._coverage_gains
-
-        def counted(mat, n, d, r, weights):
-            calls.append(n)
-            return real(mat, n, d, r, weights)
-
-        monkeypatch.setattr(covercode, "_coverage_gains", counted)
-        return calls
-
-    @pytest.mark.parametrize("g", [complete(3), directed_cycle(3), hypercube(2)], ids=lambda g: g.name)
-    def test_uniform_dual_runs_no_dp_in_the_pick_loop(self, monkeypatch, g):
-        monkeypatch.setattr(covercode, "_PYTHON_UPDATES", 0)
-        calls = self._count_gain_passes(monkeypatch)
-        code = greedy_cover(g, 5, 2)
-        assert len(code) > 1
-        assert calls == [5]  # the final coverage check only
-
-    def test_non_uniform_dual_runs_no_dp_in_the_pick_loop(self, monkeypatch):
-        # inward balls come from the distance columns, on lists, whatever the limit
-        monkeypatch.setattr(covercode, "_PYTHON_UPDATES", 0)
-        calls = self._count_gain_passes(monkeypatch)
-        code = greedy_cover(NON_UNIFORM_DUAL, 3, 1)
-        assert len(code) > 1
-        assert calls == []  # its cover check marks balls too
-
 
 def gain_updates(g, n, r):
-    """d^n * Vol, the figure greedy_cover compares against _PYTHON_UPDATES."""
+    """d^n * Vol, the figure greedy_cover compares against _MAX_GAIN_UPDATES."""
     p = profile(g)
     return g.d**n * ball_volume(p, n, min(r, p.s * n))
 
 
-DUAL_UNIFORM_GRAPHS = [g for g in DIFFERENTIAL_GRAPHS if g is not NON_UNIFORM_DUAL] + [complete(4)]
-
-
-class TestPythonPath:
-    """The plain-list greedy against the numpy greedy, and the choice between them."""
-
-    @staticmethod
-    def numpy_cover(monkeypatch, g, n, r):
-        """greedy_cover with every pick made on numpy, leaving no picks behind."""
-        build_code.cache_clear()
-        with monkeypatch.context() as m:
-            m.setattr(covercode, "_PYTHON_UPDATES", -1)
-            code = greedy_cover(g, n, r)
-        build_code.cache_clear()
-        return code
-
-    @pytest.mark.parametrize("g", DUAL_UNIFORM_GRAPHS, ids=lambda g: f"{g.name}{g.d}")
-    def test_matches_numpy_path(self, monkeypatch, g):
-        # every block of up to 4096 points and every radius the python path takes
-        s, n, checked = profile(g).s, 1, 0
-        while g.d**n <= 4096:
-            for r in range(s * n + 1):
-                if gain_updates(g, n, r) <= covercode._PYTHON_UPDATES:
-                    assert greedy_cover(g, n, r) == self.numpy_cover(monkeypatch, g, n, r), (n, r)
-                    checked += 1
-            n += 1
-        assert checked > 2 * n
-
-    @pytest.mark.parametrize("g,n,r", [
-        (complete(2), 14, 1),
-        (complete(3), 8, 1),
-        (directed_cycle(3), 9, 1),
-        (directed_cycle(4), 7, 1),
-        (hypercube(2), 7, 1),
-    ], ids=["complete2", "complete3", "cycle3", "cycle4", "hypercube2"])
-    def test_matches_numpy_path_near_threshold(self, monkeypatch, g, n, r):
-        assert covercode._PYTHON_UPDATES // 4 < gain_updates(g, n, r) <= covercode._PYTHON_UPDATES
-        assert greedy_cover(g, n, r) == self.numpy_cover(monkeypatch, g, n, r)
-
-    def test_threshold_boundary(self, monkeypatch, caplog):
-        # streamed picks make each gain update on lists only while the
-        # updates done stay within the limit; the last pick needs none
-        g, n, r = complete(3), 5, 1
-        # pick 0 covers a whole ball: its update costs Vol^2
-        total, first = gain_updates(g, n, r), ball_volume(profile(g), n, r) ** 2
-        caplog.set_level("DEBUG", logger="dkcsp.covercode")
-        for limit, path in [(total, "python path"), (total - 1, "python path"),
-                            (first, "numpy path from pick 2"), (first - 1, "numpy path from pick 1"),
-                            (-1, "numpy path from pick 1")]:
-            monkeypatch.setattr(covercode, "_PYTHON_UPDATES", limit)
-            build_code.cache_clear()
-            caplog.clear()
-            picks = covercode._shared_picks(g, n, r)
-            streamed = list(picks)  # as det_solve's first row takes them
-            assert greedy_cover(g, n, r) == tuple(streamed) == eager_greedy(g, n, r)
-            assert f"on the {path} (2673 gain updates)" in caplog.text, limit
-
-    def test_code_after_streamed_picks_hands_off_at_the_next_update(self, monkeypatch, caplog):
-        # the block is over the limit, but the limit is not reached in the
-        # first picks: code() hands the rest to numpy from the next update
-        g, n, r = complete(3), 5, 1
-        total = gain_updates(g, n, r)
-        caplog.set_level("DEBUG", logger="dkcsp.covercode")
-        monkeypatch.setattr(covercode, "_PYTHON_UPDATES", total - 1)
-        picks = covercode._shared_picks(g, n, r)
-        head = list(itertools.islice(picks, 3))
-        assert not picks.numpy
-        code = greedy_cover(g, n, r)
-        assert code == eager_greedy(g, n, r)
-        assert code[:3] == tuple(head)
-        assert (picks.numpy, picks.list_picks) == (True, 3)
-        assert "on the numpy path from pick 3 (2673 gain updates)" in caplog.text
-
-    def test_cold_code_keeps_the_block_rule(self, monkeypatch, caplog):
-        # a code asked for whole before any pick compares the block's total
-        # updates with the limit: all on lists, or numpy from pick 1
-        g, n, r = complete(3), 5, 1
-        total = gain_updates(g, n, r)
-        caplog.set_level("DEBUG", logger="dkcsp.covercode")
-        for limit, path in [(total, "python path"), (total - 1, "numpy path from pick 1"),
-                            (0, "numpy path from pick 1")]:
-            monkeypatch.setattr(covercode, "_PYTHON_UPDATES", limit)
-            build_code.cache_clear()
-            caplog.clear()
-            assert greedy_cover(g, n, r) == eager_greedy(g, n, r)
-            assert f"on the {path} (2673 gain updates)" in caplog.text, limit
-
-    def test_non_uniform_dual_stays_on_lists(self, monkeypatch, caplog):
-        monkeypatch.setattr(covercode, "_PYTHON_UPDATES", -1)
-        caplog.set_level("DEBUG", logger="dkcsp.covercode")
-        picks = covercode._shared_picks(NON_UNIFORM_DUAL, 3, 1)
-        assert picks.code() == eager_greedy(NON_UNIFORM_DUAL, 3, 1)
-        assert (picks.numpy, picks.list_picks) == (False, len(picks.code()))
-        assert "on the python path" in caplog.text
-
-    @pytest.mark.parametrize("g", [complete(3), directed_cycle(3)], ids=["complete3", "cycle3"])
-    def test_benchmark_blocks_pick_their_paths(self, caplog, g):
-        # det-unsat: n=10, cap 4096, two 5-coordinate blocks; det-sat: n=18,
-        # cap 19683, two 9-coordinate blocks
-        caplog.set_level("DEBUG", logger="dkcsp.covercode")
-        for n, cap, block, path in [(10, 4096, 5, "python"), (18, 19683, 9, "numpy")]:
-            caplog.clear()
-            build_code.__wrapped__(g, n, 3, cap)
-            lines = [rec.getMessage() for rec in caplog.records if "greedy cover" in rec.getMessage()]
-            assert len(lines) == 1
-            assert f"n={block} " in lines[0]
-            assert f"on the {path} path" in lines[0]
-
-
 class TestHandOff:
-    """Picks made on demand, on lists up to a hand-off to numpy at any pick,
-    against the greedy run in one go on lists and on numpy."""
+    """Picks made on demand, as the first-row search takes them, then handed
+    off to code() at any pick, against the eager greedy."""
 
     @pytest.mark.parametrize("g,n,r", [
         (complete(3), 5, 1), (directed_cycle(3), 5, 2), (complete(4), 4, 1), (hypercube(2), 5, 2),
     ], ids=["complete3", "cycle3", "complete4", "hypercube2"])
-    def test_picks_match_across_hand_off(self, monkeypatch, g, n, r):
-        total, first = gain_updates(g, n, r), ball_volume(profile(g), n, r) ** 2
-        all_lists = greedy_cover(g, n, r)
-        assert all_lists == eager_greedy(g, n, r)
-        # at 0 the lists make pick 0 only; at `first` also its update; then
-        # mid-block, and never
-        for limit, list_picks in [(-1, 1), (0, 1), (first, 2), (total // 2, None), (total, len(all_lists))]:
+    def test_picks_match_across_hand_off(self, g, n, r):
+        eager = eager_greedy(g, n, r)
+        for taken in (0, 1, 2, len(eager) // 2, len(eager)):
             build_code.cache_clear()
-            monkeypatch.setattr(covercode, "_PYTHON_UPDATES", limit)
             picks = covercode._shared_picks(g, n, r)
             streamed = []
-            for pick in picks:  # one pick at a time, as det_solve takes them
+            for pick in itertools.islice(picks, taken):  # one at a time, as det_solve takes them
                 streamed.append(pick)
-            assert tuple(streamed) == picks.code() == all_lists, limit
-            assert picks.numpy == (limit != total), limit
-            if list_picks is not None:
-                assert picks.list_picks == list_picks, limit
-            else:
-                assert 2 < picks.list_picks < len(all_lists)
+            assert picks.picks == streamed, taken
+            assert picks.code() == eager, taken
+            assert tuple(picks) == eager, taken
 
     def test_resumed_picks_match(self):
         g = directed_cycle(3)
@@ -392,12 +243,72 @@ class TestFirstRow:
 
     @pytest.mark.parametrize("g,n,cap,match", [
         (complete(3), 4, 2, "cap"),
-        (complete(3), -1, DEFAULT_BLOCK_CAP, "n must be nonnegative"),
+        (complete(3), -1, None, "n must be nonnegative"),
         (from_edges(4, [(1, 2), (2, 1), (3, 4), (4, 3)]), 3, 64, "disconnected"),
     ], ids=["cap", "negative-n", "disconnected"])
     def test_bad_input_fails_at_the_call(self, g, n, cap, match):
         with pytest.raises(ValueError, match=match):
             covercode.first_row(g, n, 3, cap)
+
+
+class TestGainBudget:
+    """Every block stays within _MAX_GAIN_UPDATES gain updates, d^b * Vol:
+    plan_blocks sizes the blocks by it, and greedy_cover raises for a block
+    over it, so it also holds under python -O."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("g", DIFFERENTIAL_GRAPHS + [complete(4)], ids=lambda g: f"{g.name}{g.d}")
+    def test_default_blocks_fill_the_budget(self, g, k):
+        p = profile(g)
+
+        def updates(size):
+            return gain_updates(g, size, select_radius(p, size, Fraction(1, k * p.delta)))
+
+        largest = 1
+        while len(covercode.plan_blocks(g, largest + 1, k)) == 1:
+            largest += 1
+        assert updates(largest) <= covercode._MAX_GAIN_UPDATES < updates(largest + 1)
+        for n in range(1, 3 * largest + 2):
+            blocks = covercode.plan_blocks(g, n, k)
+            assert len(blocks) == -(-n // largest)
+            for size, r in blocks:
+                assert size <= largest
+                assert gain_updates(g, size, r) <= covercode._MAX_GAIN_UPDATES
+
+    @pytest.mark.parametrize("g,n,k,cap,blocks", [
+        # perfbench det-unsat and the selftest anchor (n = 12)
+        (complete(3), 10, 3, 4096, ((5, 1), (5, 1))),
+        (directed_cycle(3), 10, 3, 4096, ((5, 1), (5, 1))),
+        (complete(3), 12, 3, 4096, ((6, 1), (6, 1))),
+        (directed_cycle(3), 12, 3, 4096, ((6, 2), (6, 2))),
+        # perfbench det-sat and the sha256 pins; acceptance 7
+        (complete(3), 18, 3, 19683, ((9, 2), (9, 2))),
+        (directed_cycle(3), 18, 3, 19683, ((9, 3), (9, 3))),
+        (complete(3), 9, 3, 19683, ((9, 2),)),
+        (directed_cycle(3), 9, 3, 19683, ((9, 3),)),
+        # acceptance 6
+        (complete(2), 10, 3, 1 << 10, ((10, 2),)),
+        (complete(2), 13, 3, 1 << 7, ((7, 1), (6, 1))),
+        (complete(3), 7, 2, 81, ((4, 1), (3, 1))),
+        (complete(4), 6, 3, 4**6, ((6, 1),)),
+        (directed_cycle(3), 8, 3, 3**8, ((8, 3),)),
+        (directed_cycle(3), 6, 3, 27, ((3, 0), (3, 0))),
+        (directed_cycle(4), 6, 3, 4**3, ((3, 0), (3, 0))),
+        (hypercube(2), 5, 3, 4**5, ((5, 1),)),
+        (hypercube(3), 4, 3, 8**4, ((4, 1),)),
+    ])
+    def test_explicit_cap_plans_pinned(self, g, n, k, cap, blocks):
+        # the plans these caps gave when the cap alone sized the blocks
+        assert covercode.plan_blocks(g, n, k, cap) == blocks
+
+    def test_over_budget_block_raises_before_any_pick(self):
+        g = directed_cycle(3)
+        assert gain_updates(g, 10, 3) > covercode._MAX_GAIN_UPDATES
+        with pytest.raises(ValueError, match="gain updates"):
+            greedy_cover(g, 10, 3)
+        assert covercode._shared_picks.cache_info().currsize == 0
+        # the largest block the pins above build fits
+        assert gain_updates(g, 9, 3) == 4_153_113 <= covercode._MAX_GAIN_UPDATES
 
 
 class TestCoverageGains:
@@ -409,14 +320,11 @@ class TestCoverageGains:
         (hypercube(2), 2, 2),
     ], ids=["complete2", "complete3", "cycle3", "cycle4", "hypercube2"])
     def test_matches_brute_force_counting(self, g, n, r):
-        import numpy as np
-
-        from dkcsp.covercode import _coverage_gains, _finite_distance_matrix
-
+        # coverage_gains is the reference eager_greedy and verify_cover rest on
         rng = __import__("random").Random(5)
         points = list(itertools.product(range(1, g.d + 1), repeat=n))
         weights = np.array([rng.randint(0, 1) for _ in points], dtype=np.int64)
-        gains = _coverage_gains(_finite_distance_matrix(g), n, g.d, r, weights)
+        gains = coverage_gains(finite_distance_matrix(g), n, g.d, r, weights)
         for idx, center in enumerate(points):
             expected = sum(
                 w
@@ -641,17 +549,18 @@ class TestResultChecks:
 
     def test_greedy_guarantee_violation_raises(self, monkeypatch):
         monkeypatch.setattr(covercode, "ball_volume", lambda p, n, r: 10**9)
+        monkeypatch.setattr(covercode, "_MAX_GAIN_UPDATES", math.inf)  # it reads ball_volume too
         with pytest.raises(RuntimeError, match="guarantee"):
             greedy_cover(complete(3), 4, 1)
 
     @pytest.mark.parametrize("g,r", [(complete(3), 2), (directed_cycle(3), 3)], ids=["complete3", "cycle3"])
     def test_block_cover_check_rejects_missing_codeword(self, g, r):
-        mat = covercode._finite_distance_matrix(g)
+        # the 3^9 blocks of the n=18, cap 19683 codes
         code = greedy_cover(g, 9, r)
-        covercode._check_block_cover(mat, 9, g.d, r, code)
+        covercode._check_cover_by_balls(g, 9, r, code)
         # the last pick covered points no earlier codeword reaches
         with pytest.raises(RuntimeError, match="outside every") as err:
-            covercode._check_block_cover(mat, 9, g.d, r, code[:-1])
+            covercode._check_cover_by_balls(g, 9, r, code[:-1])
         missing = tuple(int(t) for t in str(err.value).split("(")[1].split(")")[0].split(","))
         assert all(assignment_distance(g, cw, missing) > r for cw in code[:-1])
         assert assignment_distance(g, code[-1], missing) <= r
@@ -660,7 +569,6 @@ class TestResultChecks:
                              ids=["complete3", "cycle3", "cycle3-r2"])
     def test_python_cover_check_rejects_missing_codeword(self, g, r):
         code = greedy_cover(g, 5, r)
-        assert gain_updates(g, 5, r) <= covercode._PYTHON_UPDATES
         covercode._check_cover_by_balls(g, 5, r, code)
         with pytest.raises(RuntimeError, match="outside every") as err:
             covercode._check_cover_by_balls(g, 5, r, code[:-1])
@@ -669,10 +577,8 @@ class TestResultChecks:
         assert all(assignment_distance(g, cw, missing) > r for cw in code[:-1])
         assert assignment_distance(g, code[-1], missing) <= r
 
-    @staticmethod
-    def check_short_block(monkeypatch, limit):
+    def test_python_path_runs_its_cover_check(self):
         # a greedy that stopped one pick early must not get past the check
-        monkeypatch.setattr(covercode, "_PYTHON_UPDATES", limit)
         picks = covercode._shared_picks(complete(3), 5, 1)
         picks.picks.extend(picks._greedy)
         picks.picks.pop()
@@ -680,9 +586,3 @@ class TestResultChecks:
             greedy_cover(complete(3), 5, 1)
         with pytest.raises(RuntimeError, match="outside every"):  # again: no code was kept
             picks.code()
-
-    def test_python_path_runs_its_cover_check(self, monkeypatch):
-        self.check_short_block(monkeypatch, 1 << 18)
-
-    def test_numpy_path_runs_its_cover_check(self, monkeypatch):
-        self.check_short_block(monkeypatch, -1)

@@ -1,15 +1,15 @@
 """Start-up guard: the commands that never build an array load neither numpy
 nor the process pool, and those that do load numpy start no BLAS threads.
 
-A det solve loads numpy only when a block of its covering code is too large
-for the plain-list greedy: small blocks (3^3 and 3^5 blocks here) leave it
-unloaded, a 3^8 block loads it. A solve whose witness lies in the first
-balls of the code's first row loads neither numpy nor the pool, even for
-3^9 blocks at --jobs 2, or for the one 3^12 or 4^10 block of a default-cap
-code, which takes 15-35 s to build in full: that row is searched while the
-greedy makes its first picks.
-A graph whose inward distance profiles differ between colors builds its
-code on lists whatever the block size, so it never loads numpy.
+A det solve never loads numpy: every block of its covering code is built on
+plain lists, from 3^3 blocks up to a 3^8 block and the two 3^6 blocks of a
+default n = 12 code. Default det solves are bounded: the anchor
+generate_random(12, 3, 3, 400, 6) and a dense d = 4, n = 10 UNSAT instance
+each answer within 10 s from a fresh process. A solve whose witness lies in
+the first balls of the code's first row loads neither numpy nor the pool,
+even for 3^9 blocks at --jobs 2: that row is searched while the greedy makes
+its first picks. A graph whose inward distance profiles differ between
+colors builds its code on lists too.
 `--help` loads no dkcsp module besides the CLI, and the random walk none of
 the code-building modules. `--help`, det solves and the walk load none of
 the standard-library modules the solvers do without (dataclasses, logging,
@@ -225,20 +225,20 @@ def test_first_row_witness_loads_no_numpy_or_pool(det_sat_instances, graph):
         assert loaded == []
 
 
-# d, n whose default-cap code is one block of 3^12 or 4^10 points, which takes
-# 15-35 s to build in full
-ONE_BLOCK_SAT = {"d3-n12": (3, 12), "d4-n10": (4, 10)}
+# d, n whose default code is two blocks, of 3^6 or 4^5 points
+DEFAULT_SAT = {"d3-n12": (3, 12), "d4-n10": (4, 10)}
 
 
 @pytest.mark.parametrize("graph", ["complete", "cycle"])
-@pytest.mark.parametrize("shape", list(ONE_BLOCK_SAT))
+@pytest.mark.parametrize("shape", list(DEFAULT_SAT))
 def test_default_cap_witness_in_ball_one_needs_no_code_build(tmp_path, shape, graph):
-    # codeword 0 is the greedy's first pick, (1, ..., 1); the planted point is
-    # one edge away from it, inside the code's radius, so ball 1 holds a witness
-    d, n = ONE_BLOCK_SAT[shape]
+    # codeword 0 joins each block's first pick, (1, ..., 1); the planted point
+    # is one edge away from it, within the first block's radius, so ball 1
+    # holds a witness
+    d, n = DEFAULT_SAT[shape]
     g = complete(d) if graph == "complete" else directed_cycle(d)
-    ((size, r),) = plan_blocks(g, n, 3)
-    assert (size, g.distances[0][1]) == (n, 1) and r >= 1
+    (size, r), (_, _) = plan_blocks(g, n, 3)
+    assert (size, g.distances[0][1]) == (n // 2, 1) and r >= 1
     f = generate_random(n, d, 3, 10 * n, 1, (2,) + (1,) * (n - 1))
     path = tmp_path / "sat.csp"
     path.write_text(serialize_instance(f))
@@ -270,18 +270,46 @@ def test_small_block_det_solve_loads_no_numpy(unsat_instance_10, graph):
     assert loaded == []
 
 
-# one 3^8 block, above the plain-list greedy's limit: numpy builds the code
-DET = ("solve", "--method", "det", "--graph", "cycle", "--block-cap", "6561", "--jobs", "1")
-
-
-def test_large_block_det_solve_loads_numpy(unsat_instance_8):
-    code, loaded, lines = run_cli(*DET, unsat_instance_8)
+def test_large_block_det_solve_loads_no_numpy(unsat_instance_8):
+    # one 3^8 block, built on lists like every other
+    code, loaded, lines = run_cli("solve", "--method", "det", "--graph", "cycle", "--block-cap", "6561",
+                                  "--jobs", "1", unsat_instance_8)
     assert (code, lines) == (20, ["s UNSATISFIABLE"])
-    assert loaded == ["numpy"]
+    assert loaded == []
+
+
+# the default det solves that hung on the one 3^12 or 4^10 block they built
+# (22-36 s) answer within DEFAULT_SOLVE_S from a fresh process; n = 12 is the
+# anchor, whose default code is its cap-4096 code
+DEFAULT_SOLVE_S = 10
+DEFAULT_UNSAT = {
+    "d3-n12": ((12, 3, 3, 400, 6), {"complete": 348300, "cycle": 267289}),
+    "d4-n10": ((10, 4, 3, 1000, 0), {"complete": 372736, "cycle": 851968}),
+}
+
+
+@pytest.mark.parametrize("graph", ["complete", "cycle"])
+@pytest.mark.parametrize("shape", list(DEFAULT_UNSAT))
+def test_default_det_solve_is_bounded(tmp_path, shape, graph):
+    args, nodes = DEFAULT_UNSAT[shape]
+    path = tmp_path / "unsat.csp"
+    path.write_text(serialize_instance(generate_random(*args)))
+    proc = run_python(PROBE, "solve", "-v", "--graph", graph, str(path), timeout=DEFAULT_SOLVE_S)
+    assert proc.returncode == 0, proc.stderr
+    *lines, report = proc.stdout.splitlines()
+    report = json.loads(report)
+    assert (report["code"], lines) == (20, ["s UNSATISFIABLE"])
+    assert report["loaded"] == []
+    assert f"stats: nodes={nodes[graph]} " in proc.stderr
+
+
+# cli.main sets OPENBLAS_NUM_THREADS before any solve; brute force is the
+# solve that loads numpy
+BRUTE = ("solve", "--method", "brute")
 
 
 def test_det_solve_starts_no_blas_threads(unsat_instance_8):
-    report, lines = probe(*DET, unsat_instance_8)
+    report, lines = probe(*BRUTE, unsat_instance_8)
     assert (report["code"], lines) == (20, ["s UNSATISFIABLE"])
     assert report["blas"] == "1"
     assert report["loaded"] == ["numpy"]
@@ -290,7 +318,7 @@ def test_det_solve_starts_no_blas_threads(unsat_instance_8):
 
 
 def test_callers_blas_thread_count_wins(unsat_instance_8):
-    report, lines = probe(*DET, unsat_instance_8, blas="2")
+    report, lines = probe(*BRUTE, unsat_instance_8, blas="2")
     assert (report["code"], lines) == (20, ["s UNSATISFIABLE"])
     assert report["blas"] == "2"
     assert report["loaded"] == ["numpy"]
