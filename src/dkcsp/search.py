@@ -6,15 +6,18 @@ of the first unsatisfied constraint, re-coloring along graph edges only. It
 takes one path for every code: it loads covercode, searches the balls of
 the code's first row while the code is being built, and only when that row
 holds no witness finishes the code and searches the rest (in the process
-pool when jobs > 1). The randomized solver is the classic multi-restart random walk, generalized to move along
-graph edges. Both find the first unsatisfied constraint with one shared
-state (_ConstraintBits): bitset tables precomputed per group of consecutive
-variables, so the unsatisfied set is one AND per group and a re-coloring is
-one add to the group's table index. The ball search counts and tests its
-radius-1 leaves inline instead of recursing into them, and rejects all the
-leaves of a literal with one AND when they cannot clear the node's
-unsatisfied set. A chunk context builds the ball searcher (or the walker)
-once, so each ball only resets its index list and node count.
+pool when jobs > 1). The randomized solver is the classic multi-restart
+random walk, generalized to move along graph edges. Both find the first
+unsatisfied constraint with one shared state (_ConstraintBits): bitset
+tables precomputed per group of consecutive variables, so a re-coloring is
+one add to the group's table index. Both kernels are compiled once per
+group count G from source templates, so the unsatisfied set is one inline
+AND of G table entries, a balanced tree of & when G is large. The ball
+search counts and tests its radius-1 leaves inline instead of recursing
+into them, and rejects all the leaves of a literal with one AND when they
+cannot clear the node's unsatisfied set. A chunk context builds the ball
+searcher (or the walker) once, so each ball only resets its index list and
+node count.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import random
 import sys
 from contextlib import closing
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import and_
 from types import SimpleNamespace
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
@@ -181,14 +184,89 @@ class _ConstraintBits:
         """The coloring whose per-group indices are idx."""
         return tuple(idx[j] // w % (self.d + 1) for j, w in self.place)
 
-    def unsat(self, alpha: Sequence[int]) -> int:
-        """Bitset of the constraints alpha leaves unsatisfied."""
-        return reduce(and_, map(list.__getitem__, self.tables, self.index(alpha)))
-
 
 def _check_graph(f: Formula, g: ColorGraph) -> None:
     if g.d != f.d:
         raise ValueError(f"graph has {g.d} colors, formula has {f.d}")
+
+
+def _and_tree(lo: int, hi: int) -> str:
+    """`t{lo}[idx[{lo}]] & ... & t{hi-1}[idx[{hi-1}]]`, a balanced tree of &."""
+    if hi - lo == 1:
+        return f"t{lo}[idx[{lo}]]"
+    mid = (lo + hi) // 2
+    return f"({_and_tree(lo, mid)} & {_and_tree(mid, hi)})"
+
+
+@lru_cache(maxsize=None)
+def _kernel(template: str, groups: int) -> Callable:
+    """The template's `make`, compiled once per group count: TABLES becomes the
+    names t0, ..., t{groups-1} it binds the tables to, and UNSAT their AND at
+    idx, one inline expression (a tree: a chain of ~3,000 terms overflows the
+    compiler). Kernels that one `make` builds share its code objects."""
+    names = "".join(f"t{j}, " for j in range(groups))
+    source = template.replace("TABLES", names).replace("UNSAT", _and_tree(0, groups))
+    namespace: dict = {}
+    exec(compile(source, f"<kernel, {groups} groups>", "exec"), namespace)
+    return namespace["make"]
+
+
+_BALL_SEARCH = """
+def make(tables, plan, index, coloring, r):
+    TABLES = tables
+    idx = []
+    nodes = 0
+
+    def last(unsat):
+        nonlocal nodes
+        nodes += 1
+        if not unsat:
+            return coloring(idx)
+        for j, cw, children, cover in plan[(unsat & -unsat).bit_length() - 1]:
+            if unsat & cover:
+                nodes += len(children)
+                continue
+            base = idx[j] - cw
+            idx[j] = base
+            rest = UNSAT
+            for c2w, bits in children:
+                nodes += 1
+                if not rest & bits:
+                    idx[j] = base + c2w
+                    return coloring(idx)
+            idx[j] = base + cw
+        return None
+
+    def rec(budget, unsat):
+        nonlocal nodes
+        nodes += 1
+        if not unsat:
+            return coloring(idx)
+        for j, cw, children, _ in plan[(unsat & -unsat).bit_length() - 1]:
+            # the constraint is unsatisfied, so the literal's variable has its
+            # color; with it freed, `rest` is what the other variables leave
+            base = idx[j] - cw
+            idx[j] = base
+            rest = UNSAT
+            for c2w, bits in children:
+                idx[j] = base + c2w
+                found = rec(budget - 1, rest & bits) if budget > 2 else last(rest & bits)
+                if found is not None:
+                    return found
+            idx[j] = base + cw
+        return None
+
+    def search(center):
+        nonlocal nodes
+        idx[:] = index(center)
+        nodes = 0
+        unsat = UNSAT
+        if r == 0:
+            return (None if unsat else coloring(idx)), 1
+        found = rec(r, unsat) if r > 1 else last(unsat)
+        return found, nodes
+    return search
+"""
 
 
 def _ball_searcher(
@@ -196,19 +274,18 @@ def _ball_searcher(
 ) -> Callable[[Sequence[int]], tuple[Optional[tuple[int, ...]], int]]:
     """The radius-r ball search: center -> (witness or None, nodes visited).
 
-    Built once per chunk context; a call resets only the index list and the
-    node count. A node branches on the literals of its first unsatisfied
-    constraint in order, re-coloring the literal's variable to each
-    out-neighbor of its color in sorted order. A node with one edit left
-    counts its leaves in place. Its unsatisfied set is `rest` (what the other
-    variables leave) AND the old color's row, so one AND of the set with a
-    literal's cover (the AND of its leaves' rows) rejects the leaves that
-    keep an unsatisfied constraint. Each constraint in the set holds the
-    variable at its old color or not at all, so a literal's leaves pass or
-    fail together, and only those that pass cost `rest` and one AND each.
+    Built once per chunk context from the state's _BALL_SEARCH kernel; a
+    call resets only the index list and the node count. A node branches on
+    the literals of its first unsatisfied constraint in order, re-coloring
+    the literal's variable to each out-neighbor of its color in sorted order.
+    A node with one edit left (`last`) counts its leaves in place. Its
+    unsatisfied set is `rest` (what the other variables leave) AND the old
+    color's row, so one AND of the set with a literal's cover (the AND of its
+    leaves' rows) rejects the leaves that keep an unsatisfied constraint.
+    Each constraint in the set holds the variable at its old color or not at
+    all, so a literal's leaves pass or fail together, and only those that
+    pass cost `rest` and one AND each.
     """
-    tables, coloring = state.tables, state.coloring
-    getitem = list.__getitem__
     # branches[j, w, c]: the branch of every literal on the variable at (j, w)
     # with color c: (j, c * w, children, cover), children holding (c2 * w,
     # row[c2]) per out-neighbor c2 of c and cover the AND of those rows;
@@ -220,59 +297,8 @@ def _ball_searcher(
                 children = tuple((c2 * w, row[c2]) for c2 in out[c - 1])
                 branches[j, w, c] = (j, c * w, children, reduce(and_, (b for _, b in children), -1))
     plan = [tuple(branches[j, w, c] for c, j, w, _ in lits) for lits in state.literals]
-    idx: list[int] = []
-    nodes = 0
-
-    def last(unsat: int) -> Optional[tuple[int, ...]]:
-        nonlocal nodes
-        nodes += 1
-        if not unsat:
-            return coloring(idx)
-        for j, cw, children, cover in plan[(unsat & -unsat).bit_length() - 1]:
-            if unsat & cover:
-                nodes += len(children)
-                continue
-            base = idx[j] - cw
-            idx[j] = base
-            rest = reduce(and_, map(getitem, tables, idx))
-            for c2w, bits in children:
-                nodes += 1
-                if not rest & bits:
-                    idx[j] = base + c2w
-                    return coloring(idx)
-            idx[j] = base + cw
-        return None
-
-    def rec(budget: int, unsat: int) -> Optional[tuple[int, ...]]:
-        nonlocal nodes
-        nodes += 1
-        if not unsat:
-            return coloring(idx)
-        for j, cw, children, _ in plan[(unsat & -unsat).bit_length() - 1]:
-            # the constraint is unsatisfied, so the literal's variable has its
-            # color; with it freed, `rest` is what the other variables leave
-            base = idx[j] - cw
-            idx[j] = base
-            rest = reduce(and_, map(getitem, tables, idx))
-            for c2w, bits in children:
-                idx[j] = base + c2w
-                found = rec(budget - 1, rest & bits) if budget > 2 else last(rest & bits)
-                if found is not None:
-                    return found
-            idx[j] = base + cw
-        return None
-
-    def search(center: Sequence[int]) -> tuple[Optional[tuple[int, ...]], int]:
-        nonlocal nodes
-        idx[:] = state.index(center)
-        nodes = 0
-        unsat = reduce(and_, map(getitem, tables, idx))
-        if r == 0:
-            return (None if unsat else coloring(idx)), 1
-        found = rec(r, unsat) if r > 1 else last(unsat)
-        return found, nodes
-
-    return search
+    make = _kernel(_BALL_SEARCH, len(state.tables))
+    return make(state.tables, plan, state.index, state.coloring, r)
 
 
 def _validate_walk_graph(f: Formula, g: ColorGraph) -> None:
@@ -288,45 +314,47 @@ def _walk_moves(out: tuple[tuple[int, ...], ...]) -> tuple:
                          for c, nbrs in enumerate(out, start=1))
 
 
-def _walk_core(
-    state: _ConstraintBits, moves: tuple, rng: RngLike, steps: int
-) -> tuple[Optional[tuple[int, ...]], int]:
-    """One random walk from a fresh random start; returns (witness or None, steps taken).
-
-    moves is _walk_moves of the graph's out-neighbors. A draw below N inlines
-    random.Random.randrange(N): getrandbits(N.bit_length()), redrawn until
-    below N, so the getrandbits calls and the walk are randrange's (and the
-    start coloring randint(1, d)'s).
-    """
-    tables, picks, d = state.tables, state.picks, state.d
-    rng = _as_rng(rng)
-    getrandbits = rng.getrandbits
-    idx = [0] * len(tables)
-    width = d.bit_length()
-    for j, w in state.place:
-        c = getrandbits(width)
-        while c >= d:
+_WALK = """
+def make(tables, picks, moves, place, d, coloring, as_rng, steps):
+    def walk(seed):
+        TABLES = tables
+        getrandbits = as_rng(seed).getrandbits
+        idx = [0] * len(tables)
+        width = d.bit_length()
+        for j, w in place:
             c = getrandbits(width)
-        idx[j] += (c + 1) * w
-    getitem = list.__getitem__
-    for taken in range(steps):
-        u = reduce(and_, map(getitem, tables, idx))
-        if not u:
-            return state.coloring(idx), taken
-        count, width, lits = picks[(u & -u).bit_length() - 1]
-        if not count:
-            return None, taken
-        i = getrandbits(width)
-        while i >= count:
+            while c >= d:
+                c = getrandbits(width)
+            idx[j] += (c + 1) * w
+        for taken in range(steps):
+            u = UNSAT
+            if not u:
+                return coloring(idx), taken
+            count, width, lits = picks[(u & -u).bit_length() - 1]
+            if not count:
+                return None, taken
             i = getrandbits(width)
-        c, j, w, _ = lits[i]
-        deltas, count, width = moves[c]
-        i = getrandbits(width)
-        while i >= count:
+            while i >= count:
+                i = getrandbits(width)
+            c, j, w, _ = lits[i]
+            deltas, count, width = moves[c]
             i = getrandbits(width)
-        idx[j] += deltas[i] * w
-    u = reduce(and_, map(getitem, tables, idx))
-    return (None if u else state.coloring(idx)), steps
+            while i >= count:
+                i = getrandbits(width)
+            idx[j] += deltas[i] * w
+        u = UNSAT
+        return (None if u else coloring(idx)), steps
+    return walk
+"""
+
+
+def _walker(state: _ConstraintBits, moves: tuple, steps: int) -> Callable:
+    """The state's _WALK kernel: seed (or random.Random) -> (witness or None,
+    steps taken) of a `steps`-step walk from a random start, moves being
+    _walk_moves(out). A draw below N inlines randrange(N): getrandbits of
+    N.bit_length() bits, redrawn until below N, as random.Random draws it."""
+    make = _kernel(_WALK, len(state.tables))
+    return make(state.tables, state.picks, moves, state.place, state.d, state.coloring, _as_rng, steps)
 
 
 def _verify_witness(f: Formula, witness: tuple[int, ...]) -> None:
@@ -337,11 +365,6 @@ def _verify_witness(f: Formula, witness: tuple[int, ...]) -> None:
 
 _NEVER = SimpleNamespace(value=0)  # the stop flag of an in-process run: never set
 _worker: tuple = ()  # a pool worker's chunk context, built once by _init_worker
-
-
-def _walker(state: _ConstraintBits, moves: tuple, steps: int) -> Callable:
-    """The walk of `steps` steps: a function of the seed returning _walk_core's result."""
-    return lambda seed: _walk_core(state, moves, seed, steps)
 
 
 def _chunk_context(make: Callable, f: Formula, out: tuple, arg: int, stop=_NEVER) -> tuple:

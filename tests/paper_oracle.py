@@ -4,11 +4,14 @@ No solver path calls these: they restate the product distance, the formula
 normal form and lemmas of the analysis so the tests can check the program's
 exact counts and bases against them, and expose the paper's two named
 procedures, the search of one ball (graph_searchball) and one random walk
-(schoening_run), on the solvers' own kernels.
+(schoening_run), on the solvers' own kernels. unsat is the unsatisfied set
+those kernels compute inline, written as a reduce over the groups.
 """
 
 import math
 from fractions import Fraction
+from functools import reduce
+from operator import and_
 from typing import Optional, Sequence
 
 from dkcsp.analysis import base_for_graph, solve_lambda
@@ -21,8 +24,8 @@ from dkcsp.search import (
     _ball_searcher,
     _ConstraintBits,
     _validate_walk_graph,
-    _walk_core,
     _walk_moves,
+    _walker,
 )
 from dkcsp.volume import Rational, select_radius, shell_counts
 
@@ -55,6 +58,12 @@ def _check_center(f: Formula, g: ColorGraph, center: Sequence[int]) -> None:
     for v in center:
         if not 1 <= v <= f.d:
             raise ValueError(f"center color {v} out of range 1..{f.d}")
+
+
+def unsat(state: _ConstraintBits, alpha: Sequence[int]) -> int:
+    """Bitset of the constraints alpha leaves unsatisfied: the reference AND,
+    one table entry per group, that the solvers' kernels compute inline."""
+    return reduce(and_, map(list.__getitem__, state.tables, state.index(alpha)))
 
 
 def graph_searchball(
@@ -93,7 +102,7 @@ def schoening_run(
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     _validate_walk_graph(f, g)
-    witness, taken = _walk_core(_ConstraintBits(f), _walk_moves(g.out), rng, steps)
+    witness, taken = _walker(_ConstraintBits(f), _walk_moves(g.out), steps)(rng)
     if stats is not None:
         stats.steps += taken
     return witness

@@ -50,6 +50,22 @@ def fresh_codes():
     build_code.cache_clear()
 
 
+@pytest.fixture(scope="module")
+def det_sat_codes():
+    """The n=18, cap 19683 codes of complete(3) and cycle(3), each two equal
+    3^9 blocks, built once for the module from no cached picks, with every
+    block's cover checked here once; the tests read them instead of
+    rebuilding them."""
+    build_code.cache_clear()
+    codes = {g: build_code(g, 18, 3, 19683) for g in (complete(3), directed_cycle(3))}
+    build_code.cache_clear()
+    for g, code in codes.items():
+        block = code.codewords.codes[0]
+        assert code.codewords.codes == (block, block)
+        covercode._check_cover_by_balls(g, 9, code.radius // 2, block)
+    return codes
+
+
 def enumerate_cover_check(g, codewords, radius, n):
     """Independent coverage check by full enumeration."""
     for point in itertools.product(range(1, g.d + 1), repeat=n):
@@ -125,11 +141,12 @@ class TestGreedyCover:
         (directed_cycle(3), 3, 252, (2, 3, 3, 1, 1, 3, 2, 2, 3),
          "d7d545c07c41ac26098b5f34daf2b1cab42be7e44918d89d0089aaef7c2701a8"),
     ], ids=["complete3", "cycle3"])
-    def test_det_sat_block_codes_pinned(self, g, r, count, last, digest):
+    def test_det_sat_block_codes_pinned(self, det_sat_codes, g, r, count, last, digest):
         # the 9-coordinate blocks of the n=18, cap 19683 codes; values are
         # those of the eager greedy that recounted every gain per pick
         assert select_radius(profile(g), 9, Fraction(1, 3 * profile(g).delta)) == r
-        code = greedy_cover(g, 9, r)
+        assert det_sat_codes[g].radius == 2 * r
+        code = det_sat_codes[g].codewords.codes[0]
         assert len(code) == count
         assert code[0] == (1,) * 9
         assert code[-1] == last
@@ -380,9 +397,9 @@ class TestProductCodewords:
         (complete(3), 94249, "96710ac3f1b297908ecee6649a8dcac7b9b6414bc4c91562332b0764005d6147"),
         (directed_cycle(3), 63504, "748d7f97fdcf5a46a730e3877470e3223bd417012b9b9f6c1feb7d5c1ff395e4"),
     ], ids=["complete3", "cycle3"])
-    def test_det_sat_codes_pinned(self, g, count, digest):
+    def test_det_sat_codes_pinned(self, det_sat_codes, g, count, digest):
         # the n=18, cap 19683 codes; values are those of the eager product
-        codewords = tuple(build_code(g, 18, 3, 19683).codewords)
+        codewords = tuple(det_sat_codes[g].codewords)
         assert len(codewords) == count
         assert hashlib.sha256(repr(codewords).encode()).hexdigest() == digest
 
@@ -421,8 +438,8 @@ class TestProductCodewords:
         with pytest.raises(ValueError):
             lazy[::step]
 
-    def test_chunk_pickles_as_block_codes_and_range(self):
-        code = build_code(complete(3), 18, 3, 19683)
+    def test_chunk_pickles_as_block_codes_and_range(self, det_sat_codes):
+        code = det_sat_codes[complete(3)]
         whole = len(pickle.dumps(code.codewords, pickle.HIGHEST_PROTOCOL))
         sizes = []
         for start, stop in [(0, 1), (0, 94249), (5000, 17000), (94248, 94249), (40000, 40000)]:
@@ -554,10 +571,10 @@ class TestResultChecks:
             greedy_cover(complete(3), 4, 1)
 
     @pytest.mark.parametrize("g,r", [(complete(3), 2), (directed_cycle(3), 3)], ids=["complete3", "cycle3"])
-    def test_block_cover_check_rejects_missing_codeword(self, g, r):
-        # the 3^9 blocks of the n=18, cap 19683 codes
-        code = greedy_cover(g, 9, r)
-        covercode._check_cover_by_balls(g, 9, r, code)
+    def test_block_cover_check_rejects_missing_codeword(self, det_sat_codes, g, r):
+        # the 3^9 blocks of the n=18, cap 19683 codes, whose cover the fixture checked
+        code = det_sat_codes[g].codewords.codes[0]
+        assert det_sat_codes[g].radius == 2 * r
         # the last pick covered points no earlier codeword reaches
         with pytest.raises(RuntimeError, match="outside every") as err:
             covercode._check_cover_by_balls(g, 9, r, code[:-1])

@@ -26,7 +26,7 @@ from dkcsp.search import (
     schoening_solve,
 )
 
-from paper_oracle import graph_searchball, schoening_run
+from paper_oracle import graph_searchball, schoening_run, unsat
 
 
 class CountState:
@@ -120,7 +120,7 @@ def unsat_indices(f, alpha):
 
 def lowest_unsat(state, alpha):
     """Index of the lowest set bit of the kernel's unsat bitset, or None."""
-    u = state.unsat(alpha)
+    u = unsat(state, alpha)
     return (u & -u).bit_length() - 1 if u else None
 
 
@@ -137,7 +137,7 @@ class CountingRandom(random.Random):
 
 
 def kernel_indices(state, alpha):
-    u = state.unsat(alpha)
+    u = unsat(state, alpha)
     return [i for i in range(u.bit_length()) if u >> i & 1]
 
 
@@ -185,7 +185,7 @@ class TestKernelState:
         # past bit 64: a duplicate at 70 and an empty constraint at 71
         state = _ConstraintBits(Formula(1, 3, 2, (TAUTOLOGY,) * 70 + (DUPLICATE, Constraint(()))))
         assert [lowest_unsat(state, [c]) for c in (1, 2, 3)] == [71, 70, 71]
-        assert state.unsat([2]) == 0b11 << 70
+        assert unsat(state, [2]) == 0b11 << 70
 
     def test_masks_span_machine_words(self):
         f = generate_random(8, 3, 3, 300, 2)
@@ -284,7 +284,7 @@ class TestLeafFilter:
         f = Formula(2, 3, 2, self.BROKEN + (constraint((1, 3), (2, 1)),))
         state = _ConstraintBits(f)
         for leaf in [(c2, 1) for c2 in g.out[0]]:
-            assert state.unsat(leaf) and not state.unsat((1, 1)) & state.unsat(leaf)
+            assert unsat(state, leaf) and not unsat(state, (1, 1)) & unsat(state, leaf)
         witness, stats = graph_searchball(f, g, (1, 1), r)
         assert (witness, stats.nodes_visited) == oracle_searchball(f, g, (1, 1), r)
         assert (witness is None) == (r == 1)
@@ -467,3 +467,90 @@ class TestTableCap:
         ungrouped(monkeypatch)
         assert det_solve(f, g) == result
         assert result.status == "sat" and result.stats.balls_searched > 1
+
+
+def wide_formula(seed):
+    """n = 3,000 at d = 8, width-2 constraints on 12 variables spread from x1
+    to x3000: one group per variable, since the byte cap rules out g = 2."""
+    n, d = 3000, 8
+    spread = [1 + (n - 1) * i // 11 for i in range(12)]
+    small = generate_random(12, d, 2, 200, seed)
+    cons = tuple(Constraint(tuple(Literal(spread[x.var - 1], x.color) for x in con.literals))
+                 for con in small.constraints)
+    return Formula(n, d, 2, cons)
+
+
+# (formula, group count G, largest radius searched)
+KERNEL_CASES = {
+    "n0": (Formula(0, 3, 3, ()), 1, 3),
+    "n0-empty": (Formula(0, 3, 3, (Constraint(()),)), 1, 3),
+    "g1": (generate_random(5, 3, 3, 80, 31), 1, 3),
+    "g2": (generate_random(10, 3, 3, 60, 32), 2, 3),
+    "g3": (generate_random(12, 3, 3, 80, 33), 3, 3),
+    "wide": (wide_formula(34), 3000, 2),
+}
+
+
+@pytest.mark.parametrize("graph", [complete, directed_cycle])
+@pytest.mark.parametrize("case", list(KERNEL_CASES))
+class TestGeneratedKernels:
+    """The kernels compiled per group count G, against the CountState oracles:
+    G = 1 (n = 0's one table is [full]), 2, 3, and 3,000 groups, whose
+    unsatisfied set a left-deep chain of & could not compile."""
+
+    def test_group_count(self, case, graph):
+        f, groups, _ = KERNEL_CASES[case]
+        state = _ConstraintBits(f)
+        assert len(state.tables) == groups
+        if f.n == 0:
+            assert state.tables == [[(1 << f.m) - 1]]
+        if case == "wide":
+            assert state.group == 1
+
+    def test_balls_match_oracle(self, case, graph):
+        f, _, radius = KERNEL_CASES[case]
+        g = graph(f.d)
+        state = _ConstraintBits(f)
+        rng = random.Random(case)
+        witnesses = balls = nodes = 0
+        for r in range(radius + 1):
+            searchball = search._ball_searcher(state, g.out, r)  # one searcher for every ball
+            for _ in range(4):
+                center = tuple(rng.randint(1, f.d) for _ in range(f.n))
+                witness, ball_nodes = searchball(center)
+                assert (witness, ball_nodes) == oracle_searchball(f, g, center, r)
+                witnesses += witness is not None
+                balls, nodes = balls + 1, nodes + ball_nodes
+        assert witnesses or case == "n0-empty"
+        assert nodes > balls or f.n == 0  # some ball branched
+
+    def test_walks_match_oracle(self, case, graph):
+        f, _, _ = KERNEL_CASES[case]
+        g = graph(f.d)
+        state = _ConstraintBits(f)
+        rng = random.Random(case)
+        for steps in (0, 3, 40):
+            walk = search._walker(state, search._walk_moves(g.out), steps)
+            for _ in range(3):
+                seed = rng.getrandbits(64)
+                ours, theirs = CountingRandom(seed), CountingRandom(seed)
+                assert walk(ours) == oracle_walk(f, g, steps, theirs)
+                assert ours.calls == theirs.calls
+
+    def test_same_group_count_shares_code(self, case, graph):
+        f, groups, _ = KERNEL_CASES[case]
+        g = graph(f.d)
+        other = Formula(f.n, f.d, f.k, f.constraints[: f.m // 2])
+        kernels = []
+        for formula in (f, other):
+            state = _ConstraintBits(formula)
+            assert len(state.tables) == groups
+            kernels.append((search._ball_searcher(state, g.out, 2),
+                            search._walker(state, search._walk_moves(g.out), 5)))
+        (ball, walk), (ball2, walk2) = kernels
+        assert ball is not ball2 and walk is not walk2
+        assert ball.__code__ is ball2.__code__
+        assert walk.__code__ is walk2.__code__
+        if groups > 1:  # another group count compiles its own kernel
+            one_group = _ConstraintBits(generate_random(1, f.d, 1, 3, 1))
+            assert search._ball_searcher(one_group, g.out, 2).__code__ is not ball.__code__

@@ -34,7 +34,7 @@ from dkcsp.search import (
     schoening_solve,
 )
 
-from paper_oracle import assignment_distance, graph_searchball, schoening_run
+from paper_oracle import assignment_distance, graph_searchball, schoening_run, unsat
 
 
 def ball_oracle(f, g, center, r):
@@ -147,7 +147,7 @@ class TestSchoeningRun:
         state = _ConstraintBits(f)
         deltas = set()
         for _ in range(200):
-            u = state.unsat(alpha)
+            u = unsat(state, alpha)
             if not u:
                 break
             lits = f.constraints[(u & -u).bit_length() - 1].literals
