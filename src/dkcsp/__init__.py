@@ -17,7 +17,7 @@ import importlib
 import sys
 
 _EXPORTS = {
-    "analysis": ("base_for_graph", "base_report", "base_schoening", "markov_simulate",
+    "analysis": ("base_for_graph", "base_schoening", "markov_simulate",
                  "reach_probability", "solve_lambda"),
     "colorgraph": ("ColorGraph", "DistanceProfile", "complete", "directed_cycle", "hypercube",
                    "profile"),

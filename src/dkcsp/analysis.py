@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from typing import TYPE_CHECKING, NamedTuple, Optional, Union
+from typing import TYPE_CHECKING, NamedTuple, Union
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -38,10 +38,8 @@ if TYPE_CHECKING:
 
     from .colorgraph import DistanceProfile
 __all__ = [
-    "BaseReport",
     "LambdaSolution",
     "base_for_graph",
-    "base_report",
     "base_schoening",
     "check_simulation",
     "markov_simulate",
@@ -79,33 +77,6 @@ def base_for_graph(p: DistanceProfile, k: int) -> Fraction:
         raise ValueError("profile must have out-degree at least 1")
     denom = sum(Fraction(d_i, (k * p.delta) ** i) for i, d_i in enumerate(p.counts))
     return Fraction(p.d) / denom
-
-
-class BaseReport(NamedTuple):
-    d: int
-    k: int
-    schoening_base: Fraction
-    det_complete_base: Fraction
-    det_cycle_base: Fraction
-    graph_base: Optional[Fraction]
-    recommended_graph: str
-
-
-def base_report(d: int, k: int, p: Optional[DistanceProfile] = None) -> BaseReport:
-    from .colorgraph import complete, directed_cycle, profile
-
-    schoening_base = base_schoening(d, k)
-    complete_base = base_for_graph(profile(complete(d)), k)
-    cycle_base = base_for_graph(profile(directed_cycle(d)), k)
-    return BaseReport(
-        d=d,
-        k=k,
-        schoening_base=schoening_base,
-        det_complete_base=complete_base,
-        det_cycle_base=cycle_base,
-        graph_base=base_for_graph(p, k) if p is not None else None,
-        recommended_graph="cycle" if cycle_base < complete_base else "complete",
-    )
 
 
 class LambdaSolution(NamedTuple):

@@ -145,36 +145,35 @@ def cmd_code(args: argparse.Namespace) -> int:
 
 def cmd_volume(args: argparse.Namespace) -> int:
     from .colorgraph import profile
-    from .volume import shell_counts
+    from .volume import ball_volume, shell_counts
 
-    g = _graph_from_flag(args.graph, args.d)
-    table = shell_counts(profile(g), args.n)
+    p = profile(_graph_from_flag(args.graph, args.d))
+    counts = shell_counts(p, args.n)
     if args.r is None:
-        print("shells", *table.counts)
+        print("shells", *counts)
         return 0
-    volume = table.volume(args.r)
-    print("shells", *table.counts[: args.r + 1])
+    volume = ball_volume(p, args.n, args.r)
+    print("shells", *counts[: args.r + 1])
     print("volume", volume)
     return 0
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    from . import analysis
-    from .colorgraph import profile
+    from .analysis import base_for_graph, base_schoening
+    from .colorgraph import complete, directed_cycle, profile
 
     p = profile(_graph_from_flag(args.graph, args.d)) if args.graph else None
-    report = analysis.base_report(args.d, args.k, p)
-    print(f"d {report.d} k {report.k}")
-    rows = [
-        ("schoening", report.schoening_base),
-        ("det-complete", report.det_complete_base),
-        ("det-cycle", report.det_cycle_base),
-    ]
-    if report.graph_base is not None:
-        rows.append(("det-graph", report.graph_base))
-    for name, base in rows:
+    rows = {
+        "schoening": base_schoening(args.d, args.k),
+        "det-complete": base_for_graph(profile(complete(args.d)), args.k),
+        "det-cycle": base_for_graph(profile(directed_cycle(args.d)), args.k),
+    }
+    if p is not None:
+        rows["det-graph"] = base_for_graph(p, args.k)
+    print(f"d {args.d} k {args.k}")
+    for name, base in rows.items():
         print(f"{name} {float(base):.6f} ({base})")
-    print(f"recommended {report.recommended_graph}")
+    print("recommended", "cycle" if rows["det-cycle"] < rows["det-complete"] else "complete")
     return 0
 
 
@@ -183,14 +182,13 @@ def cmd_markov(args: argparse.Namespace) -> int:
 
     analysis.check_simulation(args.d, args.k, args.j, args.max_steps, args.trials)  # before the seed is printed
     sol = analysis.solve_lambda(args.d, args.k)
-    pj = analysis.reach_probability(args.d, args.k, args.j)
     seed = _resolve_seed(args.seed)
     freq, stderr = analysis.markov_simulate(
         args.d, args.k, args.j, args.max_steps, args.trials, seed
     )
     within = analysis.reach_within(args.d, args.k, args.j, args.max_steps)
     print(f"lambda {sol.value:.12f} residual {sol.residual:.3e}")
-    print(f"P[{args.j}] {pj:.12f}")
+    print(f"P[{args.j}] {sol.value ** args.j:.12f}")
     print(f"P[{args.j}] within {args.max_steps} steps {within:.12f}")
     print(f"simulated {freq:.6f} stderr {stderr:.6f} trials {args.trials} max-steps {args.max_steps}")
     return 0

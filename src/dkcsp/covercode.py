@@ -10,14 +10,17 @@ The greedy keeps every center's gain (uncovered points in its ball) on plain
 lists and updates it incrementally: each pick subtracts its newly covered
 points from the gains of the centers whose balls hold them, the points'
 inward balls. A block of d^b points at radius r costs d^b * Vol(b, r) such
-gain updates in all, and plan_blocks keeps every block within
-_MAX_GAIN_UPDATES of them, so no default code builds a block that takes
-more than a few seconds. The greedy is a sequence of picks made on demand
-(BlockPicks), one per block, so the first picks can be used before the rest
-exist: first_row yields the code's first row as the last block's greedy
-makes its picks. Each finished block code is checked to cover its block by
-marking every codeword's ball, which by additivity proves coverage of the
-product; the check raises, so it also runs under python -O.
+gain updates in all. plan_blocks decides and checks every code's blocks in
+one place: it keeps each block within _MAX_GAIN_UPDATES of them, so no
+default code builds a block that takes more than a few seconds, and rejects
+a disconnected graph. The greedy is a sequence of picks made on demand
+(BlockPicks), so the first picks can be used before the rest exist:
+first_row yields the code's first row as the last block's greedy makes its
+picks, and build_code finishes the same picks. One BlockPicks per block
+size and radius, cached, is the only code cache. Each finished block code
+is checked to cover its block by marking every codeword's ball, which by
+additivity proves coverage of the product; the check raises, so it also
+runs under python -O.
 
 The product itself is never materialised: ProductCodewords is a read-only
 sequence over the block codes, and a contiguous slice of it is the same
@@ -305,35 +308,12 @@ class BlockPicks:
                     gains[holder] -= 1
 
 
-def _check_block(g: ColorGraph, n_block: int, r: int, cap: int | None) -> int:
-    """Raise ValueError unless the greedy can cover [d]^n_block within the
-    cap (None: no cap) and _MAX_GAIN_UPDATES; return the effective radius."""
-    if n_block < 0:
-        raise ValueError("n must be nonnegative")
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    p = profile(g)
-    if not p.spans_all_colors:
-        raise ValueError(f"graph {g.name!r} is disconnected; no finite covering radius")
-    if cap is not None and g.d**n_block > cap:
-        raise ValueError(f"block ground set {g.d}^{n_block} exceeds cap {cap}")
-    r = min(r, p.s * n_block)
-    updates = g.d**n_block * ball_volume(p, n_block, r)
-    if updates > _MAX_GAIN_UPDATES:
-        raise ValueError(f"block {g.d}^{n_block} at radius {r} needs {updates} gain updates, "
-                         f"over the budget of {_MAX_GAIN_UPDATES}")
-    return r
+# the one code cache: a greedy per block and effective radius, shared by
+# build_code and first_row until build_code.cache_clear()
+_shared_picks = lru_cache(maxsize=None)(BlockPicks)
 
 
-@lru_cache(maxsize=None)
-def _shared_picks(g: ColorGraph, n: int, r: int) -> BlockPicks:
-    """One greedy per block and effective radius, until build_code.cache_clear()."""
-    return BlockPicks(g, n, r)
-
-
-def greedy_cover(
-    g: ColorGraph, n_block: int, r: int, cap: int | None = None
-) -> tuple[tuple[int, ...], ...]:
+def greedy_cover(g: ColorGraph, n_block: int, r: int) -> tuple[tuple[int, ...], ...]:
     """Greedy set cover of [d]^n_block by radius-r balls.
 
     Repeatedly picks the center whose ball covers the most uncovered points,
@@ -343,17 +323,28 @@ def greedy_cover(
     distance profile. Each pick subtracts its newly covered points from the
     gains of the centers whose balls hold them: the same offsets relabeled
     inward when the dual profiles are uniform too, else each point's inward
-    ball enumerated from the distance columns. A block over the cap (None:
-    no cap) or over _MAX_GAIN_UPDATES gain updates, d^n_block * Vol, is a
+    ball enumerated from the distance columns. A disconnected graph, or a
+    block over _MAX_GAIN_UPDATES gain updates, d^n_block * Vol, is a
     ValueError before any pick. The finished code is checked to cover the
     block, and, when the dual profiles are uniform, its size against the
-    (1 + ln d^n_block) * d^n_block / Vol guarantee. The picks are shared
-    with first_row, so they are cached like build_code's codes.
+    (1 + ln d^n_block) * d^n_block / Vol guarantee. The picks come from the
+    code cache that build_code and first_row share.
     """
-    r_eff = _check_block(g, n_block, r, cap)
+    if n_block < 0:
+        raise ValueError("n must be nonnegative")
+    if r < 0:
+        raise ValueError("radius must be nonnegative")
+    p = profile(g)
+    if not p.spans_all_colors:
+        raise ValueError(f"graph {g.name!r} is disconnected; no finite covering radius")
+    r = min(r, p.s * n_block)
+    updates = g.d**n_block * ball_volume(p, n_block, r)
+    if updates > _MAX_GAIN_UPDATES:
+        raise ValueError(f"block {g.d}^{n_block} at radius {r} needs {updates} gain updates, "
+                         f"over the budget of {_MAX_GAIN_UPDATES}")
     if n_block == 0:
         return ((),)
-    return _shared_picks(g, n_block, r_eff).code()
+    return _shared_picks(g, n_block, r).code()
 
 
 def product_code(
@@ -396,6 +387,9 @@ def plan_blocks(
     ground set d^b fits under block_cap (None: no cap) and whose greedy
     makes at most _MAX_GAIN_UPDATES gain updates, d^b * Vol(b, r_b). n is
     split into the fewest blocks of at most that size, larger blocks first.
+    This is the one check of the plan: a graph that does not connect every
+    color to every other is a ValueError for n > 0, since no radius covers
+    it, and build_code and first_row cover the blocks as planned.
     """
     p = profile(g)
     if p.delta < 1:
@@ -417,6 +411,8 @@ def plan_blocks(
     if max_block == 0:
         raise ValueError(f"block cap {block_cap} and {_MAX_GAIN_UPDATES} gain updates "
                          f"cannot fit a single color axis (d={g.d})")
+    if not p.spans_all_colors:
+        raise ValueError(f"graph {g.name!r} is disconnected; no finite covering radius")
     b = -(-n // max_block)
     base, extra = divmod(n, b)
     sizes = [base + 1] * extra + [base] * (b - extra)
@@ -434,22 +430,22 @@ def first_row(
     build_code finishes and checks the same picks; nothing here checks them.
     """
     blocks = plan_blocks(g, n, k, block_cap)
-    picks = [_shared_picks(g, size, _check_block(g, size, r, block_cap)) for size, r in blocks]
+    picks = [_shared_picks(g, size, r) for size, r in blocks]
     *head, last = picks or [((),)]  # n = 0: one block of the empty codeword
     prefix = tuple(itertools.chain.from_iterable(next(iter(block)) for block in head))
     return sum(r for _, r in blocks), (prefix + cw for cw in last)
 
 
-@lru_cache(maxsize=None)
 def build_code(g: ColorGraph, n: int, k: int, block_cap: int | None = None) -> CoveringCode:
     """Covering code for [d]^n tuned to width-k constraints.
 
     Covers each distinct block of plan_blocks once, takes the product and
     checks it against the counting bound. Deterministic: identical inputs
-    give identical codeword sequences (results are cached).
+    give identical codeword sequences. The code itself is not cached; its
+    block picks are, until build_code.cache_clear().
     """
     blocks = plan_blocks(g, n, k, block_cap)
-    codes = {block: greedy_cover(g, *block, cap=block_cap) for block in sorted(set(blocks))}
+    codes = {block: greedy_cover(g, *block) for block in sorted(set(blocks))}
     code = product_code(g, [(codes[block], block[1]) for block in blocks])
     vol = ball_volume(profile(g), n, code.radius)
     if len(code.codewords) * vol < g.d**n:
@@ -461,17 +457,8 @@ def build_code(g: ColorGraph, n: int, k: int, block_cap: int | None = None) -> C
     return code
 
 
-_clear_built_codes = build_code.cache_clear
-
-
-def _clear_code_caches() -> None:
-    """Forget the built codes and the block picks they share with det_solve."""
-    _clear_built_codes()
-    _shared_picks.cache_clear()
-
-
-# a fresh process has neither, so clearing the codes clears the picks too
-build_code.cache_clear = _clear_code_caches
+# forget every block's picks, as a fresh process would
+build_code.cache_clear = _shared_picks.cache_clear
 
 
 def format_code_file(code: CoveringCode) -> str:

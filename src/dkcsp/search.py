@@ -301,13 +301,6 @@ def _ball_searcher(
     return make(state.tables, plan, state.index, state.coloring, r)
 
 
-def _validate_walk_graph(f: Formula, g: ColorGraph) -> None:
-    _check_graph(f, g)
-    for c, nbrs in enumerate(g.out, start=1):
-        if not nbrs:
-            raise ValueError(f"color {c} has no out-neighbor; random walk would get stuck")
-
-
 def _walk_moves(out: tuple[tuple[int, ...], ...]) -> tuple:
     """moves[c]: (new color - c for each out-neighbor of c, their count, its bit length)."""
     return ((),) + tuple((tuple(c2 - c for c2 in nbrs), len(nbrs), len(nbrs).bit_length())
@@ -448,7 +441,10 @@ def check_walk(
     _check_jobs(jobs)
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1")
-    _validate_walk_graph(f, g)
+    _check_graph(f, g)
+    for c, nbrs in enumerate(g.out, start=1):
+        if not nbrs:
+            raise ValueError(f"color {c} has no out-neighbor; random walk would get stuck")
     if steps_multiplier is not None and steps_multiplier < 0:
         raise ValueError("steps multiplier must be nonnegative")
 

@@ -11,13 +11,12 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Union
 
-from .colorgraph import DistanceProfile
-
 if TYPE_CHECKING:
     from fractions import Fraction
+
+    from .colorgraph import DistanceProfile
 __all__ = [
     "Ratio",
-    "ShellTable",
     "ball_volume",
     "select_radius",
     "shell_counts",
@@ -35,23 +34,13 @@ class Ratio(NamedTuple):
 Rational = Union["Fraction", int, Ratio]
 
 
-class ShellTable(NamedTuple):
-    """Exact counts T(n, 0..s*n) of points on each distance shell."""
-
-    profile: DistanceProfile
-    n: int
-    counts: tuple[int, ...]
-
-    def volume(self, r: int) -> int:
-        """Number of points at distance <= r (saturates at the reachable total)."""
-        if r < 0:
-            raise ValueError("radius must be nonnegative")
-        return sum(self.counts[: r + 1])
-
-
 @lru_cache(maxsize=None)
-def shell_counts(p: DistanceProfile, n: int) -> ShellTable:
-    """Dynamic program over the shell recurrence; exact big integers."""
+def shell_counts(p: DistanceProfile, n: int) -> tuple[int, ...]:
+    """The exact counts T(n, 0..s*n) of points on each distance shell.
+
+    A dynamic program over the shell recurrence, in exact big integers;
+    cached per (profile, n), so equal profiles share one tuple.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     counts = [1]
@@ -65,12 +54,15 @@ def shell_counts(p: DistanceProfile, n: int) -> ShellTable:
         counts = nxt
     if p.spans_all_colors and sum(counts) != p.d**n:
         raise RuntimeError(f"shell counts sum to {sum(counts)}, not {p.d}^{n}")
-    return ShellTable(p, n, tuple(counts))
+    return tuple(counts)
 
 
 def ball_volume(p: DistanceProfile, n: int, r: int) -> int:
     """Volume of a radius-r ball in the n-fold product; d^n once r >= s*n."""
-    return shell_counts(p, n).volume(r)
+    counts = shell_counts(p, n)
+    if r < 0:
+        raise ValueError("radius must be nonnegative")
+    return sum(counts[: r + 1])
 
 
 def select_radius(p: DistanceProfile, n: int, x: Rational) -> int:
@@ -84,7 +76,7 @@ def select_radius(p: DistanceProfile, n: int, x: Rational) -> int:
     a, b = x.numerator, x.denominator
     if a <= 0:
         raise ValueError("x must be positive")
-    counts = shell_counts(p, n).counts
+    counts = shell_counts(p, n)
     top = len(counts) - 1
     scores = [t * a**r * b ** (top - r) for r, t in enumerate(counts)]
     return scores.index(max(scores))

@@ -23,9 +23,9 @@ from dkcsp.search import (
     _check_graph,
     _ball_searcher,
     _ConstraintBits,
-    _validate_walk_graph,
     _walk_moves,
     _walker,
+    check_walk,
 )
 from dkcsp.volume import Rational, select_radius, shell_counts
 
@@ -101,7 +101,7 @@ def schoening_run(
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    _validate_walk_graph(f, g)
+    check_walk(f, g, 1)
     witness, taken = _walker(_ConstraintBits(f), _walk_moves(g.out), steps)(rng)
     if stats is not None:
         stats.steps += taken
@@ -156,7 +156,7 @@ def success_probability_identity(d: int, k: int, n: int) -> tuple[float, float]:
     if n < 0:
         raise ValueError("n must be nonnegative")
     lam = solve_lambda(d, k).value
-    counts = shell_counts(profile(directed_cycle(d)), n).counts
+    counts = shell_counts(profile(directed_cycle(d)), n)
     lhs = math.fsum(t * lam**j for j, t in enumerate(counts)) / d**n
     rhs = (k / (d * (k - 1))) ** n
     return lhs, rhs

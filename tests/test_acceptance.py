@@ -169,7 +169,7 @@ def test_criterion_4_volume_exactness(capsys):
     for g in graphs:
         p = profile(g)
         for n in range(0, 7):
-            table = shell_counts(p, n).counts
+            table = shell_counts(p, n)
             enumerated = [0] * (p.s * n + 1)
             center = tuple(1 for _ in range(n))
             for point in itertools.product(range(1, g.d + 1), repeat=n):
@@ -180,7 +180,7 @@ def test_criterion_4_volume_exactness(capsys):
         p = profile(g)
         for x in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)):
             for n in range(0, 9):
-                counts = shell_counts(p, n).counts
+                counts = shell_counts(p, n)
                 lhs = sum(t * x**r for r, t in enumerate(counts))
                 rhs = sum(d_i * x**i for i, d_i in enumerate(p.counts)) ** n
                 assert lhs == rhs

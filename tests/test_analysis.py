@@ -11,7 +11,6 @@ import dkcsp.analysis as analysis
 from dkcsp.analysis import (
     _BATCH,
     base_for_graph,
-    base_report,
     base_schoening,
     markov_simulate,
     reach_probability,
@@ -115,22 +114,6 @@ class TestCycleOptimality:
         for p in ps:
             for k in range(2, 9):
                 assert cycle_optimality_check(p, k)
-
-
-class TestBaseReport:
-    def test_recommends_cycle_for_d3(self):
-        r = base_report(3, 3)
-        assert r.recommended_graph == "cycle"
-
-    def test_recommends_complete_for_d2(self):
-        # at d = 2 the two bases coincide
-        r = base_report(2, 3)
-        assert r.det_cycle_base == r.det_complete_base
-        assert r.recommended_graph == "complete"
-
-    def test_graph_base_included(self):
-        r = base_report(4, 3, profile(hypercube(2)))
-        assert r.graph_base == Fraction(144, 49)
 
 
 class TestLambda:
@@ -269,6 +252,7 @@ class TestMarkovSimulate:
             finally:
                 tracemalloc.stop()
 
+        markov_simulate(3, 3, 2, 300, _BATCH, 3)  # pay the numpy import and first-call allocations untraced
         assert traced_peak(4 * _BATCH) <= 1.25 * traced_peak(_BATCH)
 
     def test_partial_last_batch_counted(self):

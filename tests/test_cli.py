@@ -284,11 +284,33 @@ class TestPredict:
         assert "det-cycle 2.076923" in out
         assert "recommended cycle" in out
 
+    def test_recommends_complete_for_d2(self, capsys):
+        # at d = 2 the two bases coincide
+        rc = main(["predict", "--d", "2", "--k", "3"])
+        out = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert "det-complete 1.500000 (3/2)" in out and "det-cycle 1.500000 (3/2)" in out
+        assert out[-1] == "recommended complete"
+
+    def test_recommends_cycle_for_d3(self, capsys):
+        rc = main(["predict", "--d", "3", "--k", "3"])
+        out = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert "det-complete 2.250000 (9/4)" in out and "det-cycle 2.076923 (27/13)" in out
+        assert out[-1] == "recommended cycle"
+
     def test_with_graph(self, capsys):
         rc = main(["predict", "--d", "4", "--k", "3", "--graph", "hypercube"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "det-graph 2.938776" in out
+
+    def test_graph_base_included(self, capsys):
+        # the hypercube row comes after the three fixed rows, before the recommendation
+        rc = main(["predict", "--d", "4", "--k", "3", "--graph", "hypercube"])
+        out = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert out[-2] == "det-graph 2.938776 (144/49)"
 
 
 class TestMarkov:

@@ -16,6 +16,7 @@ from dkcsp.colorgraph import (
     profile,
 )
 
+from dkcsp import covercode
 from dkcsp.covercode import build_code
 from dkcsp.volume import shell_counts
 
@@ -209,7 +210,10 @@ class TestRecords:
         g = ColorGraph(3, directed_cycle(3).out, name="cycle")
         assert g is not directed_cycle(3)
         assert g == directed_cycle(3) and hash(g) == hash(directed_cycle(3))
-        assert build_code(g, 6, 3, 81) is build_code(directed_cycle(3), 6, 3, 81)
+        build_code(directed_cycle(3), 6, 3, 81)
+        misses = covercode._shared_picks.cache_info().misses
+        build_code(g, 6, 3, 81)
+        assert covercode._shared_picks.cache_info().misses == misses  # every block's picks reused
         assert ColorGraph(3, g.out) != g  # the name is part of the value
         assert ColorGraph(3, g.out).name == "custom"
 

@@ -94,10 +94,6 @@ class TestGreedyCover:
     def test_block_zero(self):
         assert greedy_cover(complete(2), 0, 1) == ((),)
 
-    def test_cap_exceeded(self):
-        with pytest.raises(ValueError, match="cap"):
-            greedy_cover(complete(2), 12, 1, cap=1000)
-
     def test_disconnected_rejected(self):
         g = from_edges(4, [(1, 2), (2, 1), (3, 4), (4, 3)])
         with pytest.raises(ValueError, match="disconnected"):
@@ -266,6 +262,24 @@ class TestFirstRow:
     def test_bad_input_fails_at_the_call(self, g, n, cap, match):
         with pytest.raises(ValueError, match=match):
             covercode.first_row(g, n, 3, cap)
+
+
+class TestPlanBlocks:
+    """plan_blocks is the one check of a code's blocks: build_code and
+    first_row cover them as planned."""
+
+    DISCONNECTED = from_edges(4, [(1, 2), (2, 1), (3, 4), (4, 3)])
+
+    def test_disconnected_rejected(self):
+        with pytest.raises(ValueError, match="graph 'custom' is disconnected; no finite covering radius"):
+            covercode.plan_blocks(self.DISCONNECTED, 3, 3)
+
+    def test_cap_checked_before_connectivity(self):
+        with pytest.raises(ValueError, match="cannot fit a single color axis"):
+            covercode.plan_blocks(self.DISCONNECTED, 3, 3, 2)
+
+    def test_zero_variables_need_no_connectivity(self):
+        assert covercode.plan_blocks(self.DISCONNECTED, 0, 3) == ()
 
 
 class TestGainBudget:
@@ -562,7 +576,7 @@ class TestResultChecks:
     def test_counting_bound_violation_raises(self, monkeypatch):
         monkeypatch.setattr(covercode, "ball_volume", lambda p, n, r: 1)
         with pytest.raises(RuntimeError, match="counting bound"):
-            build_code.__wrapped__(complete(3), 4, 3, 81)
+            build_code(complete(3), 4, 3, 81)
 
     def test_greedy_guarantee_violation_raises(self, monkeypatch):
         monkeypatch.setattr(covercode, "ball_volume", lambda p, n, r: 10**9)

@@ -472,6 +472,11 @@ class TestZeroVariables:
             result = det_solve(Formula(0, 3, 2, constraints), g, jobs=jobs)
             assert result == SolveResult(status, assignment, SearchStats(1, 1, 0, 0, 1))
 
+    def test_disconnected_graph(self):
+        # no radius covers a disconnected graph's space, but n = 0 needs none
+        g = from_edges(4, [(1, 2), (2, 1), (3, 4), (4, 3)])
+        assert det_solve(Formula(0, 4, 2, ()), g) == SolveResult("sat", (), SearchStats(1, 1, 0, 0, 1))
+
 
 class FlipsAfter:
     """A stop flag whose value reads 0 for the first k reads and 1 after."""

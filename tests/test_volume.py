@@ -32,33 +32,33 @@ def binom(n, r):
 
 class TestShellCounts:
     def test_cycle3_n2(self):
-        assert shell_counts(profile(directed_cycle(3)), 2).counts == (1, 2, 3, 2, 1)
+        assert shell_counts(profile(directed_cycle(3)), 2) == (1, 2, 3, 2, 1)
 
     def test_n_zero(self):
-        assert shell_counts(profile(complete(3)), 0).counts == (1,)
+        assert shell_counts(profile(complete(3)), 0) == (1,)
 
     @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: f"{g.name}{g.d}")
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
     def test_matches_enumeration(self, g, n):
-        assert shell_counts(profile(g), n).counts == enumerate_shells(g, n)
+        assert shell_counts(profile(g), n) == enumerate_shells(g, n)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("n", [0, 1, 3, 6])
     def test_complete_closed_form(self, d, n):
-        counts = shell_counts(profile(complete(d)), n).counts
+        counts = shell_counts(profile(complete(d)), n)
         assert counts == tuple(binom(n, r) * (d - 1) ** r for r in range(n + 1))
 
     @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: f"{g.name}{g.d}")
     def test_total_is_full_space(self, g):
         for n in range(5):
-            assert sum(shell_counts(profile(g), n).counts) == g.d**n
+            assert sum(shell_counts(profile(g), n)) == g.d**n
 
     @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: f"{g.name}{g.d}")
     @pytest.mark.parametrize("x", [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)])
     def test_generating_function_identity(self, g, x):
         p = profile(g)
         for n in range(9):
-            counts = shell_counts(p, n).counts
+            counts = shell_counts(p, n)
             lhs = sum(t * x**r for r, t in enumerate(counts))
             rhs = sum(d_i * x**i for i, d_i in enumerate(p.counts)) ** n
             assert lhs == rhs
@@ -66,8 +66,8 @@ class TestShellCounts:
     def test_recurrence_holds(self):
         p = profile(hypercube(2))
         for n in range(1, 6):
-            prev = shell_counts(p, n - 1).counts
-            cur = shell_counts(p, n).counts
+            prev = shell_counts(p, n - 1)
+            cur = shell_counts(p, n)
             for r, value in enumerate(cur):
                 expected = sum(
                     d_i * prev[r - i]
@@ -87,6 +87,10 @@ class TestBallVolume:
     def test_r_zero(self):
         for g in GRAPHS:
             assert ball_volume(profile(g), 3, 0) == 1
+
+    def test_negative_radius_rejected(self):
+        with pytest.raises(ValueError, match="radius must be nonnegative"):
+            ball_volume(profile(complete(3)), 2, -1)
 
     @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: f"{g.name}{g.d}")
     def test_monotone_and_saturating(self, g):
@@ -109,7 +113,7 @@ class TestSelectRadius:
 
     def test_x_one_maximizes_counts(self):
         p = profile(complete(3))
-        counts = shell_counts(p, 5).counts
+        counts = shell_counts(p, 5)
         assert select_radius(p, 5, 1) == counts.index(max(counts))
 
     def test_tie_broken_toward_smaller(self):
@@ -123,7 +127,7 @@ class TestSelectRadius:
     )
     def test_exhaustive_argmax(self, g, n, x):
         p = profile(g)
-        counts = shell_counts(p, n).counts
+        counts = shell_counts(p, n)
         scores = [counts[r] * x**r for r in range(len(counts))]
         best = max(scores)
         r = select_radius(p, n, x)
