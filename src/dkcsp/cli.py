@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="walk length multiplier c, steps = c*n (default 3(d-1))")
     p.add_argument("--verify-oracle", action="store_true",
                    help="cross-check the answer against exhaustive search")
-    p.add_argument("-v", "--verbose", action="count", default=0)
+    p.add_argument("-v", "--verbose", action="store_true")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("code", help="build and print a covering code")

@@ -24,7 +24,7 @@ runs under python -O.
 
 The product itself is never materialised: ProductCodewords is a read-only
 sequence over the block codes, and a contiguous slice of it is the same
-block codes plus an index range, decoded in mixed radix when iterated.
+block codes plus an index range, walked with itertools.product.
 """
 
 from __future__ import annotations
@@ -64,10 +64,11 @@ class ProductCodewords(Sequence):
     """The codewords [start, stop) of the Cartesian product of block codes.
 
     Codeword i concatenates one codeword per block, in itertools.product
-    order (the last block varies fastest), so i is a mixed-radix number with
-    one digit per block. Integer indexing decodes one index; a contiguous
-    slice is the same block codes with a narrower range, and pickles as
-    such. Iterating decodes start once and then steps through the range.
+    order (the last block varies fastest). A contiguous slice is the same
+    block codes with a narrower range, and pickles as such; an integer index
+    is a slice of one. Iterating skips the product of the head blocks to
+    start's prefix and yields each prefix joined with a slice of the last
+    block's codewords.
     """
 
     __slots__ = ("codes", "start", "stop")
@@ -93,38 +94,21 @@ class ProductCodewords(Sequence):
             raise IndexError("codeword index out of range")
         return next(iter(self[i : i + 1]))
 
-    def _digits(self, index: int) -> list[int]:
-        digits = []
-        for code in reversed(self.codes):
-            index, digit = divmod(index, len(code))
-            digits.append(digit)
-        return digits[::-1]
-
     def __iter__(self) -> Iterator[Codeword]:
         left = len(self)
         if not left:
             return
-        if not self.codes:
-            yield ()
-            return
-        *head, last = self.codes
-        digits = self._digits(self.start)
-        while True:
-            prefix = tuple(itertools.chain.from_iterable(
-                code[digit] for code, digit in zip(head, digits)))
-            row = last[digits[-1] : digits[-1] + left]
-            for cw in row:
+        *head, last = self.codes or (((),),)
+        row, col = divmod(self.start, len(last))
+        for parts in itertools.islice(itertools.product(*head), row, None):
+            prefix = tuple(itertools.chain.from_iterable(parts))
+            cws = last[col : col + left]
+            for cw in cws:
                 yield prefix + cw
-            left -= len(row)
+            left -= len(cws)
             if not left:
                 return
-            # odometer step over the head blocks; the last block restarts at 0
-            digits[-1] = 0
-            i = len(head) - 1
-            while digits[i] == len(head[i]) - 1:
-                digits[i] = 0
-                i -= 1
-            digits[i] += 1
+            col = 0
 
     def __reduce__(self):
         return ProductCodewords, (self.codes, self.start, self.stop)

@@ -121,15 +121,15 @@ def _check_assignment(f: Formula, a: Sequence[int]) -> None:
             raise ValueError(f"assignment color {v} out of range 1..{f.d}")
 
 
-def parse_instance(text: str, k: Optional[int] = None) -> Formula:
+def parse_instance(text: str) -> Formula:
     """Parse the text instance format.
 
     Lines starting with "c" are comments. The header is
     "p csp <n> <d> <m>", followed by exactly m constraint lines, each a
     sequence of (var, color) integer pairs terminated by a single 0.
 
-    The file does not carry k; unless an explicit `k` is supplied, the
-    declared width is inferred as the widest constraint present (at least 1).
+    The file does not carry k; the declared width is inferred as the widest
+    constraint present (at least 1).
     """
     header: Optional[tuple[int, int, int]] = None
     constraints: list[Constraint] = []
@@ -172,8 +172,6 @@ def parse_instance(text: str, k: Optional[int] = None) -> Formula:
             if not 1 <= color <= d:
                 raise ParseError(line_no, f"color {color} out of range for d={d}")
             lits.append(Literal(var, color))
-        if k is not None and len(lits) > k:
-            raise ParseError(line_no, f"constraint has {len(lits)} literals, width limit is {k}")
         constraints.append(Constraint(tuple(lits)))
     if header is None:
         raise ParseError(max(last_line, 1), "missing 'p csp' header")
@@ -181,7 +179,7 @@ def parse_instance(text: str, k: Optional[int] = None) -> Formula:
     if len(constraints) < m:
         raise ParseError(last_line, f"expected {m} constraints, found {len(constraints)}")
     width = max((len(c.literals) for c in constraints), default=0)
-    return Formula(n, d, k if k is not None else max(1, width), tuple(constraints))
+    return Formula(n, d, max(1, width), tuple(constraints))
 
 
 def serialize_instance(f: Formula) -> str:
@@ -254,17 +252,17 @@ def generate_random(
     return Formula(n, d, k, tuple(cons))
 
 
-def check_brute_force(f: Formula, cap: int = BRUTE_FORCE_CAP) -> None:
-    """Raise ValueError unless brute_force_solve(f, cap) can scan f's d^n assignments."""
-    if f.d**f.n > cap:
-        raise ValueError(f"search space {f.d}^{f.n} exceeds cap {cap}")
+def check_brute_force(f: Formula) -> None:
+    """Raise ValueError unless brute_force_solve(f) can scan f's d^n assignments."""
+    if f.d**f.n > BRUTE_FORCE_CAP:
+        raise ValueError(f"search space {f.d}^{f.n} exceeds cap {BRUTE_FORCE_CAP}")
 
 
-def brute_force_solve(f: Formula, cap: int = BRUTE_FORCE_CAP) -> Optional[tuple[int, ...]]:
+def brute_force_solve(f: Formula) -> Optional[tuple[int, ...]]:
     """Exhaustive search for the lexicographically smallest satisfying assignment,
     over the assignments in lexicographic order, _BRUTE_FORCE_CHUNK at a time."""
     import numpy as np
-    check_brute_force(f, cap)
+    check_brute_force(f)
     if not all(con.literals for con in f.constraints):
         return None
     total = f.d**f.n

@@ -15,9 +15,11 @@ group count G from source templates, so the unsatisfied set is one inline
 AND of G table entries, a balanced tree of & when G is large. The ball
 search counts and tests its radius-1 leaves inline instead of recursing
 into them, and rejects all the leaves of a literal with one AND when they
-cannot clear the node's unsatisfied set. A chunk context builds the ball
-searcher (or the walker) once, so each ball only resets its index list and
-node count.
+cannot clear the node's unsatisfied set. The ball searcher (or the walker)
+is built once per solve in process and once per pool worker, so each ball
+only resets its index list and node count. In process, a solve maps it over
+its items and stops by returning; only pool workers take the items in
+chunks and read a stop flag.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import sys
 from contextlib import closing
 from functools import lru_cache, reduce
 from operator import and_
-from types import SimpleNamespace
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from . import _debug
@@ -274,17 +275,17 @@ def _ball_searcher(
 ) -> Callable[[Sequence[int]], tuple[Optional[tuple[int, ...]], int]]:
     """The radius-r ball search: center -> (witness or None, nodes visited).
 
-    Built once per chunk context from the state's _BALL_SEARCH kernel; a
-    call resets only the index list and the node count. A node branches on
-    the literals of its first unsatisfied constraint in order, re-coloring
-    the literal's variable to each out-neighbor of its color in sorted order.
-    A node with one edit left (`last`) counts its leaves in place. Its
-    unsatisfied set is `rest` (what the other variables leave) AND the old
-    color's row, so one AND of the set with a literal's cover (the AND of its
-    leaves' rows) rejects the leaves that keep an unsatisfied constraint.
-    Each constraint in the set holds the variable at its old color or not at
-    all, so a literal's leaves pass or fail together, and only those that
-    pass cost `rest` and one AND each.
+    Built once per solve (or pool worker) from the state's _BALL_SEARCH
+    kernel; a call resets only the index list and the node count. A node
+    branches on the literals of its first unsatisfied constraint in order,
+    re-coloring the literal's variable to each out-neighbor of its color in
+    sorted order. A node with one edit left (`last`) counts its leaves in
+    place. Its unsatisfied set is `rest` (what the other variables leave) AND
+    the old color's row, so one AND of the set with a literal's cover (the AND
+    of its leaves' rows) rejects the leaves that keep an unsatisfied
+    constraint. Each constraint in the set holds the variable at its old color
+    or not at all, so a literal's leaves pass or fail together, and only those
+    that pass cost `rest` and one AND each.
     """
     # branches[j, w, c]: the branch of every literal on the variable at (j, w)
     # with color c: (j, c * w, children, cover), children holding (c2 * w,
@@ -299,12 +300,6 @@ def _ball_searcher(
     plan = [tuple(branches[j, w, c] for c, j, w, _ in lits) for lits in state.literals]
     make = _kernel(_BALL_SEARCH, len(state.tables))
     return make(state.tables, plan, state.index, state.coloring, r)
-
-
-def _walk_moves(out: tuple[tuple[int, ...], ...]) -> tuple:
-    """moves[c]: (new color - c for each out-neighbor of c, their count, its bit length)."""
-    return ((),) + tuple((tuple(c2 - c for c2 in nbrs), len(nbrs), len(nbrs).bit_length())
-                         for c, nbrs in enumerate(out, start=1))
 
 
 _WALK = """
@@ -341,11 +336,14 @@ def make(tables, picks, moves, place, d, coloring, as_rng, steps):
 """
 
 
-def _walker(state: _ConstraintBits, moves: tuple, steps: int) -> Callable:
+def _walker(state: _ConstraintBits, out: tuple[tuple[int, ...], ...], steps: int) -> Callable:
     """The state's _WALK kernel: seed (or random.Random) -> (witness or None,
-    steps taken) of a `steps`-step walk from a random start, moves being
-    _walk_moves(out). A draw below N inlines randrange(N): getrandbits of
-    N.bit_length() bits, redrawn until below N, as random.Random draws it."""
+    steps taken) of a `steps`-step walk from a random start. A draw below N
+    inlines randrange(N): getrandbits of N.bit_length() bits, redrawn until
+    below N, as random.Random draws it."""
+    # moves[c]: (new color - c for each out-neighbor of c, their count, its bit length)
+    moves = ((),) + tuple((tuple(c2 - c for c2 in nbrs), len(nbrs), len(nbrs).bit_length())
+                          for c, nbrs in enumerate(out, start=1))
     make = _kernel(_WALK, len(state.tables))
     return make(state.tables, state.picks, moves, state.place, state.d, state.coloring, _as_rng, steps)
 
@@ -356,31 +354,22 @@ def _verify_witness(f: Formula, witness: tuple[int, ...]) -> None:
         raise RuntimeError(f"internal error: witness fails constraint {bad}")
 
 
-_NEVER = SimpleNamespace(value=0)  # the stop flag of an in-process run: never set
-_worker: tuple = ()  # a pool worker's chunk context, built once by _init_worker
+_worker: tuple = ()  # a pool worker's (run, stop), built once by _init_worker
 
 
-def _chunk_context(make: Callable, f: Formula, out: tuple, arg: int, stop=_NEVER) -> tuple:
-    """(run, stop): what _search_chunk needs besides its items.
-
-    run = make(state, out, arg) maps one item to (witness or None, count); it
-    is built once per context, so once per solve in process and once per pool
-    worker.
-    """
-    return make(_ConstraintBits(f), out, arg), stop
+def _runner(make: Callable, f: Formula, out: tuple, arg: int) -> Callable:
+    """make(state, out, arg): maps one item to (witness or None, count)."""
+    return make(_ConstraintBits(f), out, arg)
 
 
-def _init_worker(*args) -> None:
+def _init_worker(make: Callable, f: Formula, out: tuple, arg: int, stop) -> None:
     global _worker
-    _worker = _chunk_context(*args)
+    _worker = _runner(make, f, out, arg), stop
 
 
-def _search_chunk(items: Sequence, context: tuple = ()) -> list[tuple[Optional[tuple[int, ...]], int]]:
-    """run(item) per item, up to the first witness or until stop is set.
-
-    Without a context, the worker's own (set by _init_worker) is used.
-    """
-    run, stop = context or _worker
+def _search_chunk(items: Sequence) -> list[tuple[Optional[tuple[int, ...]], int]]:
+    """A pool worker's run(item) per item, up to the first witness or until stop is set."""
+    run, stop = _worker
     results = []
     for item in items:
         if stop.value:
@@ -401,22 +390,21 @@ def _check_jobs(jobs: int) -> None:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
 
 
-def _run_chunks(items: Sequence, args: tuple, jobs: int, context: tuple = ()) -> Iterator:
-    """Yield _search_chunk's per-item results over all chunks of `items`, in item order.
+def _run_chunks(items: Sequence, args: tuple, jobs: int, run: Optional[Callable] = None) -> Iterator:
+    """Yield run(item) for each of `items`, in item order.
 
-    args = (make, formula, out, arg) becomes one context, built in process when
-    jobs == 1 (or taken from `context` if given), else once in each of up to
-    `jobs` processes that take the chunks (sent as items alone) and are read
-    back in order, so the caller sees the same results for every `jobs`.
-    Closing the generator (the caller stops at a witness) cancels the chunks
-    not started and sets a stop flag checked before each item, so running
+    args = (make, formula, out, arg) builds run (_runner). In process (jobs
+    == 1, or a single chunk) this is map(run, items), run being built here
+    unless given; the caller stops it by closing the generator. Otherwise up
+    to `jobs` processes each build run once and take chunks of items (sent as
+    items alone), read back in order, so the caller sees the same results for
+    every `jobs`. Closing the generator then cancels the chunks not started
+    and sets a stop flag the workers check before each item, so running
     chunks end early; their results are never read.
     """
-    chunks = _chunked(items, jobs)
-    if jobs == 1 or len(chunks) <= 1:
-        context = context or _chunk_context(*args)
-        for chunk in chunks:
-            yield from _search_chunk(chunk, context)
+    chunks = _chunked(items, jobs) if jobs > 1 else ()
+    if len(chunks) <= 1:
+        yield from map(run or _runner(*args), items)
         return
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import RawValue
@@ -473,7 +461,7 @@ def schoening_solve(
     master = _as_rng(rng)
     seeds = [master.getrandbits(64) for _ in range(repetitions)]
     stats = SearchStats()
-    with closing(_run_chunks(seeds, (_walker, f, _walk_moves(g.out), steps), jobs)) as results:
+    with closing(_run_chunks(seeds, (_walker, f, g.out, steps), jobs)) as results:
         for witness, used in results:
             stats.repetitions += 1
             stats.steps += used
@@ -489,17 +477,19 @@ def _ball_results(f: Formula, g: ColorGraph, block_cap: Optional[int], jobs: int
     The code's first row (covercode.first_row) is searched in process, ball j
     as soon as the last block's greedy has made pick j. Only past that row is
     the whole code built and checked, and the other balls (none for a
-    one-block or n = 0 code) go through _run_chunks.
+    one-block or n = 0 code) go through _run_chunks with the same searcher.
     """
     from . import covercode
 
     radius, row = covercode.first_row(g, f.n, f.k, block_cap)
     args = (_ball_searcher, f, g.out, radius)
-    context = _chunk_context(*args)
-    searched = _search_chunk(row, context)
-    yield from searched
+    run = _runner(*args)
+    searched = 0
+    for result in map(run, row):
+        searched += 1
+        yield result
     code = covercode.build_code(g, f.n, f.k, block_cap)
-    with closing(_run_chunks(code.codewords[len(searched):], args, jobs, context)) as results:
+    with closing(_run_chunks(code.codewords[searched:], args, jobs, run)) as results:
         yield from results
 
 

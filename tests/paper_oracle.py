@@ -23,7 +23,6 @@ from dkcsp.search import (
     _check_graph,
     _ball_searcher,
     _ConstraintBits,
-    _walk_moves,
     _walker,
     check_walk,
 )
@@ -102,7 +101,7 @@ def schoening_run(
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     check_walk(f, g, 1)
-    witness, taken = _walker(_ConstraintBits(f), _walk_moves(g.out), steps)(rng)
+    witness, taken = _walker(_ConstraintBits(f), g.out, steps)(rng)
     if stats is not None:
         stats.steps += taken
     return witness

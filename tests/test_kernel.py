@@ -254,7 +254,7 @@ class TestAgainstCountState:
         assert calls > draws  # some draws were rejected and redrawn
 
     def test_det_solve_shares_state_across_balls(self, g):
-        # _search_chunk reuses one searcher, and its state, for every ball of a chunk
+        # a solve reuses one searcher, and its state, for every ball it searches
         for rng, f in self.instances(g, 6):
             cap = g.d ** min(f.n, 5)
             code = build_code(g, f.n, f.k, cap)
@@ -530,7 +530,7 @@ class TestGeneratedKernels:
         state = _ConstraintBits(f)
         rng = random.Random(case)
         for steps in (0, 3, 40):
-            walk = search._walker(state, search._walk_moves(g.out), steps)
+            walk = search._walker(state, g.out, steps)
             for _ in range(3):
                 seed = rng.getrandbits(64)
                 ours, theirs = CountingRandom(seed), CountingRandom(seed)
@@ -546,7 +546,7 @@ class TestGeneratedKernels:
             state = _ConstraintBits(formula)
             assert len(state.tables) == groups
             kernels.append((search._ball_searcher(state, g.out, 2),
-                            search._walker(state, search._walk_moves(g.out), 5)))
+                            search._walker(state, g.out, 5)))
         (ball, walk), (ball2, walk2) = kernels
         assert ball is not ball2 and walk is not walk2
         assert ball.__code__ is ball2.__code__

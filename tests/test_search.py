@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from concurrent.futures import Future
+from contextlib import closing
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -324,8 +325,13 @@ class TestJobs:
 
     @pytest.mark.parametrize("gname", ["complete", "cycle"])
     def test_results_independent_of_chunk_size(self, gname, monkeypatch):
-        # results are read per item in item order, so splitting the items
-        # into one chunk each or into a single chunk changes no stats
+        # pooled results are read per item in item order, so splitting the
+        # items into one chunk each or into a single chunk changes no stats
+        import concurrent.futures
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(search, "_worker", ())
+        monkeypatch.setattr(InlinePool, "sizes", [])
         g = complete(3) if gname == "complete" else directed_cycle(3)
         cases = [(6, 3, 3, 120, 3), (6, 3, 3, 130, 4), (6, 3, 3, 140, 5), (6, 3, 3, 150, 6)]
         cases += [SAT_DEEP, UNSAT]
@@ -341,11 +347,12 @@ class TestJobs:
             for split in splits:
                 monkeypatch.setattr(search, "_chunked", split)
                 results.append(
-                    (det_solve(f, g, block_cap=729), schoening_solve(f, g, 20, rng=args[-1]))
+                    (det_solve(f, g, block_cap=729, jobs=2), schoening_solve(f, g, 20, rng=args[-1], jobs=2))
                 )
             assert results[0] == results[1] == results[2]
             statuses.add(results[0][0].status)
         assert statuses == {"sat", "unsat"}
+        assert InlinePool.sizes  # the pool ran
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_rejects_jobs_below_one(self, jobs):
@@ -525,20 +532,26 @@ for args in (%r, %r):
 
 
 class TestStopFlag:
-    def context(self, stop):
+    @pytest.fixture(autouse=True)
+    def restore_worker(self, monkeypatch):
+        monkeypatch.setattr(search, "_worker", ())
+
+    def start_worker(self, stop):
         f = generate_random(*UNSAT)
-        return search._chunk_context(search._ball_searcher, f, directed_cycle(3).out, 1, stop)
+        search._init_worker(search._ball_searcher, f, directed_cycle(3).out, 1, stop)
 
     def centers(self, count):
         return list(itertools.islice(itertools.product((1, 2, 3), repeat=UNSAT[0]), count))
 
     def test_set_flag_searches_nothing(self):
-        assert search._search_chunk(self.centers(5), self.context(SimpleNamespace(value=1))) == []
+        self.start_worker(SimpleNamespace(value=1))
+        assert search._search_chunk(self.centers(5)) == []
 
     @pytest.mark.parametrize("k", [0, 1, 4, 7])
     def test_flag_flipping_after_k_reads_yields_k_results(self, k):
         flag = FlipsAfter(k)
-        results = search._search_chunk(self.centers(7), self.context(flag))
+        self.start_worker(flag)
+        results = search._search_chunk(self.centers(7))
         assert len(results) == k
         assert all(witness is None for witness, _ in results)
         if k < 7:
@@ -548,7 +561,6 @@ class TestStopFlag:
         import concurrent.futures
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(search, "_worker", ())
         sizes = []
         monkeypatch.setattr(InlinePool, "sizes", sizes)
         # two one-coordinate blocks of 3 codewords: the first row's 3 balls
@@ -571,3 +583,46 @@ class TestStopFlag:
                               cwd=root, env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["sat True", "unsat True"]
+
+
+class TestInProcess:
+    """In process, a solve maps one searcher over its items: no chunks, no
+    stop flag, and each result reaches the solve loop as soon as it exists."""
+
+    def test_each_ball_reaches_the_loop_once_searched(self, monkeypatch):
+        ball_searcher, searches = search._ball_searcher, []
+
+        def counted(state, out, r):
+            run = ball_searcher(state, out, r)
+
+            def search_ball(center):
+                searches.append(center)
+                return run(center)
+            return search_ball
+
+        monkeypatch.setattr(search, "_ball_searcher", counted)
+        g = complete(3)
+        f = generate_random(8, 3, 3, 400, 3)
+        code = build_code(g, 8, 3, 81)
+        assert code.block_code_sizes[-1] < len(code.codewords)  # balls past the first row
+        with closing(search._ball_results(f, g, 81, 1)) as results:
+            for ball, (witness, _) in enumerate(results, start=1):
+                assert witness is None
+                assert len(searches) == ball
+        assert searches == list(code.codewords)
+
+    def test_no_chunk_is_searched_in_process(self, monkeypatch):
+        g = directed_cycle(3)
+        cases = [generate_random(*args) for args in (SAT_DEEP, UNSAT)]
+
+        def solve_all():
+            return [(det_solve(f, g, block_cap=729), schoening_solve(f, g, 20, rng=3)) for f in cases]
+
+        want = solve_all()
+
+        def no_chunks(*args):
+            raise AssertionError("_search_chunk ran in process")
+
+        monkeypatch.setattr(search, "_search_chunk", no_chunks)
+        assert solve_all() == want
+        assert {det.status for det, _ in want} == {"sat", "unsat"}

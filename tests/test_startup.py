@@ -20,8 +20,9 @@ have ended when the command returns.
 Each command runs in a fresh interpreter with PYTHONPATH=src, as
 `python -m dkcsp.cli ...` does, and reports its exit code, the modules the
 command added to sys.modules, which of the guarded ones are among them, the
-OPENBLAS_NUM_THREADS it left and, on Linux, how many threads the process
-had after the command.
+OPENBLAS_NUM_THREADS it left, threading.active_count() and, on Linux, how
+many threads the process has: polled for up to 2 s until only one is left,
+since a joined thread can stay listed for a moment after join returns.
 """
 
 import hashlib
@@ -51,10 +52,17 @@ try:
 except SystemExit as exc:
     code = exc.code
 added = set(sys.modules) - before
-threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+import threading, time
+threads = None
+if os.path.isdir("/proc/self/task"):
+    # a joined thread can stay listed for a moment after join returns
+    deadline = time.monotonic() + 2
+    while (threads := len(os.listdir("/proc/self/task"))) > 1 and time.monotonic() < deadline:
+        time.sleep(0.01)
 print(json.dumps({"code": code, "added": sorted(added), "loaded": [m for m in %r if m in added],
                   "dkcsp": sorted(m for m in added if m.startswith("dkcsp.")),
-                  "blas": os.environ.get("OPENBLAS_NUM_THREADS"), "threads": threads}))
+                  "blas": os.environ.get("OPENBLAS_NUM_THREADS"), "threads": threads,
+                  "active": threading.active_count()}))
 """ % (GUARDED,)
 BUILDING = {"dkcsp.analysis", "dkcsp.covercode", "dkcsp.volume"}
 # standard-library modules no solve path needs: records, debug output and
@@ -179,8 +187,9 @@ def test_threaded_markov_leaves_one_thread():
     assert report["code"] == 0
     assert lines[-1].startswith("simulated ")
     assert {"concurrent.futures", "logging"}.isdisjoint(report["added"])
+    assert report["active"] == 1  # every chunk thread was joined
     if sys.platform.startswith("linux"):
-        assert report["threads"] == 1  # every chunk thread was joined
+        assert report["threads"] == 1  # and has left the process
 
 
 def test_configured_logging_still_gets_debug_records(unsat_instance):
