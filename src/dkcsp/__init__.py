@@ -9,38 +9,11 @@ Modules:
   analysis   running-time bases and the absorbing-walk analysis
   cli        command-line front end (entry point: dkcsp)
 
-The names below are re-exported lazily: a module is imported when one of its
-names is first read, so `dkcsp` itself imports nothing a command does not run.
+Code imports what it uses from these modules; the package re-exports
+nothing, so importing `dkcsp` alone loads none of them.
 """
 
-import importlib
 import sys
-
-_EXPORTS = {
-    "analysis": ("base_for_graph", "base_schoening", "markov_simulate",
-                 "reach_probability", "solve_lambda"),
-    "colorgraph": ("ColorGraph", "DistanceProfile", "complete", "directed_cycle", "hypercube",
-                   "profile"),
-    "covercode": ("CoveringCode", "build_code", "greedy_cover", "product_code"),
-    "formula": ("Constraint", "Formula", "Literal", "brute_force_solve", "evaluate",
-                "generate_random", "parse_instance", "serialize_instance"),
-    "search": ("SolveResult", "det_solve", "schoening_solve"),
-    "volume": ("ball_volume", "select_radius", "shell_counts"),
-}
-_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-
-__all__ = sorted(_MODULE_OF)
-__version__ = "0.1.0"
-
-
-def __getattr__(name: str):
-    if name in _EXPORTS or name == "cli":
-        return importlib.import_module(f".{name}", __name__)
-    if name not in _MODULE_OF:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
-    globals()[name] = value
-    return value
 
 
 def _debug(logger: str, *args) -> None:
@@ -51,5 +24,23 @@ def _debug(logger: str, *args) -> None:
         logging.getLogger(logger).debug(*args, stacklevel=2)
 
 
-def __dir__() -> list[str]:
-    return sorted({*globals(), *_MODULE_OF, *_EXPORTS})
+class _Record:
+    """Value equality, hashing and repr over a class's __slots__, in order;
+    slots named with a leading underscore are caches, not part of the value."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in type(self).__slots__ if name[0] != "_")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = (f"{name}={getattr(self, name)!r}" for name in type(self).__slots__ if name[0] != "_")
+        return f"{type(self).__name__}({', '.join(fields)})"

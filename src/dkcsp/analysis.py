@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from typing import TYPE_CHECKING, NamedTuple, Union
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -91,10 +91,6 @@ class LambdaSolution(NamedTuple):
     k: int
     value: float
     residual: float
-
-    @property
-    def degenerate(self) -> bool:
-        return self.value == 1.0
 
 
 def solve_lambda(d: int, k: int) -> LambdaSolution:
@@ -232,7 +228,7 @@ def markov_simulate(
     j_start: int,
     max_steps: int,
     trials: int,
-    rng: Union[np.random.Generator, int, None] = None,
+    rng: Optional[int] = None,
 ) -> tuple[float, float]:
     """Monte Carlo frequency of the walk reaching 0 from j_start within max_steps.
 
@@ -252,20 +248,21 @@ def markov_simulate(
     there, and dropped once its generation exceeds the steps left; the
     estimate has the law of the step-by-step walk.
 
-    The walks run in chunks of 2^13. Chunk i draws from child i of
-    np.random.SeedSequence(rng) for an int or None seed, and of rng.spawn
-    for a passed Generator, so the result depends on the arguments alone,
-    never on how many threads ran. The chunks run on min(chunks, usable
-    CPUs, 2) threads, the caller's among them (numpy's binomial draws
-    release the GIL), so at most 2^14 walks are live and memory is
-    O(2^14) whatever `trials` is. An error in any thread stops further
-    chunks and is raised here, and every thread is joined before return.
+    The seed rng is an int, or None for fresh entropy. The walks run in
+    chunks of 2^13, and chunk i draws from child i of
+    np.random.SeedSequence(rng), so for an int seed the result depends on
+    the arguments alone, never on how many threads ran. The chunks run on
+    min(chunks, usable CPUs, 2) threads, the caller's among them (numpy's
+    binomial draws release the GIL), so at most 2^14 walks are live and
+    memory is O(2^14) whatever `trials` is. An error in any thread stops
+    further chunks and is raised here, and every thread is joined before
+    return.
     """
     import numpy as np
 
     check_simulation(d, k, j_start, max_steps, trials)
     # children spawned one at a time in chunk order are those of spawn(n_chunks)
-    source = rng if isinstance(rng, np.random.Generator) else np.random.SeedSequence(rng)
+    source = np.random.SeedSequence(rng)
     n_chunks = -(-trials // _CHUNK)
     chunk_ids = iter(range(n_chunks))
     lock, stop = threading.Lock(), threading.Event()

@@ -66,7 +66,6 @@ def _write_output(text: str, path: Optional[str]) -> None:
 
 def _format_witness(result: SolveResult) -> str:
     if result.status == "sat":
-        assert result.assignment is not None
         colors = " ".join(str(c) for c in result.assignment)
         return f"s SATISFIABLE\nv {colors}\n"
     if result.status == "unsat":
@@ -145,16 +144,13 @@ def cmd_code(args: argparse.Namespace) -> int:
 
 def cmd_volume(args: argparse.Namespace) -> int:
     from .colorgraph import profile
-    from .volume import ball_volume, shell_counts
+    from .volume import shell_counts
 
     p = profile(_graph_from_flag(args.graph, args.d))
-    counts = shell_counts(p, args.n)
-    if args.r is None:
-        print("shells", *counts)
-        return 0
-    volume = ball_volume(p, args.n, args.r)
-    print("shells", *counts[: args.r + 1])
-    print("volume", volume)
+    counts = shell_counts(p, args.n, args.r)
+    print("shells", *counts)
+    if args.r is not None:
+        print("volume", sum(counts))
     return 0
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Optional
 
+from . import _Record
+
 __all__ = [
     "ColorGraph",
     "DistanceProfile",
@@ -24,7 +26,7 @@ __all__ = [
 ]
 
 
-class DistanceProfile:
+class DistanceProfile(_Record):
     """Counts (d_0, .., d_s) of colors at each distance from any fixed color.
 
     Only defined for graphs that look the same from every vertex; d_0 = 1,
@@ -48,17 +50,6 @@ class DistanceProfile:
                 raise ValueError(f"profile violates d_{i} <= delta^{i}: {counts}")
         self.d, self.counts = d, counts
 
-    def __eq__(self, other):
-        if type(other) is not DistanceProfile:
-            return NotImplemented
-        return (self.d, self.counts) == (other.d, other.counts)
-
-    def __hash__(self) -> int:
-        return hash((self.d, self.counts))
-
-    def __repr__(self) -> str:
-        return f"DistanceProfile(d={self.d}, counts={self.counts!r})"
-
     @property
     def s(self) -> int:
         """Diameter: largest distance with a nonzero count."""
@@ -74,7 +65,7 @@ class DistanceProfile:
         return sum(self.counts) == self.d
 
 
-class ColorGraph:
+class ColorGraph(_Record):
     """Adjacency on colors 1..d, stored as sorted out-neighbor tuples."""
 
     __slots__ = ("d", "out", "name", "_distances")
@@ -93,17 +84,6 @@ class ColorGraph:
                 if v == c:
                     raise ValueError(f"self-loop at color {c}")
         self.d, self.out, self.name, self._distances = d, out, name, None
-
-    def __eq__(self, other):
-        if type(other) is not ColorGraph:
-            return NotImplemented
-        return (self.d, self.out, self.name) == (other.d, other.out, other.name)
-
-    def __hash__(self) -> int:
-        return hash((self.d, self.out, self.name))
-
-    def __repr__(self) -> str:
-        return f"ColorGraph(d={self.d}, out={self.out!r}, name={self.name!r})"
 
     @property
     def distances(self) -> tuple[tuple[Optional[int], ...], ...]:
@@ -216,5 +196,4 @@ def profile(g: ColorGraph) -> DistanceProfile:
             raise ValueError(
                 f"not distance-regular: color 1 sees profile {reference}, color {src} sees {seq}"
             )
-    assert reference is not None
     return DistanceProfile(g.d, reference)

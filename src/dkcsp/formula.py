@@ -11,6 +11,8 @@ from __future__ import annotations
 import random
 from typing import NamedTuple, Optional, Sequence
 
+from . import _Record
+
 __all__ = [
     "BRUTE_FORCE_CAP",
     "Constraint",
@@ -46,25 +48,11 @@ class Literal(NamedTuple):
     color: int
 
 
-class Constraint:
+class Constraint(_Record):
     __slots__ = ("literals",)
 
     def __init__(self, literals: tuple[Literal, ...]):
         self.literals = literals
-
-    def __len__(self) -> int:
-        return len(self.literals)
-
-    def __eq__(self, other):
-        if type(other) is not Constraint:
-            return NotImplemented
-        return self.literals == other.literals
-
-    def __hash__(self) -> int:
-        return hash(self.literals)
-
-    def __repr__(self) -> str:
-        return f"Constraint(literals={self.literals!r})"
 
 
 def constraint(*pairs: tuple[int, int]) -> Constraint:
@@ -72,7 +60,7 @@ def constraint(*pairs: tuple[int, int]) -> Constraint:
     return Constraint(tuple(Literal(v, c) for v, c in pairs))
 
 
-class Formula:
+class Formula(_Record):
     """A (d,k)-CSP formula. k is the declared maximum constraint width."""
 
     __slots__ = ("n", "d", "k", "constraints")
@@ -97,20 +85,6 @@ class Formula:
     @property
     def m(self) -> int:
         return len(self.constraints)
-
-    def _key(self) -> tuple:
-        return self.n, self.d, self.k, self.constraints
-
-    def __eq__(self, other):
-        if type(other) is not Formula:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return f"Formula(n={self.n}, d={self.d}, k={self.k}, constraints={self.constraints!r})"
 
 
 def _check_assignment(f: Formula, a: Sequence[int]) -> None:

@@ -31,7 +31,7 @@ from functools import lru_cache, reduce
 from operator import and_
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
-from . import _debug
+from . import _Record, _debug
 from .colorgraph import ColorGraph
 from .formula import Formula, evaluate
 
@@ -46,26 +46,16 @@ __all__ = [
 RngLike = Union[random.Random, int, None]
 
 
-class SearchStats:
-    """Counters of a solve, updated as it runs."""
+class SearchStats(_Record):
+    """Counters of a solve, updated as it runs (so unhashable)."""
 
     __slots__ = ("nodes_visited", "balls_searched", "repetitions", "steps", "max_ball_nodes")
+    __hash__ = None
 
     def __init__(self, nodes_visited: int = 0, balls_searched: int = 0, repetitions: int = 0,
                  steps: int = 0, max_ball_nodes: int = 0):
         self.nodes_visited, self.balls_searched, self.repetitions = nodes_visited, balls_searched, repetitions
         self.steps, self.max_ball_nodes = steps, max_ball_nodes
-
-    def _key(self) -> tuple[int, ...]:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if type(other) is not SearchStats:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __repr__(self) -> str:
-        return "SearchStats(" + ", ".join(f"{name}={getattr(self, name)}" for name in self.__slots__) + ")"
 
 
 class SolveResult(NamedTuple):

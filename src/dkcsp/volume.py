@@ -9,7 +9,7 @@ here is exact integer arithmetic; callers convert to float only for display.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING, NamedTuple, Union
+from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -35,24 +35,29 @@ Rational = Union["Fraction", int, Ratio]
 
 
 @lru_cache(maxsize=None)
-def shell_counts(p: DistanceProfile, n: int) -> tuple[int, ...]:
-    """The exact counts T(n, 0..s*n) of points on each distance shell.
+def shell_counts(p: DistanceProfile, n: int, top: Optional[int] = None) -> tuple[int, ...]:
+    """The exact counts T(n, 0..s*n) of points on each distance shell, or
+    T(n, 0..min(top, s*n)) when top is given.
 
-    A dynamic program over the shell recurrence, in exact big integers;
-    cached per (profile, n), so equal profiles share one tuple.
+    A dynamic program over the shell recurrence, in exact big integers; a
+    shell r <= top needs only the shells up to r, so its work is bounded by
+    top. Cached per (profile, n, top), so equal profiles share one tuple.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if top is not None and top < 0:
+        raise ValueError("radius must be nonnegative")
+    last = p.s * n if top is None else min(top, p.s * n)
     counts = [1]
     for _ in range(n):
-        nxt = [0] * (len(counts) + p.s)
+        nxt = [0] * min(len(counts) + p.s, last + 1)
         for r, t in enumerate(counts):
             if t == 0:
                 continue
-            for i, d_i in enumerate(p.counts):
+            for i, d_i in enumerate(p.counts[: len(nxt) - r]):
                 nxt[r + i] += d_i * t
         counts = nxt
-    if p.spans_all_colors and sum(counts) != p.d**n:
+    if top is None and p.spans_all_colors and sum(counts) != p.d**n:
         raise RuntimeError(f"shell counts sum to {sum(counts)}, not {p.d}^{n}")
     return tuple(counts)
 

@@ -273,6 +273,13 @@ class TestVolume:
         assert captured.out == ""
         assert captured.err.startswith("error: radius must be nonnegative")
 
+    def test_r_bounds_the_work(self, capsys):
+        # only shells 0..r are built, so n = 100000 answers at once with the
+        # 1 + 2n + 2n(n-1) assignments within Hamming distance 2
+        rc = main(["volume", "--d", "3", "--n", "100000", "--r", "2"])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines() == ["shells 1 200000 19999800000", "volume 20000000001"]
+
 
 class TestPredict:
     def test_values(self, capsys):

@@ -230,6 +230,12 @@ class TestRecords:
         back = pickle.loads(pickle.dumps(g))
         assert back == g and back.distances == g.distances
 
+    def test_distance_cache_is_not_part_of_the_value(self):
+        read, fresh = (ColorGraph(3, directed_cycle(3).out, "cycle") for _ in range(2))
+        assert read.distances == ((0, 1, 2), (2, 0, 1), (1, 2, 0))
+        assert read == fresh and hash(read) == hash(fresh) and repr(read) == repr(fresh)
+        assert repr(directed_cycle(3)) == "ColorGraph(d=3, out=((2,), (3,), (1,)), name='cycle')"
+
     @pytest.mark.parametrize("args,match", [
         ((0, ()), "at least one color"),
         ((2, ((2,),)), "expected 2 out-neighbor lists"),

@@ -279,6 +279,9 @@ class TestRecords:
         assert len({constraint((1, 2)), constraint((1, 2)), constraint((2, 1))}) == 2
         assert repr(constraint((1, 2))) == "Constraint(literals=(Literal(var=1, color=2),))"
 
+    def test_formula_repr(self):
+        assert repr(Formula(2, 3, 2, ())) == "Formula(n=2, d=3, k=2, constraints=())"
+
     @pytest.mark.parametrize("args,match", [
         ((-1, 3, 3, ()), "variable count"),
         ((2, 1, 3, ()), "color count"),

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from dkcsp.colorgraph import complete, directed_cycle, hypercube, profile
+from dkcsp.colorgraph import DistanceProfile, complete, directed_cycle, hypercube, profile
 from dkcsp.volume import ball_volume, select_radius, shell_counts
 
 from paper_oracle import assignment_distance, lower_bound, upper_bound
@@ -62,6 +62,21 @@ class TestShellCounts:
             lhs = sum(t * x**r for r, t in enumerate(counts))
             rhs = sum(d_i * x**i for i, d_i in enumerate(p.counts)) ** n
             assert lhs == rhs
+
+    @pytest.mark.parametrize("p", [*dict.fromkeys(profile(g) for g in GRAPHS), DistanceProfile(4, (1, 1))],
+                             ids=lambda p: f"d{p.d}-{'-'.join(map(str, p.counts))}")
+    def test_top_gives_the_prefix(self, p):
+        for n in range(13):
+            full = shell_counts(p, n)
+            for top in range(p.s * n + 3):
+                assert shell_counts(p, n, top) == full[: top + 1], (n, top)
+
+    def test_negative_top_rejected_after_n(self):
+        p = profile(complete(3))
+        with pytest.raises(ValueError, match="radius must be nonnegative"):
+            shell_counts(p, 2, -1)
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            shell_counts(p, -1, -1)
 
     def test_recurrence_holds(self):
         p = profile(hypercube(2))
