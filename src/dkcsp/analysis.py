@@ -19,15 +19,14 @@ finite-horizon sum of the hitting-time formula (reach_within), and a Monte
 Carlo run (markov_simulate) that uses neither of the other two. The
 simulation advances each walk a generation at a time: a walk at distance p
 takes its next p steps with one binomial draw, since only p down-steps in a
-row reach 0 among them. Its walks run in chunks, each drawing from its own
-child of the seed's SeedSequence, so the estimate depends on the seed alone
-while the chunks run on up to two threads and at most 2^14 walks are live.
+row reach 0 among them. Its walks run in chunks on two threads, chunk i on
+thread i mod 2 and drawing from child i of the seed's SeedSequence, so the
+estimate depends on the seed alone and at most 2^14 walks are live.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import threading
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
@@ -184,15 +183,9 @@ def reach_within(d: int, k: int, j: int, max_steps: int) -> float:
 # Walks per chunk. Chunk i draws from its own random stream, so the estimate
 # does not depend on how many threads run the chunks.
 _CHUNK = 1 << 13
-# Walks live at once over all threads; bounds memory whatever `trials` is.
+# Walks live at once over all threads, one chunk per thread; bounds memory
+# whatever `trials` is, and _BATCH // _CHUNK is the thread count.
 _BATCH = 1 << 14
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def check_simulation(d: int, k: int, j_start: int, max_steps: int, trials: int) -> None:
@@ -249,52 +242,49 @@ def markov_simulate(
     estimate has the law of the step-by-step walk.
 
     The seed rng is an int, or None for fresh entropy. The walks run in
-    chunks of 2^13, and chunk i draws from child i of
-    np.random.SeedSequence(rng), so for an int seed the result depends on
-    the arguments alone, never on how many threads ran. The chunks run on
-    min(chunks, usable CPUs, 2) threads, the caller's among them (numpy's
-    binomial draws release the GIL), so at most 2^14 walks are live and
-    memory is O(2^14) whatever `trials` is. An error in any thread stops
-    further chunks and is raised here, and every thread is joined before
-    return.
+    chunks of 2^13, and chunk i draws from the stream its index names, child
+    i of np.random.SeedSequence(rng), so for an int seed the result depends
+    on the arguments alone, never on how many threads ran. The chunks run on
+    T = min(chunks, 2) threads, the caller's among them (numpy's binomial
+    draws release the GIL): thread w runs chunks w, w + T, w + 2T, ..., so
+    at most 2^14 walks are live and memory is O(2^14) whatever `trials` is.
+    An error in any thread, or a thread that fails to start, stops further
+    chunks; every started thread is joined, and the first error is raised.
     """
     import numpy as np
 
     check_simulation(d, k, j_start, max_steps, trials)
-    # children spawned one at a time in chunk order are those of spawn(n_chunks)
-    source = np.random.SeedSequence(rng)
+    # SeedSequence(entropy, spawn_key=(i,)) is child i of SeedSequence(rng)
+    entropy = np.random.SeedSequence(rng).entropy
     n_chunks = -(-trials // _CHUNK)
-    chunk_ids = iter(range(n_chunks))
-    lock, stop = threading.Lock(), threading.Event()
+    n_threads = min(n_chunks, _BATCH // _CHUNK)
+    stop = threading.Event()
     hits: list[int] = []
     errors: list[BaseException] = []
 
-    def run_chunks() -> None:
-        while True:
-            with lock:
-                i = None if stop.is_set() else next(chunk_ids, None)
-                if i is None:
-                    return
-                gen = np.random.default_rng(source.spawn(1)[0])
-            size = min(_CHUNK, trials - i * _CHUNK)
-            hits.append(_chunk_hits(gen, size, d, k, j_start, max_steps))
-
-    def worker() -> None:
+    def run_chunks(first: int) -> None:
         try:
-            run_chunks()
+            for i in range(first, n_chunks, n_threads):
+                if stop.is_set():
+                    return
+                gen = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(i,)))
+                size = min(_CHUNK, trials - i * _CHUNK)
+                hits.append(_chunk_hits(gen, size, d, k, j_start, max_steps))
         except BaseException as exc:  # raised again in the caller
             errors.append(exc)
             stop.set()
 
     threads: list[threading.Thread] = []
     try:
-        for _ in range(min(n_chunks, _usable_cpus(), _BATCH // _CHUNK) - 1):
-            thread = threading.Thread(target=worker)
+        for first in range(1, n_threads):
+            thread = threading.Thread(target=run_chunks, args=(first,))
             thread.start()
             threads.append(thread)
-        run_chunks()
-    finally:
+        run_chunks(0)
+    except BaseException:
         stop.set()
+        raise
+    finally:
         for thread in threads:
             thread.join()
     if errors:

@@ -105,12 +105,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
         result = search.schoening_solve(
             f, g, args.reps, steps_multiplier=args.steps_mult, rng=seed, jobs=args.jobs
         )
-    elif args.method == "brute":
+    else:
         witness = fmod.brute_force_solve(f)
         status = "sat" if witness is not None else "unsat"
         result = search.SolveResult(status, witness, search.SearchStats())
-    else:
-        raise ValueError(f"unknown method {args.method!r}")
 
     if args.verbose:
         st = result.stats

@@ -22,16 +22,15 @@ is checked to cover its block by marking every codeword's ball, which by
 additivity proves coverage of the product; the check raises, so it also
 runs under python -O.
 
-The product itself is never materialised: ProductCodewords is a read-only
-sequence over the block codes, and a contiguous slice of it is the same
-block codes plus an index range, walked with itertools.product.
+The product itself is never materialised: ProductCodewords is a length,
+contiguous slices and iteration over the block codes, and a slice of it is
+the same block codes plus an index range, walked with itertools.product.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from collections.abc import Sequence
 from functools import lru_cache
 from typing import Iterator
@@ -60,15 +59,15 @@ _MAX_GAIN_UPDATES = 1 << 22
 Codeword = tuple[int, ...]
 
 
-class ProductCodewords(Sequence):
+class ProductCodewords:
     """The codewords [start, stop) of the Cartesian product of block codes.
 
     Codeword i concatenates one codeword per block, in itertools.product
-    order (the last block varies fastest). A contiguous slice is the same
-    block codes with a narrower range, and pickles as such; an integer index
-    is a slice of one. Iterating skips the product of the head blocks to
-    start's prefix and yields each prefix joined with a slice of the last
-    block's codewords.
+    order (the last block varies fastest). It has a length, contiguous
+    slices and iteration, nothing more: a slice is the same block codes
+    with a narrower range, and pickles as such. Iterating skips the product
+    of the head blocks to start's prefix and yields each prefix joined with
+    a slice of the last block's codewords.
     """
 
     __slots__ = ("codes", "start", "stop")
@@ -81,18 +80,11 @@ class ProductCodewords(Sequence):
     def __len__(self) -> int:
         return self.stop - self.start
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            lo, hi, step = index.indices(len(self))
-            if step != 1:
-                raise ValueError("codeword slices must be contiguous (step 1)")
-            return ProductCodewords(self.codes, self.start + lo, self.start + max(lo, hi))
-        i = operator.index(index)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError("codeword index out of range")
-        return next(iter(self[i : i + 1]))
+    def __getitem__(self, index: slice) -> ProductCodewords:
+        lo, hi, step = slice.indices(index, len(self))
+        if step != 1:
+            raise ValueError("codeword slices must be contiguous (step 1)")
+        return ProductCodewords(self.codes, self.start + lo, self.start + max(lo, hi))
 
     def __iter__(self) -> Iterator[Codeword]:
         left = len(self)
@@ -109,9 +101,6 @@ class ProductCodewords(Sequence):
             if not left:
                 return
             col = 0
-
-    def __reduce__(self):
-        return ProductCodewords, (self.codes, self.start, self.stop)
 
 
 class CoveringCode:

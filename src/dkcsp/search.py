@@ -122,8 +122,8 @@ class _ConstraintBits:
 
     place[v] is (group, weight) of variable v. literals[i] holds
     (color, group, weight, row) for each literal of constraint i, row being
-    the variable's rows by color; picks[i] is what the walk draws from:
-    (literal count, its bit length, literals[i]).
+    the variable's rows by color. The ball searcher and the walker each
+    build their own per-constraint plan from literals.
     """
 
     def __init__(self, f: Formula):
@@ -158,7 +158,6 @@ class _ConstraintBits:
             tuple((x.color,) + self.place[x.var - 1] + (rows[x.var - 1],) for x in con.literals)
             for con in f.constraints
         ]
-        self.picks = [(len(t), len(t).bit_length(), t) for t in self.literals]
         _debug(
             __name__, "constraint state n=%d d=%d m=%d: %d groups of %d, %d table entries, %d table bytes",
             f.n, f.d, f.m, len(self.tables), g, sum(map(len, self.tables)), self.table_bytes,
@@ -331,11 +330,13 @@ def _walker(state: _ConstraintBits, out: tuple[tuple[int, ...], ...], steps: int
     steps taken) of a `steps`-step walk from a random start. A draw below N
     inlines randrange(N): getrandbits of N.bit_length() bits, redrawn until
     below N, as random.Random draws it."""
+    # picks[i]: (literal count of constraint i, its bit length, its literals)
+    picks = [(len(lits), len(lits).bit_length(), lits) for lits in state.literals]
     # moves[c]: (new color - c for each out-neighbor of c, their count, its bit length)
     moves = ((),) + tuple((tuple(c2 - c for c2 in nbrs), len(nbrs), len(nbrs).bit_length())
                           for c, nbrs in enumerate(out, start=1))
     make = _kernel(_WALK, len(state.tables))
-    return make(state.tables, state.picks, moves, state.place, state.d, state.coloring, _as_rng, steps)
+    return make(state.tables, picks, moves, state.place, state.d, state.coloring, _as_rng, steps)
 
 
 def _verify_witness(f: Formula, witness: tuple[int, ...]) -> None:

@@ -52,8 +52,6 @@ def shell_counts(p: DistanceProfile, n: int, top: Optional[int] = None) -> tuple
     for _ in range(n):
         nxt = [0] * min(len(counts) + p.s, last + 1)
         for r, t in enumerate(counts):
-            if t == 0:
-                continue
             for i, d_i in enumerate(p.counts[: len(nxt) - r]):
                 nxt[r + i] += d_i * t
         counts = nxt

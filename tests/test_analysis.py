@@ -169,6 +169,10 @@ class TestReachProbability:
                 rhs = p(j - 1) / k + (k - 1) / k * p(j + d - 1)
                 assert abs(lhs - rhs) <= 1e-10
 
+    def test_negative_j_rejected(self):
+        with pytest.raises(ValueError, match="j must be nonnegative"):
+            reach_probability(3, 3, -1)
+
 
 class TestSuccessIdentity:
     def test_d3_k3_n1(self):
@@ -278,11 +282,26 @@ class TestMarkovSimulate:
     # the chunks' streams fix the result; threads only change who runs them
     ARGS = (3, 3, 2, 300)
 
-    def run_at(self, monkeypatch, workers, chunk=None, trials=40_000, rng=5):
-        monkeypatch.setattr(analysis, "_usable_cpus", lambda: workers)
-        if chunk is not None:
-            monkeypatch.setattr(analysis, "_CHUNK", chunk)
+    def run_at(self, monkeypatch, workers, chunk=analysis._CHUNK, trials=40_000, rng=5):
+        # one live chunk per thread, so _BATCH // _CHUNK threads run
+        monkeypatch.setattr(analysis, "_CHUNK", chunk)
+        monkeypatch.setattr(analysis, "_BATCH", workers * chunk)
         return markov_simulate(*self.ARGS, trials, rng)
+
+    # (d, k, j_start, max_steps, trials, seed) -> the estimate; chunk i draws
+    # child i of SeedSequence(seed), so no thread count may change it
+    PINNED = [
+        ((3, 3, 2, 300, 40_000, 5), (0.13305, 0.0016981438212059661)),
+        ((3, 3, 2, 10_000, 100_000, 1), (0.13574, 0.0010831188872880023)),
+        ((2, 3, 1, 50, 30_000, 7), (0.5052, 0.002886595226213748)),
+        ((4, 2, 3, 1000, 200_000, 11), (0.16025, 0.0008202741538656451)),
+    ]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_pinned_estimates(self, monkeypatch, workers):
+        monkeypatch.setattr(analysis, "_BATCH", workers * analysis._CHUNK)
+        for args, expected in self.PINNED:
+            assert markov_simulate(*args) == expected, args
 
     def test_same_result_at_1_2_3_workers(self, monkeypatch):
         assert self.run_at(monkeypatch, 1) == self.run_at(monkeypatch, 2)
@@ -331,6 +350,32 @@ class TestMarkovSimulate:
         # can start one between the raise and the record
         assert made.count(True) <= 3
         assert len(made) < 200
+
+    def test_thread_start_failure_is_raised_and_threads_joined(self, monkeypatch):
+        import numpy as np
+
+        real_start, real_rng = threading.Thread.start, np.random.default_rng
+        started, made = [], []
+
+        def start(thread):
+            if started:
+                raise RuntimeError("can't start the second helper")
+            started.append(thread)
+            real_start(thread)
+
+        def counted(seed):
+            made.append(seed)
+            return real_rng(seed)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="second helper"):
+            self.run_at(monkeypatch, 4, chunk=1 << 10, trials=400 << 10)
+        assert len(started) == 1
+        assert threading.active_count() == before
+        # the started helper stops at its next chunk; it alone would run 100
+        assert len(made) < 100
 
 
 class TestReachWithin:

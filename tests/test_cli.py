@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from dkcsp import formula
+from dkcsp import formula, search
 from dkcsp.cli import main
 from dkcsp.covercode import CoveringCode, build_code
 from dkcsp.colorgraph import directed_cycle
@@ -341,6 +341,68 @@ class TestMarkov:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: ")
+
+
+EDGELESS = "g 3\n"
+FOUR_COLORS = "g 4\n1 2\n2 3\n3 4\n4 1\n"
+
+
+class TestInputChecks:
+    """Each bad input is one `error:` line, exit 1, and no output."""
+
+    @pytest.mark.parametrize("argv,instance,graph,message", [
+        (["solve"], "p csp 3 x 2\n", None, "non-integer field in header"),
+        (["solve"], "p csp 3 1 2\n", None, "invalid header values"),
+        (["solve"], "p csp 3 3 1\n1 a 0\n", None, "non-integer token"),
+        (["solve"], "p csp 3 3 1\n1 1 0 2 2 0\n", None, "unexpected 0 before end"),
+        (["solve"], "p csp 3 3 1\n1 1 2 0\n", None, "unpaired trailing integer"),
+        (["gen", "--n", "4", "--d", "3", "--k", "0", "--m", "3"], None, None, "k must be at least 1"),
+        (["solve", "--graph", "file:"], "p csp 2 3 1\n1 1 0\n", FOUR_COLORS,
+         "graph file has 4 colors, expected 3"),
+        (["solve", "--graph", "nosuch"], "p csp 2 3 1\n1 1 0\n", None, "unknown graph"),
+        (["code", "--d", "3", "--n", "4", "--k", "3", "--graph", "file:"], None, EDGELESS,
+         "at least one outgoing edge per color"),
+        (["code", "--d", "3", "--n", "4", "--k", "0"], None, None, "k must be at least 1"),
+        (["predict", "--d", "3", "--k", "3", "--graph", "file:"], None, EDGELESS,
+         "out-degree at least 1"),
+    ], ids=["header-field", "header-values", "token", "early-zero", "unpaired", "gen-k",
+            "graph-colors", "graph-name", "code-edgeless", "code-k", "predict-edgeless"])
+    def test_rejected_before_output(self, tmp_path, capsys, argv, instance, graph, message):
+        argv = list(argv)
+        if graph is not None:
+            path = tmp_path / "g.txt"
+            path.write_text(graph)
+            argv[-1] += str(path)
+        if instance is not None:
+            path = tmp_path / "i.csp"
+            path.write_text(instance)
+            argv.append(str(path))
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+
+
+class TestOracleCheck:
+    """--verify-oracle fails a wrong det answer before its output."""
+
+    @pytest.mark.parametrize("text,wrong,message", [
+        ("p csp 1 2 2\n1 1 0\n1 2 0\n", search.SolveResult("sat", (1,), search.SearchStats()),
+         "solver returned SAT but exhaustive search finds no witness"),
+        ("p csp 2 2 1\n1 1 0\n", search.SolveResult("unsat", None, search.SearchStats()),
+         "solver returned UNSAT but exhaustive search finds a witness"),
+    ], ids=["wrong-sat", "wrong-unsat"])
+    def test_wrong_answer_fails(self, tmp_path, capsys, monkeypatch, text, wrong, message):
+        path = tmp_path / "i.csp"
+        path.write_text(text)
+        monkeypatch.setattr(search, "det_solve", lambda *args, **kwargs: wrong)
+        rc = main(["solve", "--method", "det", "--verify-oracle", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 class TestUsage:

@@ -84,6 +84,14 @@ class TestBuilders:
         with pytest.raises(ValueError, match="self-loop"):
             from_edges(2, [(1, 1)])
 
+    def test_edge_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match=r"edge \(1,4\) out of range 1..3"):
+            from_edges(3, [(1, 4)])
+
+    def test_hypercube_needs_a_dimension(self):
+        with pytest.raises(ValueError, match="ell >= 1"):
+            hypercube(0)
+
 
 class TestDistances:
     @pytest.mark.parametrize("g", ALL_GRAPHS, ids=lambda g: f"{g.name}{g.d}")
@@ -195,6 +203,13 @@ class TestGraphFile:
     def test_missing_header(self):
         with pytest.raises(ValueError, match="header"):
             parse_graph_file("1 2\n")
+
+    def test_comment_only_is_missing_header(self):
+        with pytest.raises(ValueError, match="missing 'g <d>' header"):
+            parse_graph_file("c no graph here\n")
+
+    def test_comment_before_header_skipped(self):
+        assert parse_graph_file("c a cycle\ng 3\n1 2\n2 3\n3 1\n").out == directed_cycle(3).out
 
     def test_bad_edge(self):
         with pytest.raises(ValueError, match="line 2"):

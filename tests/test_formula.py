@@ -206,6 +206,10 @@ class TestGenerate:
         with pytest.raises(ValueError, match="distinct"):
             generate_random(2, 2, 3, 1, 0)
 
+    def test_planted_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="planted assignment out of range"):
+            generate_random(3, 3, 2, 1, 0, planted=(1, 2, 4))
+
     @given(st.integers(0, 2**32 - 1))
     def test_planted_property(self, seed):
         import random

@@ -182,7 +182,7 @@ def test_markov_loads_no_unneeded_stdlib():
 
 
 def test_threaded_markov_leaves_one_thread():
-    # 20,000 walks are three chunks, so on two usable CPUs a second thread runs some
+    # 20,000 walks are three chunks, so a second thread runs chunk 1
     report, lines = probe("markov", "--d", "3", "--k", "3", "--seed", "1", "--trials", "20000")
     assert report["code"] == 0
     assert lines[-1].startswith("simulated ")
