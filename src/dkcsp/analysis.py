@@ -14,9 +14,10 @@ graphs; base_for_graph computes every deterministic base.
 Bases are exact fractions; floats appear only in the walk analysis, which
 tracks the distance to a fixed witness as a biased random walk (down 1 with
 probability 1/k, up d-1 otherwise) absorbed at 0. It gives the walk's reach
-probability three ways: lambda^j from the fixed point, the exact
-finite-horizon sum of the hitting-time formula (reach_within), and a Monte
-Carlo run (markov_simulate) that uses neither of the other two. The
+probability three ways: lambda^j, with lambda found by iterating its
+fixed-point equation from 0 (solve_lambda), the exact finite-horizon sum of
+the hitting-time formula (reach_within), and a Monte Carlo run
+(markov_simulate) that uses neither of the other two. The
 simulation advances each walk a generation at a time: a walk at distance p
 takes its next p steps with one binomial draw, since only p down-steps in a
 row reach 0 among them. Its walks run in chunks on two threads, chunk i on
@@ -79,41 +80,29 @@ def base_for_graph(p: DistanceProfile, k: int) -> Fraction:
 
 
 class LambdaSolution(NamedTuple):
-    """Root in (0,1] of lambda = 1/k + ((k-1)/k) lambda^d.
+    """Least root in (0,1] of lambda = 1/k + ((k-1)/k) lambda^d.
 
     lambda^j is the probability that the distance walk started at j ever
-    reaches 0. The equation degenerates to lambda = 1 when d(k-1) <= k (the
-    walk drifts downward and absorbs almost surely).
+    reaches 0. It is 1 only at d = k = 2, where the walk has no drift.
     """
 
-    d: int
-    k: int
     value: float
     residual: float
 
 
 def solve_lambda(d: int, k: int) -> LambdaSolution:
-    """Bisection for the unique root in (0,1); lambda = 1 in the degenerate case."""
+    """Iterate lambda <- 1/k + ((k-1)/k) lambda^d from 0 while it rises.
+
+    The map increases on [0,1] and is 1/k > 0 at 0, so the iterates rise to
+    its least fixed point, and a strictly rising sequence of floats in [0,1]
+    is finite. At d = k = 2 the root 1 is double and the iterates would
+    close in only like 1/t, so the iteration starts there.
+    """
     _check_dk(d, k)
-
-    def fn(lam: float) -> float:
-        return 1 / k + (k - 1) / k * lam**d - lam
-
-    if d * (k - 1) <= k:
-        return LambdaSolution(d, k, 1.0, abs(fn(1.0)))
-    lo, hi = 0.0, 1.0 - 1e-6
-    while fn(hi) >= 0:
-        hi = 1.0 - (1.0 - hi) / 2
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        if mid == lo or mid == hi:
-            break
-        if fn(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    lam = (lo + hi) / 2
-    return LambdaSolution(d, k, lam, abs(fn(lam)))
+    lam = 1.0 if d == k == 2 else 0.0
+    while (nxt := 1 / k + (k - 1) / k * lam**d) > lam:
+        lam = nxt
+    return LambdaSolution(lam, lam - nxt)
 
 
 def reach_probability(d: int, k: int, j: int) -> float:

@@ -147,8 +147,6 @@ def from_edges(d: int, edges: Iterable[tuple[int, int]], name: str = "custom") -
     for u, v in edges:
         if not (1 <= u <= d and 1 <= v <= d):
             raise ValueError(f"edge ({u},{v}) out of range 1..{d}")
-        if u == v:
-            raise ValueError(f"self-loop at color {u}")
         nbrs[u - 1].add(v)
     return ColorGraph(d, tuple(tuple(sorted(s)) for s in nbrs), name)
 
@@ -162,14 +160,20 @@ def parse_graph_file(text: str) -> ColorGraph:
         if not line or line == "c" or line.startswith("c "):
             continue
         tokens = line.split()
-        if d is None:
-            if len(tokens) != 2 or tokens[0] != "g":
-                raise ValueError(f"line {line_no}: expected header 'g <d>', got {raw!r}")
-            d = int(tokens[1])
-            continue
+        header = d is None
+        if header and (len(tokens) != 2 or tokens[0] != "g"):
+            raise ValueError(f"line {line_no}: expected header 'g <d>', got {raw!r}")
         if len(tokens) != 2:
             raise ValueError(f"line {line_no}: expected edge 'u v', got {raw!r}")
-        edges.append((int(tokens[0]), int(tokens[1])))
+        try:
+            values = tuple(map(int, tokens[1:] if header else tokens))
+        except ValueError:
+            what = "color count in header" if header else "token in edge line"
+            raise ValueError(f"line {line_no}: non-integer {what} {raw!r}") from None
+        if header:
+            (d,) = values
+        else:
+            edges.append(values)
     if d is None:
         raise ValueError("missing 'g <d>' header")
     return from_edges(d, edges)

@@ -37,7 +37,7 @@ from typing import Iterator
 
 from . import _debug
 from .colorgraph import ColorGraph, profile
-from .volume import Ratio, ball_volume, select_radius
+from .volume import ball_volume, select_radius
 
 __all__ = [
     "BlockPicks",
@@ -373,12 +373,13 @@ def plan_blocks(
         raise ValueError("n must be nonnegative")
     if n == 0:
         return ()
-    x = Ratio(1, k * p.delta)
     # Vol >= 1, so no block over the budget in points fits it in gain updates
     ceiling = _MAX_GAIN_UPDATES if block_cap is None else min(block_cap, _MAX_GAIN_UPDATES)
+    radii: dict[int, int] = {}
     max_block, size = 0, 1
     while size <= n and g.d**size <= ceiling:
-        if g.d**size * ball_volume(p, size, select_radius(p, size, x)) <= _MAX_GAIN_UPDATES:
+        radii[size] = select_radius(p, size, 1, k * p.delta)
+        if g.d**size * ball_volume(p, size, radii[size]) <= _MAX_GAIN_UPDATES:
             max_block = size
         size += 1
     if max_block == 0:
@@ -389,7 +390,6 @@ def plan_blocks(
     b = -(-n // max_block)
     base, extra = divmod(n, b)
     sizes = [base + 1] * extra + [base] * (b - extra)
-    radii = {size: select_radius(p, size, x) for size in sorted(set(sizes))}
     return tuple((size, radii[size]) for size in sizes)
 
 

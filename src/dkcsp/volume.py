@@ -3,35 +3,22 @@
 T(n,r) counts assignments at product distance exactly r from a fixed center;
 it obeys T(n,r) = sum_i d_i * T(n-1, r-i) over the distance profile
 (d_0..d_s), equivalently sum_r T(n,r) x^r = (sum_i d_i x^i)^n. Everything
-here is exact integer arithmetic; callers convert to float only for display.
+here is exact integer arithmetic, x = a/b included, which select_radius
+takes as its two integers; callers convert to float only for display.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING, NamedTuple, Optional, Union
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
-    from fractions import Fraction
-
     from .colorgraph import DistanceProfile
 __all__ = [
-    "Ratio",
     "ball_volume",
     "select_radius",
     "shell_counts",
 ]
-
-
-class Ratio(NamedTuple):
-    """numerator/denominator (denominator > 0), read by select_radius as it
-    reads a Fraction, for callers that need not import fractions."""
-
-    numerator: int
-    denominator: int
-
-
-Rational = Union["Fraction", int, Ratio]
 
 
 @lru_cache(maxsize=None)
@@ -68,17 +55,16 @@ def ball_volume(p: DistanceProfile, n: int, r: int) -> int:
     return sum(counts[: r + 1])
 
 
-def select_radius(p: DistanceProfile, n: int, x: Rational) -> int:
-    """The radius maximizing T(n,r) * x^r, ties broken toward smaller r.
+def select_radius(p: DistanceProfile, n: int, a: int, b: int) -> int:
+    """The radius maximizing T(n,r) * x^r at x = a/b, ties broken toward smaller r.
 
     This is the radius at which the generating-function lower bound on the
-    ball volume is tight enough for the covering-code construction. With
-    x = a/b and R the largest radius, the scores times b^R are the integers
+    ball volume is tight enough for the covering-code construction. With R
+    the largest radius, the scores times b^R are the integers
     T(n,r) a^r b^(R-r), which are compared instead.
     """
-    a, b = x.numerator, x.denominator
-    if a <= 0:
-        raise ValueError("x must be positive")
+    if a <= 0 or b <= 0:
+        raise ValueError(f"x = {a}/{b} needs a > 0 and b > 0")
     counts = shell_counts(p, n)
     top = len(counts) - 1
     scores = [t * a**r * b ** (top - r) for r, t in enumerate(counts)]

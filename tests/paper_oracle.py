@@ -26,7 +26,7 @@ from dkcsp.search import (
     _walker,
     check_walk,
 )
-from dkcsp.volume import Rational, select_radius, shell_counts
+from dkcsp.volume import select_radius, shell_counts
 
 
 def color_distance(g: ColorGraph, c1: int, c2: int) -> Optional[int]:
@@ -166,7 +166,7 @@ def _gf(p: DistanceProfile, x: Fraction) -> Fraction:
     return sum(d_i * x**i for i, d_i in enumerate(p.counts))
 
 
-def lower_bound(p: DistanceProfile, n: int, x: Rational) -> tuple[int, Fraction]:
+def lower_bound(p: DistanceProfile, n: int, x: Fraction | int) -> tuple[int, Fraction]:
     """Radius r and (sum_i d_i x^i)^n / ((s*n+1) x^r), a lower bound on Vol(n,r).
 
     The expansion of the generating function has s*n + 1 terms T(n,j) x^j;
@@ -179,11 +179,11 @@ def lower_bound(p: DistanceProfile, n: int, x: Rational) -> tuple[int, Fraction]
     terms = p.s * n + 1
     if x == 0:
         return 0, Fraction(1, terms)
-    r = select_radius(p, n, x)
+    r = select_radius(p, n, x.numerator, x.denominator)
     return r, _gf(p, x) ** n / (terms * x**r)
 
 
-def upper_bound(p: DistanceProfile, n: int, r: int, x: Rational) -> Fraction:
+def upper_bound(p: DistanceProfile, n: int, r: int, x: Fraction | int) -> Fraction:
     """(sum_i d_i x^i)^n / x^r, an upper bound on Vol(n,r) for any x in [0,1]."""
     x = Fraction(x)
     if not 0 <= x <= 1:

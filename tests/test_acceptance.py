@@ -224,7 +224,7 @@ def test_criterion_6_covering_codes(capsys):
         assert len(code.codewords) * vol >= g.d**n
         x = Fraction(1, k * p.delta)
         for size, block_len in zip(code.block_code_sizes, code.blocks):
-            r_b = select_radius(p, block_len, x)
+            r_b = select_radius(p, block_len, x.numerator, x.denominator)
             ground = g.d**block_len
             block_vol = ball_volume(p, block_len, r_b)
             assert size <= (1 + math.log(ground)) * ground / block_vol + 1e-9
@@ -234,30 +234,32 @@ def test_criterion_6_covering_codes(capsys):
         _pass(6, "covering codes", f"{len(builds)} builds verified, {elapsed:.0f}s")
 
 
-def test_criterion_7_branching_bound_and_speedup(capsys):
+def test_criterion_7_branching_bound_and_speedup(capsys, k3_block_picks):
     # first half (per-ball node bound) is asserted on every ball searched in
     # criteria 2 and 3; re-checked here on the speedup_bench family
     start = time.time()
     d, k, n = 3, 3, 9
     cap = 3**9
-    bound = {
-        g.name: node_bound(k, profile(g).delta, build_code(g, n, k, cap).radius)
-        for g in (complete(d), directed_cycle(d))
-    }
-    totals = {"complete": 0, "cycle": 0}
-    solves = 0
-    for m, count, seed in ((260, 10, 424242), (350, 6, 515151)):
-        for f in family(d, k, n, m, count, seed):
-            for g in (complete(d), directed_cycle(d)):
-                totals[g.name] += det_solve(f, g, block_cap=cap).stats.nodes_visited
-                solves += 1
-    for m, count, seed in ((260, 4, 616161),):
-        rng = random.Random(seed)
-        for _ in range(count):
-            f = generate_random(n, d, k, m, rng.getrandbits(32))
-            for g in (complete(d), directed_cycle(d)):
-                result = det_solve(f, g, block_cap=cap)
-                assert result.stats.max_ball_nodes <= bound[g.name]
+    # the 3^9 blocks come from the session build that test_covercode shares
+    with k3_block_picks():
+        bound = {
+            g.name: node_bound(k, profile(g).delta, build_code(g, n, k, cap).radius)
+            for g in (complete(d), directed_cycle(d))
+        }
+        totals = {"complete": 0, "cycle": 0}
+        solves = 0
+        for m, count, seed in ((260, 10, 424242), (350, 6, 515151)):
+            for f in family(d, k, n, m, count, seed):
+                for g in (complete(d), directed_cycle(d)):
+                    totals[g.name] += det_solve(f, g, block_cap=cap).stats.nodes_visited
+                    solves += 1
+        for m, count, seed in ((260, 4, 616161),):
+            rng = random.Random(seed)
+            for _ in range(count):
+                f = generate_random(n, d, k, m, rng.getrandbits(32))
+                for g in (complete(d), directed_cycle(d)):
+                    result = det_solve(f, g, block_cap=cap)
+                    assert result.stats.max_ball_nodes <= bound[g.name]
     assert totals["cycle"] < totals["complete"], totals
     # exact totals: a kernel rewrite must keep the search order
     assert totals == {"complete": 105393, "cycle": 79201}, totals

@@ -10,6 +10,7 @@ import pytest
 import dkcsp.analysis as analysis
 from dkcsp.analysis import (
     _BATCH,
+    LambdaSolution,
     base_for_graph,
     base_schoening,
     markov_simulate,
@@ -116,7 +117,39 @@ class TestCycleOptimality:
                 assert cycle_optimality_check(p, k)
 
 
+def bisect_lambda(d, k):
+    """The root as solve_lambda found it by bisection, kept as a reference."""
+    def fn(lam):
+        return 1 / k + (k - 1) / k * lam**d - lam
+
+    if d * (k - 1) <= k:
+        return 1.0
+    lo, hi = 0.0, 1.0 - 1e-6
+    while fn(hi) >= 0:
+        hi = 1.0 - (1.0 - hi) / 2
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        if mid == lo or mid == hi:
+            break
+        if fn(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
 class TestLambda:
+    def test_fields(self):
+        assert LambdaSolution._fields == ("value", "residual")
+
+    def test_iteration_is_exact_and_matches_bisection(self):
+        # the iteration stops at a float the map sends to itself or below
+        for d in range(2, 13):
+            for k in range(2, 13):
+                sol = solve_lambda(d, k)
+                assert sol.residual == 0.0, (d, k)
+                assert abs(sol.value - bisect_lambda(d, k)) <= 1e-15, (d, k)
+
     def test_closed_form_d2(self):
         # quadratic factors into (lambda - 1)((k-1)lambda - 1)
         sol = solve_lambda(2, 3)

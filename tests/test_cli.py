@@ -365,8 +365,17 @@ class TestInputChecks:
         (["code", "--d", "3", "--n", "4", "--k", "0"], None, None, "k must be at least 1"),
         (["predict", "--d", "3", "--k", "3", "--graph", "file:"], None, EDGELESS,
          "out-degree at least 1"),
+        (["solve", "--graph", "file:"], "p csp 2 3 1\n1 1 0\n", "g 3\n1 x\n",
+         "line 2: non-integer token in edge line '1 x'"),
+        (["solve", "--graph", "file:"], "p csp 2 3 1\n1 1 0\n", "g three\n",
+         "line 1: non-integer color count in header 'g three'"),
+        (["volume", "--d", "3", "--n", "4", "--r", "1", "--graph", "file:"], None, "g 3\n1 x\n",
+         "line 2: non-integer token in edge line '1 x'"),
+        (["volume", "--d", "3", "--n", "4", "--r", "1", "--graph", "file:"], None, "g three\n",
+         "line 1: non-integer color count in header 'g three'"),
     ], ids=["header-field", "header-values", "token", "early-zero", "unpaired", "gen-k",
-            "graph-colors", "graph-name", "code-edgeless", "code-k", "predict-edgeless"])
+            "graph-colors", "graph-name", "code-edgeless", "code-k", "predict-edgeless",
+            "solve-graph-token", "solve-graph-header", "volume-graph-token", "volume-graph-header"])
     def test_rejected_before_output(self, tmp_path, capsys, argv, instance, graph, message):
         argv = list(argv)
         if graph is not None:

@@ -215,6 +215,16 @@ class TestGraphFile:
         with pytest.raises(ValueError, match="line 2"):
             parse_graph_file("g 2\n1 2 3\n")
 
+    @pytest.mark.parametrize("text,message", [
+        ("g 3\n1 x\n", "line 2: non-integer token in edge line '1 x'"),
+        ("c header next\ng three\n", "line 2: non-integer color count in header 'g three'"),
+        ("g 3\n1 2\n2.5 3\n", "line 3: non-integer token in edge line '2.5 3'"),
+    ], ids=["edge", "header", "float-edge"])
+    def test_non_integer_names_its_line(self, text, message):
+        with pytest.raises(ValueError) as err:
+            parse_graph_file(text)
+        assert str(err.value) == message
+
 
 class TestRecords:
     """Graphs and profiles are lru_cache keys: equal values hash equal and

@@ -2,7 +2,6 @@ import hashlib
 import itertools
 import math
 import pickle
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -51,13 +50,14 @@ def fresh_codes():
 
 
 @pytest.fixture(scope="module")
-def det_sat_codes():
+def det_sat_codes(k3_block_picks):
     """The n=18, cap 19683 codes of complete(3) and cycle(3), each two equal
-    3^9 blocks, built once for the module from no cached picks, with every
-    block's cover checked here once; the tests read them instead of
-    rebuilding them."""
+    3^9 blocks, built once for the module from the session's block picks,
+    with every block's cover checked here once; the tests read them instead
+    of rebuilding them."""
     build_code.cache_clear()
-    codes = {g: build_code(g, 18, 3, 19683) for g in (complete(3), directed_cycle(3))}
+    with k3_block_picks():
+        codes = {g: build_code(g, 18, 3, 19683) for g in (complete(3), directed_cycle(3))}
     build_code.cache_clear()
     for g, code in codes.items():
         block = code.codewords.codes[0]
@@ -140,7 +140,7 @@ class TestGreedyCover:
     def test_det_sat_block_codes_pinned(self, det_sat_codes, g, r, count, last, digest):
         # the 9-coordinate blocks of the n=18, cap 19683 codes; values are
         # those of the eager greedy that recounted every gain per pick
-        assert select_radius(profile(g), 9, Fraction(1, 3 * profile(g).delta)) == r
+        assert select_radius(profile(g), 9, 1, 3 * profile(g).delta) == r
         assert det_sat_codes[g].radius == 2 * r
         code = det_sat_codes[g].codewords.codes[0]
         assert len(code) == count
@@ -293,7 +293,7 @@ class TestGainBudget:
         p = profile(g)
 
         def updates(size):
-            return gain_updates(g, size, select_radius(p, size, Fraction(1, k * p.delta)))
+            return gain_updates(g, size, select_radius(p, size, 1, k * p.delta))
 
         largest = 1
         while len(covercode.plan_blocks(g, largest + 1, k)) == 1:
@@ -467,7 +467,7 @@ class TestBuildCode:
         g = complete(2)
         code = build_code(g, 3, 3, block_cap=8)
         assert code.blocks == (3,)
-        assert code.radius == select_radius(profile(g), 3, Fraction(1, 3))
+        assert code.radius == select_radius(profile(g), 3, 1, 3)
         assert verify_cover(code)
 
     def test_n_zero(self):
@@ -480,7 +480,7 @@ class TestBuildCode:
         g = directed_cycle(3)
         code = build_code(g, 6, 3, block_cap=27)
         assert code.blocks == (3, 3)
-        r_block = select_radius(profile(g), 3, Fraction(1, 3))
+        r_block = select_radius(profile(g), 3, 1, 3)
         assert code.per_block_radius == (r_block, r_block)
         assert code.radius == 2 * r_block
         assert verify_cover(code)
@@ -608,6 +608,42 @@ class TestResultChecks:
         assert enumerate_cover_check(g, code[:-1], r, 5) is not None
         assert all(assignment_distance(g, cw, missing) > r for cw in code[:-1])
         assert assignment_distance(g, code[-1], missing) <= r
+
+    @staticmethod
+    def bounded(ball):
+        """`ball`, failing the test past 1,000 calls: without its checks the
+        greedy on a wrong ball runs on and on instead of raising."""
+        calls = itertools.count()
+
+        def wrapped(tables, point):
+            if next(calls) > 1000:
+                pytest.fail("the greedy ran on past its checks")
+            return ball(tables, point)
+
+        return wrapped
+
+    def test_greedy_gain_check_fires(self, monkeypatch):
+        # every ball loses its first point, so the first pick's gain of 7
+        # covers only 6 new points
+        real = covercode._ball
+        short = self.bounded(lambda tables, point: list(real(tables, point))[1:])
+        monkeypatch.setattr(covercode, "_ball", short)
+        with pytest.raises(RuntimeError, match="greedy gain 7 but 6 points newly covered"):
+            greedy_cover(complete(3), 3, 1)
+
+    def test_greedy_without_a_covering_center_raises(self, monkeypatch):
+        # at radius 0 every ball is its center; each dual ball (any tables but
+        # those of the first call) also holds the last point, so its gain runs
+        # out while it is still uncovered
+        real, first = covercode._ball, []
+
+        def ball(tables, point):
+            first[:] = first or [tables]
+            return itertools.chain(real(tables, point), [] if tables is first[0] else [3**3 - 1])
+
+        monkeypatch.setattr(covercode, "_ball", self.bounded(ball))
+        with pytest.raises(RuntimeError, match="greedy cover found no center covering an uncovered point"):
+            greedy_cover(complete(3), 3, 0)
 
     def test_python_path_runs_its_cover_check(self):
         # a greedy that stopped one pick early must not get past the check

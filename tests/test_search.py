@@ -585,6 +585,27 @@ class TestStopFlag:
         assert proc.stdout.splitlines() == ["sat True", "unsat True"]
 
 
+class TestResultChecks:
+    """A witness that fails the formula raises, so it also fails under python -O."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_codes(self):
+        build_code.cache_clear()
+        yield
+        build_code.cache_clear()
+
+    @pytest.mark.parametrize("solve", [
+        lambda f, g: det_solve(f, g, block_cap=27),
+        lambda f, g: schoening_solve(f, g, 3, rng=1),
+    ], ids=["det", "schoening"])
+    def test_wrong_witness_raises(self, monkeypatch, solve):
+        # every ball search and walk answers (1, ..., 1) on an UNSAT instance
+        f = generate_random(*UNSAT)
+        monkeypatch.setattr(search, "_runner", lambda make, f, out, arg: lambda item: ((1,) * f.n, 1))
+        with pytest.raises(RuntimeError, match="witness fails constraint"):
+            solve(f, directed_cycle(3))
+
+
 class TestInProcess:
     """In process, a solve maps one searcher over its items: no chunks, no
     stop flag, and each result reaches the solve loop as soon as it exists."""

@@ -21,8 +21,9 @@ Each command runs in a fresh interpreter with PYTHONPATH=src, as
 `python -m dkcsp.cli ...` does, and reports its exit code, the modules the
 command added to sys.modules, which of the guarded ones are among them, the
 OPENBLAS_NUM_THREADS it left, threading.active_count() and, on Linux, how
-many threads the process has: polled for up to 2 s until only one is left,
-since a joined thread can stay listed for a moment after join returns.
+many threads the process has. The two tests that assert that count poll it
+for up to 2 s until only one is left, since a joined thread can stay listed
+for a moment after join returns.
 """
 
 import hashlib
@@ -56,14 +57,14 @@ import threading, time
 threads = None
 if os.path.isdir("/proc/self/task"):
     # a joined thread can stay listed for a moment after join returns
-    deadline = time.monotonic() + 2
+    deadline = time.monotonic() + %(poll_s)s
     while (threads := len(os.listdir("/proc/self/task"))) > 1 and time.monotonic() < deadline:
         time.sleep(0.01)
-print(json.dumps({"code": code, "added": sorted(added), "loaded": [m for m in %r if m in added],
+print(json.dumps({"code": code, "added": sorted(added), "loaded": [m for m in %(guarded)r if m in added],
                   "dkcsp": sorted(m for m in added if m.startswith("dkcsp.")),
                   "blas": os.environ.get("OPENBLAS_NUM_THREADS"), "threads": threads,
                   "active": threading.active_count()}))
-""" % (GUARDED,)
+"""
 BUILDING = {"dkcsp.analysis", "dkcsp.covercode", "dkcsp.volume"}
 # standard-library modules no solve path needs: records, debug output and
 # radius selection do without them
@@ -82,9 +83,15 @@ def run_python(script, *argv, blas=None, timeout=120):
                           capture_output=True, text=True, timeout=timeout)
 
 
-def probe(*argv, blas=None, timeout=120):
+def probe_script(poll_s=0):
+    """PROBE, polling /proc/self/task for up to poll_s seconds until one
+    thread is left; only the tests that assert the thread count wait."""
+    return PROBE % {"guarded": GUARDED, "poll_s": poll_s}
+
+
+def probe(*argv, blas=None, timeout=120, poll_s=0):
     """The probe's report and stdout lines of one `dkcsp` run."""
-    proc = run_python(PROBE, *argv, blas=blas, timeout=timeout)
+    proc = run_python(probe_script(poll_s), *argv, blas=blas, timeout=timeout)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     return json.loads(lines[-1]), lines[:-1]
@@ -183,7 +190,7 @@ def test_markov_loads_no_unneeded_stdlib():
 
 def test_threaded_markov_leaves_one_thread():
     # 20,000 walks are three chunks, so a second thread runs chunk 1
-    report, lines = probe("markov", "--d", "3", "--k", "3", "--seed", "1", "--trials", "20000")
+    report, lines = probe("markov", "--d", "3", "--k", "3", "--seed", "1", "--trials", "20000", poll_s=2)
     assert report["code"] == 0
     assert lines[-1].startswith("simulated ")
     assert {"concurrent.futures", "logging"}.isdisjoint(report["added"])
@@ -303,7 +310,7 @@ def test_default_det_solve_is_bounded(tmp_path, shape, graph):
     args, nodes = DEFAULT_UNSAT[shape]
     path = tmp_path / "unsat.csp"
     path.write_text(serialize_instance(generate_random(*args)))
-    proc = run_python(PROBE, "solve", "-v", "--graph", graph, str(path), timeout=DEFAULT_SOLVE_S)
+    proc = run_python(probe_script(), "solve", "-v", "--graph", graph, str(path), timeout=DEFAULT_SOLVE_S)
     assert proc.returncode == 0, proc.stderr
     *lines, report = proc.stdout.splitlines()
     report = json.loads(report)
@@ -318,7 +325,7 @@ BRUTE = ("solve", "--method", "brute")
 
 
 def test_det_solve_starts_no_blas_threads(unsat_instance_8):
-    report, lines = probe(*BRUTE, unsat_instance_8)
+    report, lines = probe(*BRUTE, unsat_instance_8, poll_s=2)
     assert (report["code"], lines) == (20, ["s UNSATISFIABLE"])
     assert report["blas"] == "1"
     assert report["loaded"] == ["numpy"]

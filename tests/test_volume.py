@@ -1,4 +1,5 @@
 import itertools
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
@@ -71,6 +72,13 @@ class TestShellCounts:
             for top in range(p.s * n + 3):
                 assert shell_counts(p, n, top) == full[: top + 1], (n, top)
 
+    def test_sum_check_fires(self):
+        # a hashable stand-in that claims its counts (1, 2) span all 4 colors:
+        # its shells hold 3^3 = 27 points, not 4^3, and the check raises
+        stand_in = namedtuple("Profile", "d counts s spans_all_colors")(4, (1, 2), 1, True)
+        with pytest.raises(RuntimeError, match=r"shell counts sum to 27, not 4\^3"):
+            shell_counts(stand_in, 3)
+
     def test_negative_top_rejected_after_n(self):
         p = profile(complete(3))
         with pytest.raises(ValueError, match="radius must be nonnegative"):
@@ -121,19 +129,19 @@ class TestBallVolume:
 
 class TestSelectRadius:
     def test_complete3_example(self):
-        assert select_radius(profile(complete(3)), 6, Fraction(1, 6)) == 1
+        assert select_radius(profile(complete(3)), 6, 1, 6) == 1
 
     def test_cycle3_example(self):
-        assert select_radius(profile(directed_cycle(3)), 6, Fraction(1, 3)) == 2
+        assert select_radius(profile(directed_cycle(3)), 6, 1, 3) == 2
 
     def test_x_one_maximizes_counts(self):
         p = profile(complete(3))
         counts = shell_counts(p, 5)
-        assert select_radius(p, 5, 1) == counts.index(max(counts))
+        assert select_radius(p, 5, 1, 1) == counts.index(max(counts))
 
     def test_tie_broken_toward_smaller(self):
         # cycle on 3 colors, n = 3, x = 1/3: T = (1,3,6,..) scores 1, 1, 2/3, ..
-        assert select_radius(profile(directed_cycle(3)), 3, Fraction(1, 3)) == 0
+        assert select_radius(profile(directed_cycle(3)), 3, 1, 3) == 0
 
     @given(
         st.sampled_from(GRAPHS),
@@ -145,13 +153,15 @@ class TestSelectRadius:
         counts = shell_counts(p, n)
         scores = [counts[r] * x**r for r in range(len(counts))]
         best = max(scores)
-        r = select_radius(p, n, x)
+        r = select_radius(p, n, x.numerator, x.denominator)
         assert scores[r] == best
         assert all(scores[i] < best for i in range(r))
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            select_radius(profile(complete(3)), 2, 0)
+        # x = a/b arrives as two integers, so the denominator is checked too
+        for a, b in ((0, 1), (1, 0), (-1, 3), (1, -3)):
+            with pytest.raises(ValueError, match="needs a > 0 and b > 0"):
+                select_radius(profile(complete(3)), 2, a, b)
 
 
 class TestBounds:
@@ -185,8 +195,8 @@ class TestBounds:
                         assert low_c == Fraction(1, n + 1)
                         assert low_y == Fraction(1, (d - 1) * n + 1)
                         continue
-                    r_c = select_radius(profile(complete(d)), n, x)
-                    r_y = select_radius(profile(directed_cycle(d)), n, x)
+                    r_c = select_radius(profile(complete(d)), n, x.numerator, x.denominator)
+                    r_y = select_radius(profile(directed_cycle(d)), n, x.numerator, x.denominator)
                     assert low_c == (1 + (d - 1) * x) ** n / ((n + 1) * x**r_c)
                     cycle_gf = sum(x**i for i in range(d))
                     assert low_y == cycle_gf**n / (((d - 1) * n + 1) * x**r_y)
