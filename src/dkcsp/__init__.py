@@ -5,7 +5,8 @@ Modules:
   colorgraph graphs on the color set and the induced product distance
   volume     exact shell counts, ball volumes and radius selection
   covercode  deterministic greedy covering codes
-  search     bitset constraint kernel, ball search, random walks, and the full solvers
+  search     bitset constraint kernel, ball search, and the full solvers
+  walk       the random walk's kernel and its draws from per-restart byte blocks
   analysis   running-time bases and the absorbing-walk analysis
   cli        command-line front end (entry point: dkcsp)
 
@@ -13,7 +14,12 @@ Code imports what it uses from these modules; the package re-exports
 nothing, so importing `dkcsp` alone loads none of them.
 """
 
+import re
 import sys
+
+# ASCII decimal digits and whitespace only, as instance and graph files write
+# numbers: int() also reads "+1", "1_0" and other scripts' digits
+_DECIMALS = re.compile(r"[0-9\s]+")
 
 
 def _debug(logger: str, *args) -> None:

@@ -145,6 +145,11 @@ def cmd_volume(args: argparse.Namespace) -> int:
     from .volume import shell_counts
 
     p = profile(_graph_from_flag(args.graph, args.d))
+    # the full table's big-integer DP grows about as shells^2.5: 1501 shells
+    # (complete(3), n = 1500) take about 1 s, 4001 (n = 4000) about 12 s
+    if args.r is None and p.s * args.n + 1 > 1501:
+        raise ValueError(f"a full table of {p.s * args.n + 1} shells is over 1501; "
+                         "ask for shells 0..r with --r")
     counts = shell_counts(p, args.n, args.r)
     print("shells", *counts)
     if args.r is not None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Optional
 
-from . import _Record
+from . import _DECIMALS, _Record
 
 __all__ = [
     "ColorGraph",
@@ -152,7 +152,8 @@ def from_edges(d: int, edges: Iterable[tuple[int, int]], name: str = "custom") -
 
 
 def parse_graph_file(text: str) -> ColorGraph:
-    """Parse the custom graph format: header "g <d>", then one "u v" line per edge."""
+    """Parse the custom graph format: header "g <d>", then one "u v" line per
+    edge, numbers in ASCII decimal digits."""
     d: Optional[int] = None
     edges: list[tuple[int, int]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -165,11 +166,11 @@ def parse_graph_file(text: str) -> ColorGraph:
             raise ValueError(f"line {line_no}: expected header 'g <d>', got {raw!r}")
         if len(tokens) != 2:
             raise ValueError(f"line {line_no}: expected edge 'u v', got {raw!r}")
-        try:
-            values = tuple(map(int, tokens[1:] if header else tokens))
-        except ValueError:
+        numbers = tokens[1:] if header else tokens
+        if not all(map(_DECIMALS.fullmatch, numbers)):
             what = "color count in header" if header else "token in edge line"
-            raise ValueError(f"line {line_no}: non-integer {what} {raw!r}") from None
+            raise ValueError(f"line {line_no}: non-integer {what} {raw!r}")
+        values = tuple(map(int, numbers))
         if header:
             (d,) = values
         else:

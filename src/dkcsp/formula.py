@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from typing import NamedTuple, Optional, Sequence
 
-from . import _Record
+from . import _DECIMALS, _Record
 
 __all__ = [
     "BRUTE_FORCE_CAP",
@@ -95,12 +95,32 @@ def _check_assignment(f: Formula, a: Sequence[int]) -> None:
             raise ValueError(f"assignment color {v} out of range 1..{f.d}")
 
 
+class _Literals(dict):
+    """(var, color) -> its Literal, checked and made once per instance."""
+
+    __slots__ = ("n", "d")
+
+    def __init__(self, n: int, d: int):
+        super().__init__()
+        self.n, self.d = n, d
+
+    def __missing__(self, key: tuple[int, int]) -> Literal:
+        var, color = key
+        if var > self.n:
+            raise ValueError(f"variable {var} out of range 1..{self.n}")
+        if color > self.d:
+            raise ValueError(f"color {color} out of range for d={self.d}")
+        self[key] = lit = Literal(var, color)
+        return lit
+
+
 def parse_instance(text: str) -> Formula:
     """Parse the text instance format.
 
     Lines starting with "c" are comments. The header is
     "p csp <n> <d> <m>", followed by exactly m constraint lines, each a
-    sequence of (var, color) integer pairs terminated by a single 0.
+    sequence of (var, color) integer pairs terminated by a single 0. Numbers
+    are written in ASCII decimal digits.
 
     The file does not carry k; the declared width is inferred as the widest
     constraint present (at least 1).
@@ -117,36 +137,31 @@ def parse_instance(text: str) -> Formula:
         if header is None:
             if tokens[:2] != ["p", "csp"] or len(tokens) != 5:
                 raise ParseError(line_no, f"expected header 'p csp <n> <d> <m>', got {raw!r}")
-            try:
-                n, d, m = (int(t) for t in tokens[2:])
-            except ValueError:
-                raise ParseError(line_no, f"non-integer field in header {raw!r}") from None
-            if n < 0 or d < 2 or m < 0:
+            if not all(map(_DECIMALS.fullmatch, tokens[2:])):
+                raise ParseError(line_no, f"non-integer field in header {raw!r}")
+            n, d, m = map(int, tokens[2:])
+            if d < 2:
                 raise ParseError(line_no, f"invalid header values n={n} d={d} m={m}")
             header = (n, d, m)
+            literals = _Literals(n, d)
             continue
         n, d, m = header
         if len(constraints) == m:
             raise ParseError(line_no, f"trailing garbage after {m} constraints: {raw!r}")
-        try:
-            nums = [int(t) for t in tokens]
-        except ValueError:
-            raise ParseError(line_no, f"non-integer token in constraint line {raw!r}") from None
-        if not nums or nums[-1] != 0:
+        if not _DECIMALS.fullmatch(line):
+            raise ParseError(line_no, f"non-integer token in constraint line {raw!r}")
+        nums = [*map(int, tokens)]
+        if nums[-1] != 0:
             raise ParseError(line_no, "constraint line must end with 0")
         if 0 in nums[:-1]:
             raise ParseError(line_no, "unexpected 0 before end of constraint line")
-        body = nums[:-1]
-        if len(body) % 2 != 0:
+        if len(nums) % 2 == 0:
             raise ParseError(line_no, "constraint line has an unpaired trailing integer")
-        lits = []
-        for var, color in zip(body[::2], body[1::2]):
-            if not 1 <= var <= n:
-                raise ParseError(line_no, f"variable {var} out of range 1..{n}")
-            if not 1 <= color <= d:
-                raise ParseError(line_no, f"color {color} out of range for d={d}")
-            lits.append(Literal(var, color))
-        constraints.append(Constraint(tuple(lits)))
+        pairs = iter(nums[:-1])
+        try:
+            constraints.append(Constraint(tuple(map(literals.__getitem__, zip(pairs, pairs)))))
+        except ValueError as exc:
+            raise ParseError(line_no, str(exc)) from None
     if header is None:
         raise ParseError(max(last_line, 1), "missing 'p csp' header")
     n, d, m = header

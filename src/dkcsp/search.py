@@ -7,10 +7,11 @@ takes one path for every code: it loads covercode, searches the balls of
 the code's first row while the code is being built, and only when that row
 holds no witness finishes the code and searches the rest (in the process
 pool when jobs > 1). The randomized solver is the classic multi-restart
-random walk, generalized to move along graph edges. Both find the first
-unsatisfied constraint with one shared state (_ConstraintBits): bitset
-tables precomputed per group of consecutive variables, so a re-coloring is
-one add to the group's table index. Both kernels are compiled once per
+random walk, generalized to move along graph edges; its kernel and its
+draws, from one block of random bytes per restart, are in walk. Both find
+the first unsatisfied constraint with one shared state (_ConstraintBits):
+bitset tables precomputed per group of consecutive variables, so a
+re-coloring is one add to the group's table index. Both kernels are compiled once per
 group count G from source templates, so the unsatisfied set is one inline
 AND of G table entries, a balanced tree of & when G is large. The ball
 search counts and tests its radius-1 leaves inline instead of recursing
@@ -291,54 +292,6 @@ def _ball_searcher(
     return make(state.tables, plan, state.index, state.coloring, r)
 
 
-_WALK = """
-def make(tables, picks, moves, place, d, coloring, as_rng, steps):
-    def walk(seed):
-        TABLES = tables
-        getrandbits = as_rng(seed).getrandbits
-        idx = [0] * len(tables)
-        width = d.bit_length()
-        for j, w in place:
-            c = getrandbits(width)
-            while c >= d:
-                c = getrandbits(width)
-            idx[j] += (c + 1) * w
-        for taken in range(steps):
-            u = UNSAT
-            if not u:
-                return coloring(idx), taken
-            count, width, lits = picks[(u & -u).bit_length() - 1]
-            if not count:
-                return None, taken
-            i = getrandbits(width)
-            while i >= count:
-                i = getrandbits(width)
-            c, j, w, _ = lits[i]
-            deltas, count, width = moves[c]
-            i = getrandbits(width)
-            while i >= count:
-                i = getrandbits(width)
-            idx[j] += deltas[i] * w
-        u = UNSAT
-        return (None if u else coloring(idx)), steps
-    return walk
-"""
-
-
-def _walker(state: _ConstraintBits, out: tuple[tuple[int, ...], ...], steps: int) -> Callable:
-    """The state's _WALK kernel: seed (or random.Random) -> (witness or None,
-    steps taken) of a `steps`-step walk from a random start. A draw below N
-    inlines randrange(N): getrandbits of N.bit_length() bits, redrawn until
-    below N, as random.Random draws it."""
-    # picks[i]: (literal count of constraint i, its bit length, its literals)
-    picks = [(len(lits), len(lits).bit_length(), lits) for lits in state.literals]
-    # moves[c]: (new color - c for each out-neighbor of c, their count, its bit length)
-    moves = ((),) + tuple((tuple(c2 - c for c2 in nbrs), len(nbrs), len(nbrs).bit_length())
-                          for c, nbrs in enumerate(out, start=1))
-    make = _kernel(_WALK, len(state.tables))
-    return make(state.tables, picks, moves, state.place, state.d, state.coloring, _as_rng, steps)
-
-
 def _verify_witness(f: Formula, witness: tuple[int, ...]) -> None:
     ok, bad = evaluate(f, witness)
     if not ok:
@@ -372,8 +325,13 @@ def _search_chunk(items: Sequence) -> list[tuple[Optional[tuple[int, ...]], int]
 
 
 def _chunked(items: Sequence, jobs: int) -> list[Sequence]:
+    """About 4 * jobs contiguous slices, each cut from the rest of the last."""
     size = max(1, -(-len(items) // (jobs * 4)))
-    return [items[i : i + size] for i in range(0, len(items), size)]
+    chunks = []
+    while len(items):
+        chunks.append(items[:size])
+        items = items[size:]
+    return chunks
 
 
 def _check_jobs(jobs: int) -> None:
@@ -436,23 +394,34 @@ def schoening_solve(
     rng: RngLike = None,
     jobs: int = 1,
 ) -> SolveResult:
-    """Repeat a random walk with independent per-repetition substreams.
+    """Repeat a random walk from independent random starts.
 
     Each walk starts from a uniform random assignment; while some constraint
     is unsatisfied, it picks one of its literals uniformly at random and
     re-colors the literal's variable to a uniform out-neighbor of the
     literal's color. With the complete graph this is the classic walk (new
     color uniform among the d-1 others). Walk length is steps_multiplier * n,
-    default 3(d-1) (the classic 3n for d = 2). Results are reproducible given
-    a seed, independently of `jobs`.
+    default 3(d-1) (the classic 3n for d = 2).
+
+    rng (a seed or random.Random) draws one block of random bytes per walk
+    with randbytes, in restart order, and the walk reads its draws from it,
+    W bytes each (one unless a draw has more than 256 options), redrawing a
+    value past the largest multiple of the option count. A step draws its
+    (literal, out-neighbor) pair in one draw, among the options of all the
+    constraint's literals, each literal holding each out-neighbor of its
+    color L/delta times (L the lcm of the out-degrees). The block holds the
+    n + steps draws and spare ones for redraws; a walk whose redraws use up
+    the spare goes on with bytes from random.Random seeded by its block.
+    Results are reproducible given a seed, independently of `jobs`.
     """
+    from .walk import _Restarts, _block_size, _walker
+
     check_walk(f, g, repetitions, steps_multiplier, jobs)
     c = steps_multiplier if steps_multiplier is not None else 3 * (f.d - 1)
     steps = c * f.n
-    master = _as_rng(rng)
-    seeds = [master.getrandbits(64) for _ in range(repetitions)]
+    restarts = _Restarts(_as_rng(rng), repetitions, _block_size(f, g.out, steps))
     stats = SearchStats()
-    with closing(_run_chunks(seeds, (_walker, f, g.out, steps), jobs)) as results:
+    with closing(_run_chunks(restarts, (_walker, f, g.out, steps), jobs)) as results:
         for witness, used in results:
             stats.repetitions += 1
             stats.steps += used

@@ -20,12 +20,13 @@ from dkcsp.formula import Constraint, Formula, Literal
 from dkcsp.search import (
     RngLike,
     SearchStats,
+    _as_rng,
     _check_graph,
     _ball_searcher,
     _ConstraintBits,
-    _walker,
     check_walk,
 )
+from dkcsp.walk import _block_size, _walker
 from dkcsp.volume import select_radius, shell_counts
 
 
@@ -96,17 +97,18 @@ def schoening_run(
     unsatisfied, picks one of its literals uniformly at random and re-colors
     the literal's variable to a uniform out-neighbor of the literal's color.
     With the complete graph this is the classic walk (new color uniform among
-    the d-1 others). Returns a satisfying assignment or None.
+    the d-1 others). Its draws come from one block of bytes drawn from rng,
+    as schoening_solve draws each walk's. Returns a satisfying assignment or
+    None.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     check_walk(f, g, 1)
-    witness, taken = _walker(_ConstraintBits(f), g.out, steps)(rng)
+    block = _as_rng(rng).randbytes(_block_size(f, g.out, steps))
+    witness, taken = _walker(_ConstraintBits(f), g.out, steps)(block)
     if stats is not None:
         stats.steps += taken
     return witness
-
-
 
 
 def normalize(f: Formula) -> Formula:

@@ -273,6 +273,21 @@ class TestVolume:
         assert captured.out == ""
         assert captured.err.startswith("error: radius must be nonnegative")
 
+    def test_full_table_limit(self, capsys):
+        # a full table of 1501 shells is printed (cycle: s = 2 at n = 750); a
+        # larger one is refused before any output, and --r still answers
+        cycle = ["volume", "--graph", "cycle", "--d", "3"]
+        assert main([*cycle, "--n", "750"]) == 0
+        out = capsys.readouterr().out.split()
+        assert out[:2] == ["shells", "1"] and len(out) == 1 + 1501
+        for args, shells in [(cycle + ["--n", "751"], 1503), (["volume", "--d", "3", "--n", "1501"], 1502)]:
+            assert main(args) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: a full table of {shells} shells is over 1501; ask for shells 0..r with --r\n"
+            assert main([*args, "--r", "1"]) == 0
+            assert capsys.readouterr().out.startswith("shells 1 ")
+
     def test_r_bounds_the_work(self, capsys):
         # only shells 0..r are built, so n = 100000 answers at once with the
         # 1 + 2n + 2n(n-1) assignments within Hamming distance 2

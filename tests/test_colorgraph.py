@@ -225,6 +225,16 @@ class TestGraphFile:
             parse_graph_file(text)
         assert str(err.value) == message
 
+    # int() reads each of these: "1_0" as 10, "+1" as 1 and Arabic-Indic "٢" as 2
+    @pytest.mark.parametrize("token", ["1_0", "+1", "\u0662"], ids=["underscore", "plus", "arabic-indic"])
+    def test_only_ascii_decimal_digits(self, token):
+        with pytest.raises(ValueError) as err:
+            parse_graph_file(f"g 3\n1 {token}\n")
+        assert str(err.value) == f"line 2: non-integer token in edge line '1 {token}'"
+        with pytest.raises(ValueError) as err:
+            parse_graph_file(f"g {token}\n1 2\n")
+        assert str(err.value) == f"line 1: non-integer color count in header 'g {token}'"
+
 
 class TestRecords:
     """Graphs and profiles are lru_cache keys: equal values hash equal and

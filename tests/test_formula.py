@@ -1,5 +1,6 @@
 import itertools
 import pickle
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -84,6 +85,21 @@ class TestParse:
     def test_empty_constraint_line(self):
         f = parse_instance("p csp 2 3 1\n0\n")
         assert f.constraints == (Constraint(()),)
+
+    # int() reads each of these: "1_0" as 10, "+1" as 1 and Arabic-Indic "٢" as 2
+    @pytest.mark.parametrize("token", ["1_0", "+1", "\u0662"], ids=["underscore", "plus", "arabic-indic"])
+    def test_only_ascii_decimal_digits(self, token):
+        with pytest.raises(ParseError, match=re.escape(f"line 2: non-integer token in constraint line '1 {token} 0'")):
+            parse_instance(f"p csp 2 3 1\n1 {token} 0\n")
+        with pytest.raises(ParseError, match="line 1: non-integer field in header"):
+            parse_instance(f"p csp {token} 3 1\n1 1 0\n")
+
+    def test_literals_checked_and_shared(self):
+        f = parse_instance("p csp 2 3 3\n1 1 2 2 0\n2 2 0\n01 1 0\n")
+        assert f == Formula(2, 3, 2, (constraint((1, 1), (2, 2)), constraint((2, 2)), constraint((1, 1))))
+        assert f.constraints[0].literals[1] is f.constraints[1].literals[0]
+        with pytest.raises(ParseError, match="line 3: variable 3 out of range 1..2"):
+            parse_instance("p csp 2 3 2\n1 1 0\n1 1 3 4 0\n")
 
 
 class TestSerialize:

@@ -3,13 +3,15 @@
 The oracles are `formula.evaluate` and a copy of the count-based state the
 kernel replaced (per-constraint falsified-literal counts with an O(m) scan),
 together with the ball search and walk written against it. Witnesses, node
-counts and step counts must agree exactly, which pins the search order and
-the walk's RNG draws.
+counts and step counts must agree exactly, which pins the search order, and
+so must the bytes a walk reads from its block, which pins how it draws.
 """
 
+import math
 import random
 import sys
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from dkcsp.colorgraph import complete, directed_cycle, from_edges, hypercube
 from dkcsp.covercode import build_code
 from dkcsp.formula import Constraint, Formula, Literal, constraint, evaluate, generate_random
-from dkcsp import search
+from dkcsp import search, walk
 from dkcsp.search import (
     _TABLE_BYTES,
     SearchStats,
@@ -92,23 +94,80 @@ def oracle_searchball(f, g, center, r):
     return rec(r), nodes
 
 
-def oracle_walk(f, g, steps, rng):
-    alpha = [rng.randint(1, f.d) for _ in range(f.n)]
+def block_walk(f, g, steps, block):
+    """The walk as schoening_solve states its draws, read from block with
+    arithmetic in place of the kernel's tables: (witness or None, steps
+    taken, bytes read)."""
+    lcm = math.lcm(*map(len, g.out))
+    top = max([f.d] + [len(con.literals) * lcm for con in f.constraints])
+    width = max(1, ((top - 1).bit_length() + 7) // 8)
+    stream, pos = bytes(block), 0
+
+    def value():
+        nonlocal stream, pos
+        if pos + width > len(stream):  # past the block: double it from a generator it seeds
+            stream += random.Random(stream).randbytes(len(stream))
+        pos += width
+        return int.from_bytes(stream[pos - width : pos], "little")
+
+    def draw(count):  # uniform below count: the top 256^W mod count values draw again
+        while True:
+            x = value()
+            if x < 256**width - 256**width % count:
+                return x % count
+
+    alpha = [draw(f.d) + 1 for _ in range(f.n)]
     state = CountState(f)
     state.reset(alpha)
-    taken = 0
-    for _ in range(steps):
+    for taken in range(steps):
         ci = state.first_unsat()
         if ci is None:
-            return tuple(alpha), taken
+            return tuple(alpha), taken, pos
         lits = f.constraints[ci].literals
-        if not lits:
-            return None, taken
-        lit = lits[rng.randrange(len(lits))]
+        if not lits:  # no option: the first value drawn ends the walk
+            value()
+            return None, taken, pos
+        # one draw among the literals' L options each: literal o // L, out-neighbor o mod delta
+        o = draw(len(lits) * lcm)
+        lit = lits[o // lcm]
         nbrs = g.out[lit.color - 1]
-        state.set_color(lit.var, nbrs[rng.randrange(len(nbrs))])
-        taken += 1
-    return (tuple(alpha) if state.first_unsat() is None else None), taken
+        state.set_color(lit.var, nbrs[o % len(nbrs)])
+    return (tuple(alpha) if state.first_unsat() is None else None), steps, pos
+
+
+class ReadBlock(bytes):
+    """A walk's block that counts the bytes read from it and from the blocks it is extended to."""
+
+    def __new__(cls, data, reads=None):
+        block = super().__new__(cls, data)
+        block.reads = [0] if reads is None else reads
+        return block
+
+    def __getitem__(self, i):
+        got = super().__getitem__(i)
+        self.reads[0] += len(got) if isinstance(i, slice) else 1
+        return got
+
+    def __add__(self, more):
+        return ReadBlock(bytes(self) + more, self.reads)
+
+
+def kernel_walk(walker, block):
+    """(witness or None, steps taken, bytes read) of the kernel's walk on block."""
+    block = ReadBlock(block)
+    return (*walker(block), block.reads[0])
+
+
+def walk_blocks(f, g, steps, seed):
+    """A block drawn as schoening_solve draws it, and a copy with every third
+    byte 255, which most tables reject, so that its walks redraw and run past it."""
+    block = random.Random(seed).randbytes(walk._block_size(f, g.out, steps))
+    return block, bytes(255 if i % 3 == 0 else b for i, b in enumerate(block))
+
+
+# out-degrees 1, 2, 3, 4 and 1: L = 12
+IRREGULAR = from_edges(5, [(1, 2), (2, 1), (2, 3), (3, 1), (3, 2), (3, 4), (4, 1), (4, 2), (4, 3),
+                           (4, 5), (5, 1)])
 
 
 def unsat_indices(f, alpha):
@@ -122,18 +181,6 @@ def lowest_unsat(state, alpha):
     """Index of the lowest set bit of the kernel's unsat bitset, or None."""
     u = unsat(state, alpha)
     return (u & -u).bit_length() - 1 if u else None
-
-
-class CountingRandom(random.Random):
-    """random.Random that counts getrandbits calls; randrange draws through them."""
-
-    def __init__(self, seed):
-        self.calls = 0
-        super().__init__(seed)
-
-    def getrandbits(self, k):
-        self.calls += 1
-        return super().getrandbits(k)
 
 
 def kernel_indices(state, alpha):
@@ -210,8 +257,9 @@ def mixed_formula(rng, n, d, k, m):
     return Formula(n, d, k, tuple(cons))
 
 
-# complete(4) and complete(5) have out-degree 3 and 4, so the walk's neighbor
-# draw is rejected and redrawn at 2 and 3 bits
+# a step draws among k * L options (L = 2 on complete(3) and hypercube(2), 3
+# and 4 on complete(4) and complete(5), 1 on the cycles), redrawing the top
+# 256 mod (k * L) bytes
 GRAPHS = [complete(2), complete(3), complete(4), complete(5), directed_cycle(3), directed_cycle(4),
           hypercube(2)]
 
@@ -237,21 +285,13 @@ class TestAgainstCountState:
             assert (witness, stats.nodes_visited) == oracle_searchball(f, g, center, r)
 
     def test_walk_witness_and_steps(self, g):
-        # also the same number of getrandbits calls as the randrange oracle, so
-        # the stream is left at the same position, not only the walk's result
-        calls = draws = 0
+        # also the same bytes read, so the kernel reads its block by the rule
+        # stated, on drawn blocks and on 255-laden ones that make walks redraw
         for rng, f in self.instances(g, 40):
             steps = 3 * (g.d - 1) * f.n
-            seed = rng.getrandbits(64)
-            ours, theirs = CountingRandom(seed), CountingRandom(seed)
-            stats = SearchStats()
-            witness = schoening_run(f, g, steps, ours, stats)
-            assert (witness, stats.steps) == oracle_walk(f, g, steps, theirs)
-            assert ours.calls == theirs.calls
-            assert ours.getrandbits(64) == theirs.getrandbits(64)
-            calls += ours.calls - 1
-            draws += f.n + 2 * stats.steps
-        assert calls > draws  # some draws were rejected and redrawn
+            walker = walk._walker(_ConstraintBits(f), g.out, steps)
+            for block in walk_blocks(f, g, steps, rng.getrandbits(64)):
+                assert kernel_walk(walker, block) == block_walk(f, g, steps, block)
 
     def test_det_solve_shares_state_across_balls(self, g):
         # a solve reuses one searcher, and its state, for every ball it searches
@@ -408,11 +448,12 @@ class TestGroupBoundaries:
                 assert (witness, stats.nodes_visited) == oracle_searchball(f, g, center, r)
                 steps = 3 * (d - 1) * n
                 seed = rng.getrandbits(64)
-                ours, theirs = CountingRandom(seed), CountingRandom(seed)
                 stats = SearchStats()
-                witness = schoening_run(f, g, steps, ours, stats)
-                assert (witness, stats.steps) == oracle_walk(f, g, steps, theirs)
-                assert ours.calls == theirs.calls
+                witness = schoening_run(f, g, steps, random.Random(seed), stats)
+                block, hostile = walk_blocks(f, g, steps, seed)
+                assert (witness, stats.steps) == block_walk(f, g, steps, block)[:2]
+                walker = walk._walker(_ConstraintBits(f), g.out, steps)
+                assert kernel_walk(walker, hostile) == block_walk(f, g, steps, hostile)
 
 
 def ungrouped(monkeypatch):
@@ -530,12 +571,10 @@ class TestGeneratedKernels:
         state = _ConstraintBits(f)
         rng = random.Random(case)
         for steps in (0, 3, 40):
-            walk = search._walker(state, g.out, steps)
+            walker = walk._walker(state, g.out, steps)
             for _ in range(3):
-                seed = rng.getrandbits(64)
-                ours, theirs = CountingRandom(seed), CountingRandom(seed)
-                assert walk(ours) == oracle_walk(f, g, steps, theirs)
-                assert ours.calls == theirs.calls
+                for block in walk_blocks(f, g, steps, rng.getrandbits(64)):
+                    assert kernel_walk(walker, block) == block_walk(f, g, steps, block)
 
     def test_same_group_count_shares_code(self, case, graph):
         f, groups, _ = KERNEL_CASES[case]
@@ -546,11 +585,85 @@ class TestGeneratedKernels:
             state = _ConstraintBits(formula)
             assert len(state.tables) == groups
             kernels.append((search._ball_searcher(state, g.out, 2),
-                            search._walker(state, g.out, 5)))
-        (ball, walk), (ball2, walk2) = kernels
-        assert ball is not ball2 and walk is not walk2
+                            walk._walker(state, g.out, 5)))
+        (ball, walker), (ball2, walker2) = kernels
+        assert ball is not ball2 and walker is not walker2
         assert ball.__code__ is ball2.__code__
-        assert walk.__code__ is walk2.__code__
+        assert walker.__code__ is walker2.__code__
         if groups > 1:  # another group count compiles its own kernel
             one_group = _ConstraintBits(generate_random(1, f.d, 1, 3, 1))
             assert search._ball_searcher(one_group, g.out, 2).__code__ is not ball.__code__
+
+
+class TestWalkDraws:
+    """The walk's draws from its block: tables that give each option the same
+    number of values, the law of a step on graphs with unequal out-degrees
+    and with more than 256 options, and walks that run past their block."""
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_tables_give_each_option_equal_values(self, width):
+        full = 256**width
+        for count in range(1, 257) if width == 1 else (257, 300, 4097, 65535, 65536):
+            table = walk._draw_table(range(count), width)
+            lim = full - full % count  # the top full mod count values draw again
+            hits = Counter(table[x] for x in range(full))
+            assert hits.pop(-1, 0) == full - lim
+            assert hits == dict.fromkeys(range(count), lim // count)
+            assert all(table[x] == -1 for x in range(lim, full))
+        # a start table: the values are (c + 1) * w
+        assert Counter(walk._draw_table((4, 8, 12), width)[x] for x in range(full)) == {
+            4: full // 3, 8: full // 3, 12: full // 3, -1: full % 3}
+        assert {walk._draw_table((), width)[x] for x in range(full)} == {-1}
+
+    @pytest.mark.parametrize("g, colors", [
+        (from_edges(3, [(1, 2), (1, 3), (2, 1), (3, 1)]), (1, 2, 3)),
+        (complete(10), (1,) * 29),
+        (IRREGULAR, (1, 2, 3, 4, 5) * 5),
+    ], ids=["unequal-degrees", "261-options", "300-options-unequal"])
+    def test_first_step_picks_literal_then_out_neighbor(self, g, colors):
+        # one constraint, falsified at the start `colors`: over the values of
+        # the first step's draw, literal i and out-neighbor c2 are picked by
+        # 1 / (k * delta_i) of the accepted ones, and the rest draw again
+        k = len(colors)
+        f = Formula(k, g.d, k, (Constraint(tuple(Literal(v, c) for v, c in enumerate(colors, 1))),))
+        lcm, width = walk._walk_shape(g.d, {k}, g.out)
+        assert (k * lcm > 256) == (width == 2)
+        count, full = k * lcm, 256**width
+        lim = full - full % count
+        walker = walk._walker(_ConstraintBits(f), g.out, 1)
+        start = b"".join((c - 1).to_bytes(width, "little") for c in colors)
+        # W = 1: every value; W = 2: one period of the accepted values, and the rejected ones
+        values = range(full) if width == 1 else [*range(count), *range(lim, full)]
+        hits = Counter()
+        for x in values:
+            witness, taken, read = kernel_walk(walker, start + x.to_bytes(width, "little") + bytes(8 * width))
+            assert taken == 1 and witness is not None
+            if x >= lim:
+                assert read == len(start) + 2 * width
+                continue
+            assert read == len(start) + width
+            (i,) = [i for i in range(k) if witness[i] != colors[i]]
+            hits[i, witness[i]] += 1
+        accepted = lim if width == 1 else count
+        want = {(i, c2): accepted // (k * len(g.out[c - 1])) for i, c in enumerate(colors) for c2 in g.out[c - 1]}
+        assert hits == want
+        assert all(h * k * len(g.out[colors[i] - 1]) == accepted for (i, _), h in hits.items())
+
+    def test_jobs_with_walks_past_their_block(self, monkeypatch):
+        # blocks cut to the start and step draws alone, so a walk that redraws
+        # more than the word's rounding allows goes on with bytes seeded by its block
+        monkeypatch.setattr(walk, "_block_size", lambda f, out, steps: -(-(f.n + steps) // 4) * 4)
+        g, steps_mult, reps = complete(4), 1000, 8  # 3 options a step: byte 255 draws again
+        unsat = Formula(1, 4, 1, tuple(constraint((1, c)) for c in range(1, 5)))
+        size = walk._block_size(unsat, g.out, steps_mult)
+        master = random.Random(7)
+        walker = walk._walker(_ConstraintBits(unsat), g.out, steps_mult)
+        past = [kernel_walk(walker, master.randbytes(size))[2] > size for _ in range(reps)]
+        assert any(past) and not all(past)
+        planted = generate_random(3, 4, 3, 40, 5, planted=(4, 4, 4))
+        for f in (unsat, planted):
+            serial, pooled = (schoening_solve(f, g, reps, steps_mult, rng=7, jobs=j) for j in (1, 2))
+            assert serial == pooled
+        assert serial.status == "sat"
+        unknown = schoening_solve(unsat, g, reps, steps_mult, rng=7, jobs=2)
+        assert (unknown.status, unknown.stats.repetitions, unknown.stats.steps) == ("unknown", reps, reps * 1000)

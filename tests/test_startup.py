@@ -155,7 +155,7 @@ def test_walk_solve_loads_no_numpy(unsat_instance):
 @pytest.mark.parametrize("argv,modules", [
     (["--help"], []),
     (["solve", "--method", "schoening", "--reps", "5", "--seed", "1"],
-     ["dkcsp.colorgraph", "dkcsp.formula", "dkcsp.search"]),
+     ["dkcsp.colorgraph", "dkcsp.formula", "dkcsp.search", "dkcsp.walk"]),
 ], ids=["help", "walk"])
 def test_commands_load_no_code_modules(unsat_instance, argv, modules):
     report, lines = probe(*argv, *([unsat_instance] if "solve" in argv else []))
