@@ -17,9 +17,17 @@ nothing, so importing `dkcsp` alone loads none of them.
 import re
 import sys
 
-# ASCII decimal digits and whitespace only, as instance and graph files write
-# numbers: int() also reads "+1", "1_0" and other scripts' digits
 _DECIMALS = re.compile(r"[0-9\s]+")
+
+
+def _decimals(text: str) -> list[int]:
+    """The whitespace-separated numbers of text, as instance and graph files
+    write them: ASCII decimal digits (int() alone also reads "+1", "1_0" and
+    other scripts' digits). ValueError on anything else, and on a number
+    longer than int() reads."""
+    if not _DECIMALS.fullmatch(text):
+        raise ValueError(f"not decimal numbers: {text!r}")
+    return [*map(int, text.split())]
 
 
 def _debug(logger: str, *args) -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Optional
 
-from . import _DECIMALS, _Record
+from . import _decimals, _Record
 
 __all__ = [
     "ColorGraph",
@@ -166,15 +166,15 @@ def parse_graph_file(text: str) -> ColorGraph:
             raise ValueError(f"line {line_no}: expected header 'g <d>', got {raw!r}")
         if len(tokens) != 2:
             raise ValueError(f"line {line_no}: expected edge 'u v', got {raw!r}")
-        numbers = tokens[1:] if header else tokens
-        if not all(map(_DECIMALS.fullmatch, numbers)):
+        try:
+            values = _decimals(tokens[1] if header else line)
+        except ValueError:
             what = "color count in header" if header else "token in edge line"
-            raise ValueError(f"line {line_no}: non-integer {what} {raw!r}")
-        values = tuple(map(int, numbers))
+            raise ValueError(f"line {line_no}: non-integer {what} {raw!r}") from None
         if header:
             (d,) = values
         else:
-            edges.append(values)
+            edges.append(tuple(values))
     if d is None:
         raise ValueError("missing 'g <d>' header")
     return from_edges(d, edges)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from typing import NamedTuple, Optional, Sequence
 
-from . import _DECIMALS, _Record
+from . import _decimals, _Record
 
 __all__ = [
     "BRUTE_FORCE_CAP",
@@ -125,7 +125,7 @@ def parse_instance(text: str) -> Formula:
     The file does not carry k; the declared width is inferred as the widest
     constraint present (at least 1).
     """
-    header: Optional[tuple[int, int, int]] = None
+    literals: Optional[_Literals] = None  # made by the header
     constraints: list[Constraint] = []
     last_line = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -133,24 +133,24 @@ def parse_instance(text: str) -> Formula:
         line = raw.strip()
         if not line or line == "c" or line.startswith("c "):
             continue
-        tokens = line.split()
-        if header is None:
+        if literals is None:
+            tokens = line.split()
             if tokens[:2] != ["p", "csp"] or len(tokens) != 5:
                 raise ParseError(line_no, f"expected header 'p csp <n> <d> <m>', got {raw!r}")
-            if not all(map(_DECIMALS.fullmatch, tokens[2:])):
-                raise ParseError(line_no, f"non-integer field in header {raw!r}")
-            n, d, m = map(int, tokens[2:])
+            try:
+                n, d, m = _decimals(" ".join(tokens[2:]))
+            except ValueError:
+                raise ParseError(line_no, f"non-integer field in header {raw!r}") from None
             if d < 2:
                 raise ParseError(line_no, f"invalid header values n={n} d={d} m={m}")
-            header = (n, d, m)
             literals = _Literals(n, d)
             continue
-        n, d, m = header
         if len(constraints) == m:
             raise ParseError(line_no, f"trailing garbage after {m} constraints: {raw!r}")
-        if not _DECIMALS.fullmatch(line):
-            raise ParseError(line_no, f"non-integer token in constraint line {raw!r}")
-        nums = [*map(int, tokens)]
+        try:
+            nums = _decimals(line)
+        except ValueError:
+            raise ParseError(line_no, f"non-integer token in constraint line {raw!r}") from None
         if nums[-1] != 0:
             raise ParseError(line_no, "constraint line must end with 0")
         if 0 in nums[:-1]:
@@ -162,13 +162,16 @@ def parse_instance(text: str) -> Formula:
             constraints.append(Constraint(tuple(map(literals.__getitem__, zip(pairs, pairs)))))
         except ValueError as exc:
             raise ParseError(line_no, str(exc)) from None
-    if header is None:
+    if literals is None:
         raise ParseError(max(last_line, 1), "missing 'p csp' header")
-    n, d, m = header
     if len(constraints) < m:
         raise ParseError(last_line, f"expected {m} constraints, found {len(constraints)}")
-    width = max((len(c.literals) for c in constraints), default=0)
-    return Formula(n, d, max(1, width), tuple(constraints))
+    # every check of Formula() has passed: the header's, and each literal's
+    # range as _Literals made it, so its loop over all literals is skipped
+    f = object.__new__(Formula)
+    f.n, f.d, f.constraints = n, d, tuple(constraints)
+    f.k = max(1, max(map(len, (c.literals for c in constraints)), default=0))
+    return f
 
 
 def serialize_instance(f: Formula) -> str:

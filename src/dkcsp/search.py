@@ -123,23 +123,31 @@ class _ConstraintBits:
 
     place[v] is (group, weight) of variable v. literals[i] holds
     (color, group, weight, row) for each literal of constraint i, row being
-    the variable's rows by color. The ball searcher and the walker each
-    build their own per-constraint plan from literals.
+    the variable's rows by color; the constraints that hold one literal
+    share its tuple. The ball searcher and the walker each build their own
+    per-constraint plan from literals.
     """
 
     def __init__(self, f: Formula):
         self.d = f.d
         full = (1 << f.m) - 1
-        # cleared[v][c]: the constraints that x_{v+1} = c satisfies, bit-packed
-        cleared = [[bytearray((f.m + 7) // 8) for _ in range(f.d + 1)] for _ in range(f.n)]
+        # on[v][c]: the constraints with the literal (x_{v+1} != c), bit-packed
+        on = [[bytearray((f.m + 7) // 8) for _ in range(f.d + 1)] for _ in range(f.n)]
         for i, con in enumerate(f.constraints):
             byte, bit = i >> 3, 1 << (i & 7)
-            for lit in con.literals:
-                row = cleared[lit.var - 1]
-                for c in range(1, f.d + 1):
-                    if c != lit.color:
-                        row[c][byte] |= bit
-        rows = [[full ^ int.from_bytes(b, "little") for b in row] for row in cleared]
+            for var, color in con.literals:
+                on[var - 1][color][byte] |= bit
+        rows = []
+        for row in on:
+            # x_{v+1} = c leaves constraint i unsatisfied iff every literal of i on
+            # x_{v+1} is (x_{v+1} != c): i has none (not in seen) or only that
+            # color's (not in twice, the constraints with two colors of x_{v+1})
+            colors = [int.from_bytes(b, "little") for b in row]
+            seen = twice = 0
+            for bits in colors:
+                twice |= seen & bits
+                seen |= bits
+            rows.append([full] + [(full ^ seen) | (bits & ~twice) for bits in colors[1:]])
         entry_bytes = sys.getsizeof(full) + 8  # an upper bound: the int and its list slot
         self.group = g = _group_size(f.n, f.d, entry_bytes)
         self.table_bytes = _table_entries(f.n, f.d, g) * entry_bytes  # an upper bound
@@ -155,10 +163,9 @@ class _ConstraintBits:
             self.tables.append(table)
         if not self.tables:  # n = 0: one entry, so the AND needs no initial value
             self.tables.append([full])
-        self.literals = [
-            tuple((x.color,) + self.place[x.var - 1] + (rows[x.var - 1],) for x in con.literals)
-            for con in f.constraints
-        ]
+        entry = {(v, c): (c, *self.place[v - 1], rows[v - 1])
+                 for v, c in {x for con in f.constraints for x in con.literals}}
+        self.literals = [tuple(map(entry.__getitem__, con.literals)) for con in f.constraints]
         _debug(
             __name__, "constraint state n=%d d=%d m=%d: %d groups of %d, %d table entries, %d table bytes",
             f.n, f.d, f.m, len(self.tables), g, sum(map(len, self.tables)), self.table_bytes,

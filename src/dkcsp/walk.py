@@ -47,7 +47,7 @@ def make(tables, picks, start, draws, steps, coloring, Random):
             u = UNSAT
             if not u:
                 return coloring(idx), taken
-            options, table = picks[(u & -u).bit_length()]
+            options, table = picks[(u ^ (u - 1)).bit_length()]
             o = table[READ]
             p += WIDTH
             if o < 0:
@@ -119,6 +119,9 @@ class _Spread:
 
     def __init__(self, literals: tuple[tuple[tuple[int, int], ...], ...], lcm: int):
         self.literals, self.lcm = literals, lcm
+
+    def __len__(self) -> int:  # 0 for an empty constraint, whose walks end at their first draw
+        return len(self.literals) * self.lcm
 
     def __getitem__(self, o: int) -> tuple[int, int]:
         options = self.literals[o // self.lcm]

@@ -110,6 +110,15 @@ class TestSolve:
         else:
             assert out == "s UNKNOWN\n"
 
+    def test_schoening_empty_constraint_with_wide_draws(self, tmp_path, capsys):
+        # d = 300 draws two bytes a value; the empty constraint ends every walk
+        path = tmp_path / "empty.csp"
+        path.write_text("p csp 1 300 2\n1 1 0\n0\n")
+        rc = main(["solve", "--method", "schoening", "--seed", "1", "--reps", "5", "-v", str(path)])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (0, "s UNKNOWN\n")
+        assert "reps=5 " in captured.err
+
     def test_verify_oracle(self, instance, capsys):
         rc = main(["solve", "--method", "det", "--verify-oracle",
                    "--block-cap", "729", str(instance)])
@@ -388,9 +397,13 @@ class TestInputChecks:
          "line 2: non-integer token in edge line '1 x'"),
         (["volume", "--d", "3", "--n", "4", "--r", "1", "--graph", "file:"], None, "g three\n",
          "line 1: non-integer color count in header 'g three'"),
+        (["solve"], f"p csp 2 3 1\n1 {'1' * 5000} 0\n", None, "line 2: non-integer token"),
+        (["volume", "--d", "3", "--n", "4", "--r", "1", "--graph", "file:"], None, f"g 3\n1 {'2' * 5000}\n",
+         "line 2: non-integer token in edge line"),
     ], ids=["header-field", "header-values", "token", "early-zero", "unpaired", "gen-k",
             "graph-colors", "graph-name", "code-edgeless", "code-k", "predict-edgeless",
-            "solve-graph-token", "solve-graph-header", "volume-graph-token", "volume-graph-header"])
+            "solve-graph-token", "solve-graph-header", "volume-graph-token", "volume-graph-header",
+            "token-over-int-digits", "graph-token-over-int-digits"])
     def test_rejected_before_output(self, tmp_path, capsys, argv, instance, graph, message):
         argv = list(argv)
         if graph is not None:

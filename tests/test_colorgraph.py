@@ -225,8 +225,10 @@ class TestGraphFile:
             parse_graph_file(text)
         assert str(err.value) == message
 
-    # int() reads each of these: "1_0" as 10, "+1" as 1 and Arabic-Indic "٢" as 2
-    @pytest.mark.parametrize("token", ["1_0", "+1", "\u0662"], ids=["underscore", "plus", "arabic-indic"])
+    # int() reads each of the first three: "1_0" as 10, "+1" as 1 and Arabic-Indic "٢"
+    # as 2; the last is ASCII digits, but more than int() reads (4,300 by default)
+    @pytest.mark.parametrize("token", ["1_0", "+1", "\u0662", "1" * 5000],
+                             ids=["underscore", "plus", "arabic-indic", "over-int-digits"])
     def test_only_ascii_decimal_digits(self, token):
         with pytest.raises(ValueError) as err:
             parse_graph_file(f"g 3\n1 {token}\n")

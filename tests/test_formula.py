@@ -86,8 +86,10 @@ class TestParse:
         f = parse_instance("p csp 2 3 1\n0\n")
         assert f.constraints == (Constraint(()),)
 
-    # int() reads each of these: "1_0" as 10, "+1" as 1 and Arabic-Indic "٢" as 2
-    @pytest.mark.parametrize("token", ["1_0", "+1", "\u0662"], ids=["underscore", "plus", "arabic-indic"])
+    # int() reads each of the first three: "1_0" as 10, "+1" as 1 and Arabic-Indic "٢"
+    # as 2; the last is ASCII digits, but more than int() reads (4,300 by default)
+    @pytest.mark.parametrize("token", ["1_0", "+1", "\u0662", "1" * 5000],
+                             ids=["underscore", "plus", "arabic-indic", "over-int-digits"])
     def test_only_ascii_decimal_digits(self, token):
         with pytest.raises(ParseError, match=re.escape(f"line 2: non-integer token in constraint line '1 {token} 0'")):
             parse_instance(f"p csp 2 3 1\n1 {token} 0\n")

@@ -649,6 +649,25 @@ class TestWalkDraws:
         assert hits == want
         assert all(h * k * len(g.out[colors[i] - 1]) == accepted for (i, _), h in hits.items())
 
+    @pytest.mark.parametrize("g, colors", [(complete(10), (1,) * 29), (complete(300), (1,))],
+                             ids=["261-options", "d-300"])
+    def test_empty_constraint_ends_wide_walks(self, g, colors):
+        # an empty constraint is never satisfied: at W = 2 as at W = 1, a walk
+        # that reaches it reads one draw and ends without a witness
+        k = len(colors)
+        f = Formula(k, g.d, k, (Constraint(tuple(Literal(v, c) for v, c in enumerate(colors, 1))), Constraint(())))
+        assert walk._walk_shape(g.d, {k}, g.out)[1] == 2
+        steps = 5
+        walker = walk._walker(_ConstraintBits(f), g.out, steps)
+        # the start falsifies the first constraint; value 0 re-colors x_1 to 2
+        start = b"".join((c - 1).to_bytes(2, "little") for c in colors)
+        block = start + bytes(16)
+        assert kernel_walk(walker, block) == block_walk(f, g, steps, block) == (None, 1, len(start) + 4)
+        for block in walk_blocks(f, g, steps, 3):
+            assert kernel_walk(walker, block) == block_walk(f, g, steps, block)
+        result = schoening_solve(f, g, 4, rng=1)
+        assert (result.status, result.stats.repetitions) == ("unknown", 4)
+
     def test_jobs_with_walks_past_their_block(self, monkeypatch):
         # blocks cut to the start and step draws alone, so a walk that redraws
         # more than the word's rounding allows goes on with bytes seeded by its block
