@@ -13,7 +13,7 @@ import argparse
 import os
 import random
 import sys
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 if TYPE_CHECKING:
     from .colorgraph import ColorGraph
@@ -56,12 +56,12 @@ def _resolve_seed(seed: Optional[int]) -> int:
     return fresh
 
 
-def _write_output(text: str, path: Optional[str]) -> None:
+def _write_output(chunks: Iterable[str], path: Optional[str]) -> None:
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _format_witness(result: SolveResult) -> str:
@@ -84,7 +84,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         planted = tuple(rng.randint(1, args.d) for _ in range(args.n))
         print("planted:", " ".join(str(c) for c in planted), file=sys.stderr)
     f = fmod.generate_random(args.n, args.d, args.k, args.m, rng.getrandbits(64), planted)
-    _write_output(fmod.serialize_instance(f), args.output)
+    _write_output([fmod.serialize_instance(f)], args.output)
     return 0
 
 
@@ -123,7 +123,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             raise RuntimeError("solver returned SAT but exhaustive search finds no witness")
         if result.status == "unsat" and oracle is not None:
             raise RuntimeError("solver returned UNSAT but exhaustive search finds a witness")
-    _write_output(_format_witness(result), args.output)
+    _write_output([_format_witness(result)], args.output)
     if result.status == "sat":
         return EXIT_SAT
     if result.status == "unsat":

@@ -141,14 +141,14 @@ def hypercube(ell: int) -> ColorGraph:
     return ColorGraph(d, out, "hypercube")
 
 
-def from_edges(d: int, edges: Iterable[tuple[int, int]], name: str = "custom") -> ColorGraph:
+def from_edges(d: int, edges: Iterable[tuple[int, int]]) -> ColorGraph:
     """Build a graph from directed (u, v) edges; undirected graphs list both directions."""
     nbrs: list[set[int]] = [set() for _ in range(d)]
     for u, v in edges:
         if not (1 <= u <= d and 1 <= v <= d):
             raise ValueError(f"edge ({u},{v}) out of range 1..{d}")
         nbrs[u - 1].add(v)
-    return ColorGraph(d, tuple(tuple(sorted(s)) for s in nbrs), name)
+    return ColorGraph(d, tuple(tuple(sorted(s)) for s in nbrs))
 
 
 def parse_graph_file(text: str) -> ColorGraph:

@@ -25,6 +25,8 @@ runs under python -O.
 The product itself is never materialised: ProductCodewords is a length,
 contiguous slices and iteration over the block codes, and a slice of it is
 the same block codes plus an index range, walked with itertools.product.
+A CoveringCode stores only these codewords, the graph and the block radii,
+and format_code_file writes the product a chunk of lines at a time.
 """
 
 from __future__ import annotations
@@ -104,17 +106,21 @@ class ProductCodewords:
 
 
 class CoveringCode:
-    __slots__ = ("graph", "n", "radius", "codewords", "blocks", "per_block_radius", "block_code_sizes")
+    """The product of block codes whose radii add (built by product_code).
 
-    def __init__(self, graph: ColorGraph, n: int, radius: int, codewords: Sequence[Codeword],
-                 blocks: tuple[int, ...], per_block_radius: tuple[int, ...],
-                 block_code_sizes: tuple[int, ...]):
-        if radius != sum(per_block_radius):
-            raise ValueError("code radius must be the sum of the per-block radii")
-        if n != sum(blocks):
-            raise ValueError("block sizes must partition the coordinates")
-        self.graph, self.n, self.radius, self.codewords = graph, n, radius, codewords
-        self.blocks, self.per_block_radius, self.block_code_sizes = blocks, per_block_radius, block_code_sizes
+    Stores the graph, the codewords (ProductCodewords of the block codes) and
+    each block's radius; n, radius, blocks and block_code_sizes derive from them.
+    """
+
+    __slots__ = ("graph", "codewords", "per_block_radius")
+
+    def __init__(self, graph: ColorGraph, codewords: ProductCodewords, per_block_radius: tuple[int, ...]):
+        self.graph, self.codewords, self.per_block_radius = graph, codewords, per_block_radius
+
+    blocks = property(lambda self: tuple(len(code[0]) for code in self.codewords.codes))
+    n = property(lambda self: sum(self.blocks))
+    radius = property(lambda self: sum(self.per_block_radius))
+    block_code_sizes = property(lambda self: tuple(map(len, self.codewords.codes)))
 
     def __repr__(self) -> str:
         return (f"CoveringCode(graph={self.graph!r}, n={self.n}, radius={self.radius}, "
@@ -327,26 +333,18 @@ def product_code(
 
     Codewords are all concatenations (Cartesian product, blocks in order),
     held lazily as ProductCodewords; the covering radius is the sum of the
-    block radii, by additivity of the product distance.
+    block radii, by additivity of the product distance. The one check of
+    block codes: each has codewords, and they share one width of at least 1.
     """
-    blocks = []
-    radii = []
-    for code, radius in block_codes:
-        if not code:
+    for code, _ in block_codes:
+        if not code or not code[0]:  # no codeword, or codewords of no coordinate
             raise ValueError("empty block code")
-        widths = {len(cw) for cw in code}
-        if len(widths) != 1:
+        if len({len(cw) for cw in code}) != 1:
             raise ValueError("block codewords must share one length")
-        blocks.append(widths.pop())
-        radii.append(radius)
     return CoveringCode(
-        graph=g,
-        n=sum(blocks),
-        radius=sum(radii),
-        codewords=ProductCodewords(tuple(tuple(map(tuple, code)) for code, _ in block_codes)),
-        blocks=tuple(blocks),
-        per_block_radius=tuple(radii),
-        block_code_sizes=tuple(len(code) for code, _ in block_codes),
+        g,
+        ProductCodewords(tuple(tuple(map(tuple, code)) for code, _ in block_codes)),
+        tuple(radius for _, radius in block_codes),
     )
 
 
@@ -434,9 +432,14 @@ def build_code(g: ColorGraph, n: int, k: int, block_cap: int | None = None) -> C
 build_code.cache_clear = _shared_picks.cache_clear
 
 
-def format_code_file(code: CoveringCode) -> str:
-    """Text form: "code <d> <n> <r> <count>" header, one codeword per line."""
-    lines = [f"code {code.graph.d} {code.n} {code.radius} {len(code.codewords)}"]
-    for cw in code.codewords:
-        lines.append(" ".join(str(c) for c in cw))
-    return "\n".join(lines) + "\n"
+def format_code_file(code: CoveringCode) -> Iterator[str]:
+    """Text form: "code <d> <n> <r> <count>" header, one codeword per line.
+
+    Yields the header, then the lines in ProductCodewords order in chunks of
+    2^12, each line joined from one pre-formatted codeword per block.
+    """
+    yield f"code {code.graph.d} {code.n} {code.radius} {len(code.codewords)}\n"
+    blocks = [[" ".join(map(str, cw)) for cw in block] for block in code.codewords.codes]
+    lines = map(" ".join, itertools.product(*blocks))
+    while chunk := list(itertools.islice(lines, 1 << 12)):
+        yield "\n".join(chunk) + "\n"

@@ -22,7 +22,6 @@ __all__ = [
     "brute_force_solve",
     "check_brute_force",
     "check_random_shape",
-    "constraint",
     "evaluate",
     "generate_random",
     "parse_instance",
@@ -53,11 +52,6 @@ class Constraint(_Record):
 
     def __init__(self, literals: tuple[Literal, ...]):
         self.literals = literals
-
-
-def constraint(*pairs: tuple[int, int]) -> Constraint:
-    """Build a constraint from (var, color) pairs, in order."""
-    return Constraint(tuple(Literal(v, c) for v, c in pairs))
 
 
 class Formula(_Record):

@@ -5,7 +5,8 @@ normal form and lemmas of the analysis so the tests can check the program's
 exact counts and bases against them, and expose the paper's two named
 procedures, the search of one ball (graph_searchball) and one random walk
 (schoening_run), on the solvers' own kernels. unsat is the unsatisfied set
-those kernels compute inline, written as a reduce over the groups.
+those kernels compute inline, written as a reduce over the groups, and
+constraint writes a constraint as its (var, color) pairs.
 """
 
 import math
@@ -28,6 +29,11 @@ from dkcsp.search import (
 )
 from dkcsp.walk import _block_size, _walker
 from dkcsp.volume import select_radius, shell_counts
+
+
+def constraint(*pairs: tuple[int, int]) -> Constraint:
+    """Build a constraint from (var, color) pairs, in order."""
+    return Constraint(tuple(Literal(v, c) for v, c in pairs))
 
 
 def color_distance(g: ColorGraph, c1: int, c2: int) -> Optional[int]:

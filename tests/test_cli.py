@@ -8,7 +8,7 @@ import pytest
 
 from dkcsp import formula, search
 from dkcsp.cli import main
-from dkcsp.covercode import CoveringCode, build_code
+from dkcsp.covercode import build_code, product_code
 from dkcsp.colorgraph import directed_cycle
 from dkcsp.formula import brute_force_solve, generate_random, parse_instance, serialize_instance
 
@@ -249,8 +249,8 @@ class TestCode:
         assert tag == "code"
         codewords = tuple(tuple(int(t) for t in line.split()) for line in lines[1:])
         assert len(codewords) == int(count)
-        code = CoveringCode(directed_cycle(int(d)), int(n), int(r), codewords,
-                            (int(n),), (int(r),), (len(codewords),))
+        code = product_code(directed_cycle(int(d)), [(codewords, int(r))])
+        assert code.n == int(n)
         assert verify_cover(code)
 
     def test_negative_n_exit_1(self, capsys):

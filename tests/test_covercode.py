@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from dkcsp.colorgraph import (
     profile,
 )
 from dkcsp.covercode import (
-    CoveringCode,
     ProductCodewords,
     build_code,
     format_code_file,
@@ -390,8 +390,11 @@ class TestProductCode:
         assert enumerate_cover_check(g, code.codewords, code.radius, code.n) is None
 
     def test_empty_block_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            product_code(complete(2), [((), 1)])
+        # no codeword, or codewords of no coordinate: the latter would add an
+        # empty field to every code file line
+        for block in [(), ((),)]:
+            with pytest.raises(ValueError, match="empty"):
+                product_code(complete(2), [(block, 1), (((1,), (2,)), 1)])
 
 
 def eager_product(codes):
@@ -517,12 +520,12 @@ class TestBuildCode:
 class TestVerifyCover:
     def test_classic_cube_cover(self):
         g = complete(2)
-        code = CoveringCode(g, 3, 1, ((1, 1, 1), (2, 2, 2)), (3,), (1,), (2,))
+        code = product_code(g, [(((1, 1, 1), (2, 2, 2)), 1)])
         assert verify_cover(code)
 
     def test_missing_ball_with_witness(self):
         g = complete(2)
-        code = CoveringCode(g, 3, 1, ((1, 1, 1),), (3,), (1,), (1,))
+        code = product_code(g, [(((1, 1, 1),), 1)])
         assert not verify_cover(code)
         witness = first_uncovered(code)
         assert witness is not None
@@ -530,7 +533,7 @@ class TestVerifyCover:
 
     def test_huge_radius(self):
         g = directed_cycle(3)
-        code = CoveringCode(g, 4, profile(g).s * 4, ((2, 2, 2, 2),), (4,), (profile(g).s * 4,), (1,))
+        code = product_code(g, [(((2, 2, 2, 2),), profile(g).s * 4)])
         assert verify_cover(code)
 
     def test_cap(self):
@@ -540,15 +543,7 @@ class TestVerifyCover:
 
 
 class TestCoveringCodeChecks:
-    """The constructor checks raise, so they also run under python -O."""
-
-    def test_radius_must_add_up(self):
-        with pytest.raises(ValueError, match="sum of the per-block radii"):
-            CoveringCode(complete(2), 3, 2, ((1, 1, 1),), (3,), (1,), (1,))
-
-    def test_blocks_must_partition(self):
-        with pytest.raises(ValueError, match="partition the coordinates"):
-            CoveringCode(complete(2), 4, 1, ((1, 1, 1),), (3,), (1,), (1,))
+    """The block-code and radius checks raise, so they also run under python -O."""
 
     def test_mixed_width_block_code_rejected(self):
         with pytest.raises(ValueError, match="share one length"):
@@ -566,9 +561,35 @@ class TestCoveringCodeChecks:
 
 class TestCodeFile:
     def test_format(self):
-        g = complete(2)
-        code = CoveringCode(g, 3, 1, ((1, 1, 1), (2, 2, 2)), (3,), (1,), (2,))
-        assert format_code_file(code) == "code 2 3 1 2\n1 1 1\n2 2 2\n"
+        code = product_code(complete(2), [(((1, 1, 1), (2, 2, 2)), 1)])
+        assert "".join(format_code_file(code)) == "code 2 3 1 2\n1 1 1\n2 2 2\n"
+
+    @pytest.mark.parametrize("g,n,cap", [
+        (complete(3), 12, None), (directed_cycle(3), 11, 3**4), (hypercube(2), 10, None), (complete(3), 0, None),
+    ], ids=["complete3", "cycle3", "hypercube2", "n0"])
+    def test_lines_follow_codeword_order(self, g, n, cap):
+        # the writer joins the block codes itself: its lines must stay in
+        # ProductCodewords' order, across its 2^12-line chunks too
+        code = build_code(g, n, 3, cap)
+        assert len(code.blocks) > 1 and len(code.codewords) > 1 << 12 if n else code.blocks == ()
+        header = f"code {g.d} {n} {code.radius} {len(code.codewords)}\n"
+        assert "".join(format_code_file(code)) == header + "".join(
+            " ".join(map(str, cw)) + "\n" for cw in code.codewords)
+
+    def test_memory_bounded_by_a_chunk(self):
+        # 243 * 729 = 177,147 lines, 3.9 MB of text, of which one 2^12-line
+        # chunk is 90 KB: the peak must not grow with the number of lines
+        points = [tuple(itertools.product((1, 2, 3), repeat=b)) for b in (5, 6)]
+        code = product_code(complete(3), [(points[0], 0), (points[1], 0)])
+        assert len(code.codewords) == 177_147
+        tracemalloc.start()
+        try:
+            size = sum(map(len, format_code_file(code)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size == len("code 3 11 0 177147\n") + 177_147 * 22
+        assert peak < 1 << 20
 
 
 class TestResultChecks:

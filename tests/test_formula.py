@@ -12,14 +12,13 @@ from dkcsp.formula import (
     Literal,
     ParseError,
     brute_force_solve,
-    constraint,
     evaluate,
     generate_random,
     parse_instance,
     serialize_instance,
 )
 
-from paper_oracle import normalize
+from paper_oracle import constraint, normalize
 
 
 def naive_evaluate(f, a):

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from dkcsp.colorgraph import complete, directed_cycle, from_edges, hypercube
 from dkcsp.covercode import build_code
-from dkcsp.formula import Constraint, Formula, Literal, constraint, evaluate, generate_random
+from dkcsp.formula import Constraint, Formula, Literal, evaluate, generate_random
 from dkcsp import search, walk
 from dkcsp.search import (
     _TABLE_BYTES,
@@ -28,7 +28,7 @@ from dkcsp.search import (
     schoening_solve,
 )
 
-from paper_oracle import graph_searchball, schoening_run, unsat
+from paper_oracle import constraint, graph_searchball, schoening_run, unsat
 
 
 class CountState:
@@ -267,7 +267,7 @@ GRAPHS = [complete(2), complete(3), complete(4), complete(5), directed_cycle(3),
 @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: f"{g.name}{g.d}")
 class TestAgainstCountState:
     def instances(self, g, count):
-        rng = random.Random(hash((g.name, g.d, count)) & 0xFFFF)
+        rng = random.Random(f"{g.name}/{g.d}/{count}")
         for trial in range(count):
             n = rng.randint(3, 8)
             m = rng.randint(0, 12 * n)
@@ -439,7 +439,7 @@ class TestGroupBoundaries:
     @pytest.mark.parametrize("graph", [complete, directed_cycle])
     def test_searchball_and_walk(self, d, n, graph):
         g = graph(d)
-        rng = random.Random(hash((graph.__name__, d, n)) & 0xFFFF)
+        rng = random.Random(f"{graph.__name__}/{d}/{n}")
         for f in boundary_instances(rng, n, d, 6):
             for _ in range(2):
                 center = tuple(rng.randint(1, d) for _ in range(n))
