@@ -182,8 +182,8 @@ def check_simulation(d: int, k: int, j_start: int, max_steps: int, trials: int) 
     _check_dk(d, k)
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if j_start < 0 or max_steps < 0:
-        raise ValueError("j_start and max_steps must be nonnegative")
+    if not (0 <= j_start < 1 << 63 and 0 <= d * max_steps < 1 << 63):  # the walks' arrays are int64
+        raise ValueError(f"need 0 <= j_start, d * max_steps < 2^63, got {j_start}, {d * max_steps}")
 
 
 def _chunk_hits(
@@ -243,6 +243,8 @@ def markov_simulate(
     import numpy as np
 
     check_simulation(d, k, j_start, max_steps, trials)
+    if j_start > max_steps:  # down-steps are -1: no walk reaches 0 in time
+        return 0.0, 0.0
     # SeedSequence(entropy, spawn_key=(i,)) is child i of SeedSequence(rng)
     entropy = np.random.SeedSequence(rng).entropy
     n_chunks = -(-trials // _CHUNK)

@@ -26,7 +26,7 @@ EXIT_UNSAT = 20
 
 
 def _graph_from_flag(name: str, d: int) -> ColorGraph:
-    from .colorgraph import complete, directed_cycle, hypercube, parse_graph_file, profile
+    from .colorgraph import complete, directed_cycle, hypercube, parse_graph_file
 
     if name == "complete":
         return complete(d)
@@ -43,7 +43,6 @@ def _graph_from_flag(name: str, d: int) -> ColorGraph:
             g = parse_graph_file(fh.read())
         if g.d != d:
             raise ValueError(f"graph file has {g.d} colors, expected {d}")
-        profile(g)  # reject graphs the volume and code formulas cannot handle
         return g
     raise ValueError(f"unknown graph {name!r} (complete|cycle|hypercube|file:<path>)")
 

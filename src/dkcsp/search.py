@@ -11,16 +11,13 @@ random walk, generalized to move along graph edges; its kernel and its
 draws, from one block of random bytes per restart, are in walk. Both find
 the first unsatisfied constraint with one shared state (_ConstraintBits):
 bitset tables precomputed per group of consecutive variables, so a
-re-coloring is one add to the group's table index. Both kernels are compiled once per
-group count G from source templates, so the unsatisfied set is one inline
-AND of G table entries, a balanced tree of & when G is large. The ball
-search counts and tests its radius-1 leaves inline instead of recursing
-into them, and rejects all the leaves of a literal with one AND when they
-cannot clear the node's unsatisfied set. The ball searcher (or the walker)
-is built once per solve in process and once per pool worker, so each ball
-only resets its index list and node count. In process, a solve maps it over
-its items and stops by returning; only pool workers take the items in
-chunks and read a stop flag.
+re-coloring is one add to the group's table index, and one table of the
+distinct literals, which both kernels index per constraint and look up
+the same way. Both kernels are compiled once per group count G from source
+templates, so the unsatisfied set is one inline AND of G table entries.
+Each is built once per solve in process and once per pool worker. In
+process, a solve maps it over its items and stops by returning; only pool
+workers take the items in chunks and read a stop flag.
 """
 
 from __future__ import annotations
@@ -121,11 +118,11 @@ class _ConstraintBits:
     holds no coloring: a search keeps the per-group index list, and index()
     and coloring() convert between the two.
 
-    place[v] is (group, weight) of variable v. literals[i] holds
-    (color, group, weight, row) for each literal of constraint i, row being
-    the variable's rows by color; the constraints that hold one literal
-    share its tuple. The ball searcher and the walker each build their own
-    per-constraint plan from literals.
+    place[v] is (group, weight) of variable v. distinct holds (color, group,
+    weight, row) once per distinct literal, first appearance first, row being
+    the variable's rows by color; literals[i] indexes constraint i's literals
+    in it. Both kernels build one entry per distinct literal and keep
+    constraint i's at i + 1, (u ^ (u - 1)).bit_length() for lowest bit i of u.
     """
 
     def __init__(self, f: Formula):
@@ -163,9 +160,9 @@ class _ConstraintBits:
             self.tables.append(table)
         if not self.tables:  # n = 0: one entry, so the AND needs no initial value
             self.tables.append([full])
-        entry = {(v, c): (c, *self.place[v - 1], rows[v - 1])
-                 for v, c in {x for con in f.constraints for x in con.literals}}
-        self.literals = [tuple(map(entry.__getitem__, con.literals)) for con in f.constraints]
+        at: dict = {}  # (v, c): its index in distinct
+        self.literals = [tuple(at.setdefault(x, len(at)) for x in con.literals) for con in f.constraints]
+        self.distinct = [(c, *self.place[v - 1], rows[v - 1]) for v, c in at]
         _debug(
             __name__, "constraint state n=%d d=%d m=%d: %d groups of %d, %d table entries, %d table bytes",
             f.n, f.d, f.m, len(self.tables), g, sum(map(len, self.tables)), self.table_bytes,
@@ -220,7 +217,7 @@ def make(tables, plan, index, coloring, r):
         nodes += 1
         if not unsat:
             return coloring(idx)
-        for j, cw, children, cover in plan[(unsat & -unsat).bit_length() - 1]:
+        for j, cw, children, cover in plan[(unsat ^ (unsat - 1)).bit_length()]:
             if unsat & cover:
                 nodes += len(children)
                 continue
@@ -240,7 +237,7 @@ def make(tables, plan, index, coloring, r):
         nodes += 1
         if not unsat:
             return coloring(idx)
-        for j, cw, children, _ in plan[(unsat & -unsat).bit_length() - 1]:
+        for j, cw, children, _ in plan[(unsat ^ (unsat - 1)).bit_length()]:
             # the constraint is unsatisfied, so the literal's variable has its
             # color; with it freed, `rest` is what the other variables leave
             base = idx[j] - cw
@@ -284,17 +281,14 @@ def _ball_searcher(
     or not at all, so a literal's leaves pass or fail together, and only those
     that pass cost `rest` and one AND each.
     """
-    # branches[j, w, c]: the branch of every literal on the variable at (j, w)
-    # with color c: (j, c * w, children, cover), children holding (c2 * w,
-    # row[c2]) per out-neighbor c2 of c and cover the AND of those rows;
-    # plan[i]: the branches of constraint i's literals, in order
-    branches: dict[tuple[int, int, int], tuple] = {}
-    for lits in state.literals:
-        for c, j, w, row in lits:
-            if (j, w, c) not in branches:
-                children = tuple((c2 * w, row[c2]) for c2 in out[c - 1])
-                branches[j, w, c] = (j, c * w, children, reduce(and_, (b for _, b in children), -1))
-    plan = [tuple(branches[j, w, c] for c, j, w, _ in lits) for lits in state.literals]
+    # branches[e]: distinct literal e's branch (j, c * w, children, cover),
+    # children holding (c2 * w, row[c2]) per out-neighbor c2 of its color c and
+    # cover their rows' AND; plan[i + 1]: constraint i's branches, in order
+    branches = []
+    for c, j, w, row in state.distinct:
+        children = tuple((c2 * w, row[c2]) for c2 in out[c - 1])
+        branches.append((j, c * w, children, reduce(and_, (b for _, b in children), -1)))
+    plan = [None, *(tuple(map(branches.__getitem__, lits)) for lits in state.literals)]
     make = _kernel(_BALL_SEARCH, len(state.tables))
     return make(state.tables, plan, state.index, state.coloring, r)
 
@@ -380,8 +374,10 @@ def _run_chunks(items: Sequence, args: tuple, jobs: int, run: Optional[Callable]
 
 def check_walk(
     f: Formula, g: ColorGraph, repetitions: int, steps_multiplier: Optional[int] = None, jobs: int = 1
-) -> None:
-    """Raise ValueError unless schoening_solve can run these walks."""
+) -> int:
+    """Raise ValueError unless schoening_solve can draw and run these walks; return their steps."""
+    from .walk import _block_size
+
     _check_jobs(jobs)
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1")
@@ -391,6 +387,9 @@ def check_walk(
             raise ValueError(f"color {c} has no out-neighbor; random walk would get stuck")
     if steps_multiplier is not None and steps_multiplier < 0:
         raise ValueError("steps multiplier must be nonnegative")
+    steps = (3 * (f.d - 1) if steps_multiplier is None else steps_multiplier) * f.n
+    _block_size(f, g.out, steps)  # raises ValueError if a restart's block is over its bound
+    return steps
 
 
 def schoening_solve(
@@ -423,9 +422,7 @@ def schoening_solve(
     """
     from .walk import _Restarts, _block_size, _walker
 
-    check_walk(f, g, repetitions, steps_multiplier, jobs)
-    c = steps_multiplier if steps_multiplier is not None else 3 * (f.d - 1)
-    steps = c * f.n
+    steps = check_walk(f, g, repetitions, steps_multiplier, jobs)
     restarts = _Restarts(_as_rng(rng), repetitions, _block_size(f, g.out, steps))
     stats = SearchStats()
     with closing(_run_chunks(restarts, (_walker, f, g.out, steps), jobs)) as results:

@@ -18,6 +18,7 @@ from typing import Callable, Iterator, Sequence, Union
 from .formula import Formula
 from .search import _ConstraintBits, _kernel
 
+_BLOCK_BYTES = (2**31 - 1) // 8  # the most randbytes draws at once: 8 bits a byte in a C int
 _WALK = """
 def make(tables, picks, start, draws, steps, coloring, Random):
     def redraw(table, block, p, spare):
@@ -64,7 +65,7 @@ def make(tables, picks, start, draws, steps, coloring, Random):
 
 def _walk_shape(d: int, widths: set[int], out: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
     """(L, W) of walks on a graph with out-neighbors `out`, over constraints
-    of the given nonzero literal counts: L is the lcm of the out-degrees, so a
+    of the given literal counts: L is the lcm of the out-degrees, so a
     literal has L options, each out-neighbor L/delta times, and W is the bytes
     per draw, the fewest that cover the d start colors and every count * L."""
     lcm = math.lcm(*map(len, out))
@@ -80,9 +81,12 @@ def _block_size(f: Formula, out: tuple[tuple[int, ...], ...], steps: int) -> int
     lcm, width = _walk_shape(f.d, widths, out)
     full = 256**width
     q = max(full % c for c in {f.d} | {w * lcm for w in widths}) / full
-    draws = f.n + steps
+    draws = min(f.n + steps, _BLOCK_BYTES)  # capped for the floats; capped, it is still too big
     spare = math.ceil((draws * q + 4 * math.sqrt(draws * q)) / (1 - q)) + 1
-    return -(-(draws + spare) * width // 4) * 4
+    size = -(-(draws + spare) * width // 4) * 4
+    if size > _BLOCK_BYTES:
+        raise ValueError(f"a {steps}-step walk's block is over {_BLOCK_BYTES} bytes; lower --steps-mult")
+    return size
 
 
 class _WideTable:
@@ -132,31 +136,28 @@ def _walker(state: _ConstraintBits, out: tuple[tuple[int, ...], ...], steps: int
     """The state's _WALK kernel: block -> (witness or None, steps taken) of a
     `steps`-step walk from a random start, drawn from the block's bytes as
     schoening_solve describes. A draw reads W bytes as x and looks it up in
-    the table of its option count: below the largest multiple of the count
-    that 256^W holds, x picks option x mod count, and above it -1, draw
-    again. A start draw picks (c + 1) * w for color c of the variable at
-    weight w, and a step draw a (group, (c2 - c) * w) pair of the first
-    unsatisfied constraint: at W = 1 from its options materialized, each
-    literal's L options shared per (variable, color), above 256 options from
-    a _Spread."""
+    the _draw_table of its option count. A start draw picks (c + 1) * w for
+    color c of the variable at weight w, and a step draw a (group, (c2 - c)
+    * w) pair of the first unsatisfied constraint: at W = 1 from its options
+    materialized, each distinct literal's L options shared, above 256
+    options from a _Spread."""
     n = len(state.place)
-    lcm, width = _walk_shape(state.d, {len(lits) for lits in state.literals} - {0}, out)
+    widths = {len(lits) for lits in state.literals}
+    lcm, width = _walk_shape(state.d, widths, out)
     weights = {w: _draw_table(tuple((c + 1) * w for c in range(state.d)), width)
                for w in {w for _, w in state.place}}
     start = tuple((j, weights[w]) for j, w in state.place)
-    # options[j, w, c]: the out-neighbor options of the literal on the variable
-    # at (j, w) with color c, each out-neighbor L/delta times at W = 1
-    options: dict[tuple[int, int, int], tuple[tuple[int, int], ...]] = {}
+    # options[e]: the out-neighbor options of distinct literal e, on the
+    # variable at (j, w) with color c, each out-neighbor L/delta times at W = 1
+    options = []
+    for c, j, w, _ in state.distinct:
+        mine = tuple((j, (c2 - c) * w) for c2 in out[c - 1])
+        options.append(mine if width > 1 else mine * (lcm // len(mine)))
+    counts = {k: _draw_table(range(k * lcm), width) for k in widths}
+    picks: list = [None]  # picks[i + 1]: constraint i's options and table
     for lits in state.literals:
-        for c, j, w, _ in lits:
-            if (j, w, c) not in options:
-                mine = tuple((j, (c2 - c) * w) for c2 in out[c - 1])
-                options[j, w, c] = mine if width > 1 else mine * (lcm // len(mine))
-    counts = {k: _draw_table(range(k * lcm), width) for k in {len(lits) for lits in state.literals}}
-    picks: list = [None]  # picks[i + 1]: constraint i's options and table, at the bit length of its bit
-    for lits in state.literals:
-        mine = [options[j, w, c] for c, j, w, _ in lits]
-        picks.append((_Spread(tuple(mine), lcm) if width > 1 else sum(mine, ()), counts[len(lits)]))
+        mine = tuple(map(options.__getitem__, lits))
+        picks.append((_Spread(mine, lcm) if width > 1 else sum(mine, ()), counts[len(lits)]))
     read = "block[p]" if width == 1 else f'int.from_bytes(block[p : p + {width}], "little")'
     make = _kernel(_WALK.replace("READ", read).replace("WIDTH", str(width)), len(state.tables))
     return make(state.tables, picks, start, n + steps, steps, state.coloring, random.Random)

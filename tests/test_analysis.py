@@ -294,6 +294,28 @@ class TestMarkovSimulate:
     def test_partial_last_batch_counted(self):
         assert markov_simulate(3, 3, 0, 5, 2 * _BATCH + 1, 0) == (1.0, 0.0)
 
+    def test_int64_bounds_checked_at_the_boundary(self):
+        # j_start and d * max_steps must fit the walks' int64 arrays; the
+        # check refuses 2^63 before anything is simulated
+        top = (1 << 63) - 1
+        analysis.check_simulation(3, 3, top, top // 3, 1)
+        analysis.check_simulation(2, 3, 0, (1 << 62) - 1, 1)
+        analysis.check_simulation(1 << 62, 3, 0, 1, 1)
+        for d, j, max_steps in [(3, top + 1, 10), (3, 0, top // 3 + 1), (2, 0, 1 << 62), (1 << 62, 0, 2)]:
+            with pytest.raises(ValueError, match=r"2\^63"):
+                markov_simulate(d, 3, j, max_steps, 10, 1)
+
+    def test_start_past_the_horizon_is_no_hit_without_simulating(self, monkeypatch):
+        # down-steps are -1, so no walk from j > max_steps reaches 0 in time:
+        # like reach_within, the simulation returns 0 and runs no chunk
+        monkeypatch.setattr(analysis, "_chunk_hits", None)  # calling it would raise
+        top = (1 << 63) - 1
+        for j, max_steps in [(11, 10), (top, 10), (top, top // 3)]:
+            assert markov_simulate(3, 3, j, max_steps, 10**9, 1) == (0.0, 0.0)
+            assert reach_within(3, 3, j, max_steps) == 0.0
+        monkeypatch.undo()
+        assert markov_simulate(3, 3, 2, 2, 2000, 1)[0] > 0  # j = max_steps still simulates
+
     @pytest.mark.parametrize("d, k", [(0, 3), (-2, 3), (1, 3), (3, 0), (3, 1)])
     def test_bad_dk_rejected(self, d, k):
         with pytest.raises(ValueError):

@@ -161,8 +161,9 @@ class TestSolve:
         assert captured.out == ""
         assert "jobs" in captured.err
 
-    @pytest.mark.parametrize("bad", [["--reps", "0"], ["--steps-mult", "-1"], ["--jobs", "0"]],
-                             ids=["reps", "steps-mult", "jobs"])
+    @pytest.mark.parametrize("bad", [["--reps", "0"], ["--steps-mult", "-1"], ["--jobs", "0"],
+                                     ["--steps-mult", "100000000"]],
+                             ids=["reps", "steps-mult", "jobs", "block-over-bound"])
     def test_walk_bad_input_fails_before_output(self, instance, capsys, bad):
         # no --seed: the fresh seed is not printed either
         rc = main(["solve", "--method", "schoening", *bad, str(instance)])
@@ -229,6 +230,20 @@ class TestSolve:
         rc = main(["solve", "--graph", f"file:{gpath}", str(ipath)])
         assert rc == 1
         assert "not distance-regular" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["schoening", "brute"])
+    def test_irregular_graph_file_walk_and_brute(self, tmp_path, capsys, method):
+        # the walk's lcm-weighted draws and the brute-force scan need no
+        # distance-regular graph: only the det solve (above) refuses it
+        gpath = tmp_path / "path.g"
+        gpath.write_text("g 3\n1 2\n2 1\n2 3\n3 2\n")
+        ipath = tmp_path / "i.csp"
+        ipath.write_text("p csp 3 3 2\n1 1 2 2 0\n2 3 3 1 0\n")
+        rc = main(["solve", "--method", method, "--graph", f"file:{gpath}", "--seed", "1",
+                   "--verify-oracle", str(ipath)])
+        captured = capsys.readouterr()
+        assert (rc, captured.err) == (10, "")
+        assert captured.out.startswith("s SATISFIABLE\nv ")
 
     def test_output_file(self, instance, tmp_path):
         out = tmp_path / "witness.txt"
@@ -356,7 +371,12 @@ class TestMarkov:
         within = lines.index("P[2] within 500 steps 0.133974596216")
         assert lines[within + 1].startswith("simulated ")
 
-    @pytest.mark.parametrize("bad", [["--trials", "0"], ["--j", "-1"], ["--max-steps", "-1"]])
+    @pytest.mark.parametrize("bad", [
+        ["--trials", "0"], ["--j", "-1"], ["--max-steps", "-1"],
+        # past int64, which the simulation's arrays hold
+        ["--j", "99999999999999999999", "--trials", "10", "--max-steps", "10"],
+        ["--max-steps", str(2**63)], ["--d", "5000000000000000000"],
+    ])
     def test_bad_input_fails_before_output(self, capsys, bad):
         # no --seed: the fresh seed is not printed either
         rc = main(["markov", "--d", "3", "--k", "3", *bad])
@@ -365,6 +385,13 @@ class TestMarkov:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: ")
+
+    def test_start_past_the_horizon_simulates_no_hit(self, capsys):
+        rc = main(["markov", "--d", "3", "--k", "3", "--j", "1000000", "--max-steps", "10", "--seed", "1"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "P[1000000] within 10 steps 0.000000000000" in out
+        assert "simulated 0.000000 stderr 0.000000" in out
 
 
 EDGELESS = "g 3\n"

@@ -293,6 +293,10 @@ class TestAgainstCountState:
             for block in walk_blocks(f, g, steps, rng.getrandbits(64)):
                 assert kernel_walk(walker, block) == block_walk(f, g, steps, block)
 
+    def test_distinct_literals(self, g):
+        for _, f in self.instances(g, 40):
+            check_distinct_literals(f)
+
     def test_det_solve_shares_state_across_balls(self, g):
         # a solve reuses one searcher, and its state, for every ball it searches
         for rng, f in self.instances(g, 6):
@@ -392,6 +396,25 @@ def row_oracle(f, v, c):
     )
 
 
+def check_distinct_literals(f):
+    """The state's distinct holds each (variable, color) once, in order of
+    first appearance, with its variable's place and rows, and literals[i]
+    indexes constraint i's literals in it."""
+    state = _ConstraintBits(f)
+    first = []
+    for con in f.constraints:
+        for v, c in con.literals:
+            if (v, c) not in first:
+                first.append((v, c))
+    assert len(state.distinct) == len(first)
+    for (v, c), (color, j, w, row) in zip(first, state.distinct):
+        assert (color, (j, w)) == (c, state.place[v - 1])
+        assert row == [row_oracle(f, v - 1, c2) for c2 in range(f.d + 1)]
+    assert len(state.literals) == f.m
+    for con, lits in zip(f.constraints, state.literals):
+        assert [first[e] for e in lits] == [(v, c) for v, c in con.literals]
+
+
 @pytest.mark.parametrize("d, n", [(d, n) for d in GROUP for n in boundary_sizes(d)])
 class TestGroupBoundaries:
     """Instances whose n sits at and around a group boundary, against the CountState oracles."""
@@ -418,6 +441,10 @@ class TestGroupBoundaries:
                         assert state.place[v] == (j, (d + 1) ** p)
                         expected &= rows[v][index // (d + 1) ** p % (d + 1)]
                     assert entry == expected, (j, index)
+
+    def test_distinct_literals(self, d, n):
+        for f in boundary_instances(random.Random(d * 100 + n), n, d, 2):
+            check_distinct_literals(f)
 
     def test_state_matches_evaluate_after_recolorings(self, d, n):
         rng = random.Random(d * 1000 + n)

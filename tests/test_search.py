@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from dkcsp import covercode, search
+from dkcsp import covercode, search, walk
 from dkcsp.colorgraph import (
     complete,
     directed_cycle,
@@ -30,6 +30,7 @@ from dkcsp.search import (
     SearchStats,
     SolveResult,
     _ConstraintBits,
+    check_walk,
     det_solve,
     schoening_solve,
 )
@@ -201,6 +202,31 @@ class TestSchoeningSolve:
         result = schoening_solve(f, directed_cycle(3), 100, rng=1)
         assert result.assignment == (3, 1, 1, 2, 3, 1, 3, 1, 3, 3, 3, 3)
         assert (result.stats.repetitions, result.stats.steps) == (2, 125)
+
+    def test_block_bound_refused_at_the_boundary(self):
+        # the largest multiplier whose restart block stays within the bound
+        # passes check_walk and the next one is refused; sizes are computed
+        # and no block is drawn
+        f = Formula(3, 3, 2, (constraint((1, 1)),))
+        g = complete(3)
+
+        def fits(c):
+            try:
+                return walk._block_size(f, g.out, c * f.n) <= walk._BLOCK_BYTES
+            except ValueError:
+                return False
+
+        lo, hi = 0, walk._BLOCK_BYTES  # fits(lo), not fits(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+        assert walk._BLOCK_BYTES - 64 < walk._block_size(f, g.out, lo * f.n) <= walk._BLOCK_BYTES
+        assert check_walk(f, g, 1, lo) == lo * f.n
+        for c in (hi, 10**400):  # a float cannot hold 10^400 steps: refused all the same
+            with pytest.raises(ValueError, match="--steps-mult"):
+                check_walk(f, g, 1, c)
+            with pytest.raises(ValueError, match="--steps-mult"):
+                schoening_solve(f, g, 1, c, rng=1)
 
     def test_reproducible_across_jobs(self):
         f = generate_random(8, 3, 3, 20, 30)
