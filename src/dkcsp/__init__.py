@@ -15,7 +15,6 @@ nothing, so importing `dkcsp` alone loads none of them.
 """
 
 import re
-import sys
 
 _DECIMALS = re.compile(r"[0-9\s]+")
 
@@ -28,14 +27,6 @@ def _decimals(text: str) -> list[int]:
     if not _DECIMALS.fullmatch(text):
         raise ValueError(f"not decimal numbers: {text!r}")
     return [*map(int, text.split())]
-
-
-def _debug(logger: str, *args) -> None:
-    """Emit a debug record on `logger` if logging is loaded: a handler exists
-    only once someone configured one, which loads it, so dkcsp never does."""
-    logging = sys.modules.get("logging")
-    if logging is not None:
-        logging.getLogger(logger).debug(*args, stacklevel=2)
 
 
 class _Record:

@@ -110,6 +110,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
         result = search.SolveResult(status, witness, search.SearchStats())
 
     if args.verbose:
+        if args.method == "det":
+            from .covercode import plan_blocks
+
+            blocks = plan_blocks(g, f.n, f.k, args.block_cap)
+            sizes, radii = (",".join(str(block[i]) for block in blocks) for i in (0, 1))
+            print(f"code: blocks={sizes} radii={radii}", file=sys.stderr)
         st = result.stats
         print(
             f"stats: nodes={st.nodes_visited} balls={st.balls_searched} "
@@ -171,7 +177,6 @@ def cmd_predict(args: argparse.Namespace) -> int:
     print(f"d {args.d} k {args.k}")
     for name, base in rows.items():
         print(f"{name} {float(base):.6f} ({base})")
-    print("recommended", "cycle" if rows["det-cycle"] < rows["det-complete"] else "complete")
     return 0
 
 
@@ -197,8 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser, *names: str) -> None:
-        p.add_argument("--log-level", choices=["debug", "info", "warning", "error"], default=None,
-                       help="print log records at this level and above to stderr")
         if "graph" in names:
             p.add_argument("--graph", default="complete",
                            help="complete|cycle|hypercube|file:<path> (default complete)")
@@ -234,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="walk length multiplier c, steps = c*n (default 3(d-1))")
     p.add_argument("--verify-oracle", action="store_true",
                    help="cross-check the answer against exhaustive search")
-    p.add_argument("-v", "--verbose", action="store_true")
+    p.add_argument("-v", "--verbose", action="store_true",
+                   help="print the det code's plan and the solve's counters to stderr")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("code", help="build and print a covering code")
@@ -268,11 +272,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    if args.log_level is not None:
-        import logging
-
-        logging.basicConfig(level=args.log_level.upper(), force=True,
-                            format="%(levelname)s %(name)s: %(message)s")
     # no BLAS call is made, so spare every numpy import OpenBLAS's idle thread pool
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:

@@ -37,7 +37,6 @@ from collections.abc import Sequence
 from functools import lru_cache
 from typing import Iterator
 
-from . import _debug
 from .colorgraph import ColorGraph, profile
 from .volume import ball_volume, select_radius
 
@@ -225,15 +224,8 @@ class BlockPicks:
         _check_cover_by_balls(g, n, r, self.picks)
         vol = ball_volume(profile(g), n, r)
         bound = (1 + math.log(d**n)) * d**n / vol
-        if _dual_uniform(g):
-            if len(self.picks) > bound + 1e-9:
-                raise RuntimeError(f"greedy exceeded its guarantee: {len(self.picks)} > {bound}")
-        else:
-            _debug(__name__, "skipping greedy size guarantee: dual profiles not uniform")
-        _debug(
-            __name__, "greedy cover d=%d n=%d r=%d (%d gain updates): %d codewords (bound %.1f)",
-            d, n, r, d**n * vol, len(self.picks), bound,
-        )
+        if _dual_uniform(g) and len(self.picks) > bound + 1e-9:
+            raise RuntimeError(f"greedy exceeded its guarantee: {len(self.picks)} > {bound}")
         self._code = tuple(self.picks)
         return self._code
 
@@ -421,10 +413,6 @@ def build_code(g: ColorGraph, n: int, k: int, block_cap: int | None = None) -> C
     vol = ball_volume(profile(g), n, code.radius)
     if len(code.codewords) * vol < g.d**n:
         raise RuntimeError("covering-code counting bound violated")
-    _debug(
-        __name__, "code d=%d n=%d k=%d: %d blocks, radius %d, %d codewords",
-        g.d, n, k, len(blocks), code.radius, len(code.codewords),
-    )
     return code
 
 

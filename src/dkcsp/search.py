@@ -22,6 +22,7 @@ workers take the items in chunks and read a stop flag.
 
 from __future__ import annotations
 
+import os
 import random
 import sys
 from contextlib import closing
@@ -29,7 +30,7 @@ from functools import lru_cache, reduce
 from operator import and_
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
-from . import _Record, _debug
+from . import _Record
 from .colorgraph import ColorGraph
 from .formula import Formula, evaluate
 
@@ -163,10 +164,6 @@ class _ConstraintBits:
         at: dict = {}  # (v, c): its index in distinct
         self.literals = [tuple(at.setdefault(x, len(at)) for x in con.literals) for con in f.constraints]
         self.distinct = [(c, *self.place[v - 1], rows[v - 1]) for v, c in at]
-        _debug(
-            __name__, "constraint state n=%d d=%d m=%d: %d groups of %d, %d table entries, %d table bytes",
-            f.n, f.d, f.m, len(self.tables), g, sum(map(len, self.tables)), self.table_bytes,
-        )
 
     def index(self, alpha: Sequence[int]) -> list[int]:
         """The per-group table indices of coloring alpha."""
@@ -346,12 +343,14 @@ def _run_chunks(items: Sequence, args: tuple, jobs: int, run: Optional[Callable]
     args = (make, formula, out, arg) builds run (_runner). In process (jobs
     == 1, or a single chunk) this is map(run, items), run being built here
     unless given; the caller stops it by closing the generator. Otherwise up
-    to `jobs` processes each build run once and take chunks of items (sent as
-    items alone), read back in order, so the caller sees the same results for
+    to `jobs` processes, one per CPU at most since the pool starts them all
+    at once, each build run once and take chunks of items (sent as items
+    alone), read back in order, so the caller sees the same results for
     every `jobs`. Closing the generator then cancels the chunks not started
     and sets a stop flag the workers check before each item, so running
     chunks end early; their results are never read.
     """
+    jobs = min(jobs, os.cpu_count() or 1)
     chunks = _chunked(items, jobs) if jobs > 1 else ()
     if len(chunks) <= 1:
         yield from map(run or _runner(*args), items)
@@ -410,7 +409,7 @@ def schoening_solve(
     default 3(d-1) (the classic 3n for d = 2).
 
     rng (a seed or random.Random) draws one block of random bytes per walk
-    with randbytes, in restart order, and the walk reads its draws from it,
+    (randbytes' bytes), in restart order, and the walk reads its draws from it,
     W bytes each (one unless a draw has more than 256 options), redrawing a
     value past the largest multiple of the option count. A step draws its
     (literal, out-neighbor) pair in one draw, among the options of all the

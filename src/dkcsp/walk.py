@@ -18,9 +18,9 @@ from typing import Callable, Iterator, Sequence, Union
 from .formula import Formula
 from .search import _ConstraintBits, _kernel
 
-_BLOCK_BYTES = (2**31 - 1) // 8  # the most randbytes draws at once: 8 bits a byte in a C int
+_BLOCK_BYTES = (2**31 - 1) // 8  # the most bytes one restart's block may take: its memory bound
 _WALK = """
-def make(tables, picks, start, draws, steps, coloring, Random):
+def make(tables, picks, start, draws, steps, coloring, Random, random_block):
     def redraw(table, block, p, spare):
         # the draw before p was rejected: draw until one is accepted, doubling
         # the block with bytes seeded by it once the redraws use up its spare
@@ -28,7 +28,7 @@ def make(tables, picks, start, draws, steps, coloring, Random):
             spare -= 1
             if spare < 0:
                 spare += len(block) // WIDTH
-                block += Random(block).randbytes(len(block))
+                block += random_block(Random(block), len(block))
             x = table[READ]
             p += WIDTH
             if x >= 0:
@@ -160,7 +160,16 @@ def _walker(state: _ConstraintBits, out: tuple[tuple[int, ...], ...], steps: int
         picks.append((_Spread(mine, lcm) if width > 1 else sum(mine, ()), counts[len(lits)]))
     read = "block[p]" if width == 1 else f'int.from_bytes(block[p : p + {width}], "little")'
     make = _kernel(_WALK.replace("READ", read).replace("WIDTH", str(width)), len(state.tables))
-    return make(state.tables, picks, start, n + steps, steps, state.coloring, random.Random)
+    return make(state.tables, picks, start, n + steps, steps, state.coloring, random.Random, _random_block)
+
+
+def _random_block(rng: random.Random, size: int) -> bytearray:
+    """rng.randbytes(size), drawn 1 MiB (whole 32-bit words) at a time into one
+    buffer: the same bytes, without randbytes' integer of 8 * size bits."""
+    block = bytearray(size)
+    for lo in range(0, size, 1 << 20):
+        block[lo : lo + (1 << 20)] = rng.randbytes(min(1 << 20, size - lo))
+    return block
 
 
 class _Restarts:
@@ -187,9 +196,9 @@ class _Restarts:
         rng = random.Random()
         rng.setstate(self.rng.getstate())
         for _ in range(lo):
-            rng.randbytes(self.size)
+            _random_block(rng, self.size)
         return _Restarts(rng, max(lo, hi) - lo, self.size)
 
-    def __iter__(self) -> Iterator[bytes]:
-        randbytes, size = self.rng.randbytes, self.size
-        return (randbytes(size) for _ in range(self.count))
+    def __iter__(self) -> Iterator[bytearray]:
+        rng, size = self.rng, self.size
+        return (_random_block(rng, size) for _ in range(self.count))

@@ -1,4 +1,3 @@
-import logging
 import os
 import subprocess
 import sys
@@ -8,8 +7,8 @@ import pytest
 
 from dkcsp import formula, search
 from dkcsp.cli import main
-from dkcsp.covercode import build_code, product_code
-from dkcsp.colorgraph import directed_cycle
+from dkcsp.covercode import plan_blocks, product_code
+from dkcsp.colorgraph import complete, directed_cycle
 from dkcsp.formula import brute_force_solve, generate_random, parse_instance, serialize_instance
 
 from cover_oracle import verify_cover
@@ -118,6 +117,25 @@ class TestSolve:
         captured = capsys.readouterr()
         assert (rc, captured.out) == (0, "s UNKNOWN\n")
         assert "reps=5 " in captured.err
+
+    @pytest.mark.parametrize("graph", ["complete", "cycle"])
+    def test_verbose_det_prints_its_plan(self, instance, capsys, graph):
+        # n = 6 under a cap of 27 is two blocks of 3: one code: line, then stats:
+        blocks = plan_blocks(complete(3) if graph == "complete" else directed_cycle(3), 6, 3, 27)
+        sizes, radii = (",".join(map(str, column)) for column in zip(*blocks))
+        rc = main(["solve", "--graph", graph, "--block-cap", "27", "-v", str(instance)])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 10
+        assert len(blocks) == 2
+        assert [line.split(" ")[0] for line in err] == ["code:", "stats:"]
+        assert err[0] == f"code: blocks={sizes} radii={radii}"
+
+    @pytest.mark.parametrize("method", ["schoening", "brute"])
+    def test_verbose_walk_and_brute_print_no_plan(self, instance, capsys, method):
+        rc = main(["solve", "--method", method, "--seed", "1", "-v", str(instance)])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 10
+        assert [line.split(" ")[0] for line in err] == ["stats:"]
 
     def test_verify_oracle(self, instance, capsys):
         rc = main(["solve", "--method", "det", "--verify-oracle",
@@ -328,7 +346,6 @@ class TestPredict:
         assert "schoening 2.000000" in out
         assert "det-complete 2.250000" in out
         assert "det-cycle 2.076923" in out
-        assert "recommended cycle" in out
 
     def test_recommends_complete_for_d2(self, capsys):
         # at d = 2 the two bases coincide
@@ -336,14 +353,12 @@ class TestPredict:
         out = capsys.readouterr().out.splitlines()
         assert rc == 0
         assert "det-complete 1.500000 (3/2)" in out and "det-cycle 1.500000 (3/2)" in out
-        assert out[-1] == "recommended complete"
 
     def test_recommends_cycle_for_d3(self, capsys):
         rc = main(["predict", "--d", "3", "--k", "3"])
         out = capsys.readouterr().out.splitlines()
         assert rc == 0
         assert "det-complete 2.250000 (9/4)" in out and "det-cycle 2.076923 (27/13)" in out
-        assert out[-1] == "recommended cycle"
 
     def test_with_graph(self, capsys):
         rc = main(["predict", "--d", "4", "--k", "3", "--graph", "hypercube"])
@@ -352,11 +367,11 @@ class TestPredict:
         assert "det-graph 2.938776" in out
 
     def test_graph_base_included(self, capsys):
-        # the hypercube row comes after the three fixed rows, before the recommendation
+        # the hypercube row comes last, after the three fixed rows
         rc = main(["predict", "--d", "4", "--k", "3", "--graph", "hypercube"])
         out = capsys.readouterr().out.splitlines()
         assert rc == 0
-        assert out[-2] == "det-graph 2.938776 (144/49)"
+        assert out[-1] == "det-graph 2.938776 (144/49)"
 
 
 class TestMarkov:
@@ -485,38 +500,10 @@ class TestUsage:
         assert capsys.readouterr().out == ""
 
 
-@pytest.fixture
-def restore_logging():
-    root = logging.getLogger()
-    saved = root.level, root.handlers[:]
-    yield
-    root.setLevel(saved[0])
-    root.handlers[:] = saved[1]
-
-
 class TestLogLevel:
     ARGS = ["code", "--graph", "cycle", "--d", "3", "--n", "5", "--k", "3", "--block-cap", "243"]
 
-    def test_debug_reaches_covercode(self, capsys, restore_logging):
-        build_code.cache_clear()
-        assert main(self.ARGS) == 0
-        plain = capsys.readouterr()
-        build_code.cache_clear()
-        assert main(self.ARGS + ["--log-level", "debug"]) == 0
-        logged = capsys.readouterr()
-        assert logged.out == plain.out
-        assert plain.err == ""
-        assert "DEBUG dkcsp.covercode: greedy cover d=3 n=5" in logged.err
-        assert "(1458 gain updates)" in logged.err
-        assert "DEBUG dkcsp.covercode: code d=3 n=5 k=3" in logged.err
-
-    def test_debug_reports_constraint_state(self, instance, capsys, restore_logging):
-        argv = ["solve", "--method", "schoening", "--reps", "1", "--seed", "1", str(instance)]
-        assert main(argv + ["--log-level", "debug"]) == 10
-        # n = 6 at d = 3 needs two groups (4^6 > 2^10), so two of 3 with 4^3 entries each
-        assert ("DEBUG dkcsp.search: constraint state n=6 d=3 m=10: 2 groups of 3, "
-                "128 table entries") in capsys.readouterr().err
-
     def test_rejects_unknown_level(self, capsys):
-        assert main(self.ARGS + ["--log-level", "loud"]) == 1
+        # the flag is gone from every subcommand
+        assert main(self.ARGS + ["--log-level", "debug"]) == 1
         assert capsys.readouterr().out == ""

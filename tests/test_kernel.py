@@ -695,6 +695,26 @@ class TestWalkDraws:
         result = schoening_solve(f, g, 4, rng=1)
         assert (result.status, result.stats.repetitions) == ("unknown", 4)
 
+    @pytest.mark.parametrize("size", [0, 5, (1 << 20) - 4, 1 << 20, (1 << 20) + 3, (3 << 20) + 8])
+    def test_blocks_drawn_in_pieces_are_randbytes(self, size):
+        # below, at and above one 1 MiB piece: the same bytes, and the
+        # generator left where randbytes leaves it
+        rng, whole = random.Random(size), random.Random(size)
+        assert walk._random_block(rng, size) == whole.randbytes(size)
+        assert rng.getrandbits(64) == whole.getrandbits(64)
+
+    def test_block_draw_peaks_near_its_size(self):
+        # randbytes builds an integer of 8 * size bits first: about 2x
+        size = 30_000_000
+        tracemalloc.start()
+        try:
+            block = walk._random_block(random.Random(1), size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(block) == size
+        assert peak < 1.1 * size
+
     def test_jobs_with_walks_past_their_block(self, monkeypatch):
         # blocks cut to the start and step draws alone, so a walk that redraws
         # more than the word's rounding allows goes on with bytes seeded by its block

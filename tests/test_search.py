@@ -586,6 +586,7 @@ class TestStopFlag:
         import concurrent.futures
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)  # so the chunks, not the CPUs, cap the pool
         sizes = []
         monkeypatch.setattr(InlinePool, "sizes", sizes)
         # two one-coordinate blocks of 3 codewords: the first row's 3 balls
@@ -599,6 +600,21 @@ class TestStopFlag:
         monkeypatch.undo()
         assert pooled == schoening_solve(generate_random(*UNSAT), g, 5, rng=4)
         assert sizes == [6, 5]
+
+    def test_pool_size_capped_by_cpus(self, monkeypatch):
+        # a large jobs asks for no more workers than CPUs: the pool would start
+        # them all at its first submit. InlinePool starts no process.
+        import concurrent.futures
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        sizes = []
+        monkeypatch.setattr(InlinePool, "sizes", sizes)
+        f, g = generate_random(*UNSAT), directed_cycle(3)
+        pooled = det_solve(f, g, block_cap=729, jobs=1000), schoening_solve(f, g, 100, rng=4, jobs=1000)
+        monkeypatch.undo()
+        assert pooled == (det_solve(f, g, block_cap=729), schoening_solve(f, g, 100, rng=4))
+        assert sizes == [3, 3]
 
     def test_spawn_start_method_matches_serial(self):
         root = Path(__file__).resolve().parent.parent

@@ -66,8 +66,8 @@ print(json.dumps({"code": code, "added": sorted(added), "loaded": [m for m in %(
                   "active": threading.active_count()}))
 """
 BUILDING = {"dkcsp.analysis", "dkcsp.covercode", "dkcsp.volume"}
-# standard-library modules no solve path needs: records, debug output and
-# radius selection do without them
+# standard-library modules no solve path needs: records and radius selection
+# do without them, and nothing logs
 UNNEEDED = {"dataclasses", "logging", "fractions", "inspect"}
 
 
@@ -197,26 +197,6 @@ def test_threaded_markov_leaves_one_thread():
     assert report["active"] == 1  # every chunk thread was joined
     if sys.platform.startswith("linux"):
         assert report["threads"] == 1  # and has left the process
-
-
-def test_configured_logging_still_gets_debug_records(unsat_instance):
-    # a library caller that configures logging before solving sees the
-    # records as before, though dkcsp itself never imports logging
-    script = (
-        "import logging, sys\n"
-        "logging.basicConfig(level=logging.DEBUG)\n"
-        "from dkcsp.colorgraph import directed_cycle\n"
-        "from dkcsp.formula import parse_instance\n"
-        "from dkcsp.search import det_solve\n"
-        "with open(sys.argv[1]) as fh:\n"
-        "    f = parse_instance(fh.read())\n"
-        "print(det_solve(f, directed_cycle(3), block_cap=81).status)\n"
-    )
-    proc = run_python(script, unsat_instance)
-    assert (proc.returncode, proc.stdout) == (0, "unsat\n"), proc.stderr
-    assert "DEBUG:dkcsp.search:constraint state n=6 d=3" in proc.stderr
-    assert "DEBUG:dkcsp.covercode:greedy cover d=3 n=3 " in proc.stderr
-    assert "DEBUG:dkcsp.covercode:code d=3 n=6 " in proc.stderr
 
 
 @pytest.fixture(scope="module")
