@@ -40,10 +40,7 @@ def _graph_from_flag(name: str, d: int) -> ColorGraph:
     if name.startswith("file:"):
         path = name[len("file:") :]
         with open(path, encoding="utf-8") as fh:
-            g = parse_graph_file(fh.read())
-        if g.d != d:
-            raise ValueError(f"graph file has {g.d} colors, expected {d}")
-        return g
+            return parse_graph_file(fh.read(), d)
     raise ValueError(f"unknown graph {name!r} (complete|cycle|hypercube|file:<path>)")
 
 
@@ -99,7 +96,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.method == "det":
         result = search.det_solve(f, g, block_cap=args.block_cap, jobs=args.jobs)
     elif args.method == "schoening":
-        search.check_walk(f, g, args.reps, args.steps_mult, args.jobs)  # before the seed is printed
+        from .walk import check_walk
+
+        check_walk(f, g, args.reps, args.steps_mult, args.jobs)  # before the seed is printed
         seed = _resolve_seed(args.seed)
         result = search.schoening_solve(
             f, g, args.reps, steps_multiplier=args.steps_mult, rng=seed, jobs=args.jobs

@@ -89,23 +89,19 @@ class ColorGraph(_Record):
     def distances(self) -> tuple[tuple[Optional[int], ...], ...]:
         """BFS shortest-path lengths between all color pairs; None if unreachable.
 
-        Computed on first use and kept."""
+        Computed on first use and kept; each BFS stops once it has reached every color."""
         if self._distances is None:
             rows = []
             for src in range(1, self.d + 1):
                 dist: list[Optional[int]] = [None] * self.d
                 dist[src - 1] = 0
-                frontier = [src]
-                step = 0
-                while frontier:
+                step, frontier, reached = 0, [src], 1
+                while frontier and reached < self.d:
                     step += 1
-                    nxt = []
-                    for u in frontier:
-                        for v in self.out[u - 1]:
-                            if dist[v - 1] is None:
-                                dist[v - 1] = step
-                                nxt.append(v)
-                    frontier = nxt
+                    frontier = {v for u in frontier for v in self.out[u - 1] if dist[v - 1] is None}
+                    for v in frontier:
+                        dist[v - 1] = step
+                    reached += len(frontier)
                 rows.append(tuple(dist))
             self._distances = tuple(rows)
         return self._distances
@@ -151,31 +147,40 @@ def from_edges(d: int, edges: Iterable[tuple[int, int]]) -> ColorGraph:
     return ColorGraph(d, tuple(tuple(sorted(s)) for s in nbrs))
 
 
-def parse_graph_file(text: str) -> ColorGraph:
-    """Parse the custom graph format: header "g <d>", then one "u v" line per
-    edge, numbers in ASCII decimal digits."""
-    d: Optional[int] = None
+def parse_graph_file(text: str, d: int) -> ColorGraph:
+    """Parse the custom graph format for d colors: header "g <d>", then one
+    "u v" line per edge, numbers in ASCII decimal digits. Each error names its
+    line; the header's count is checked before any edge is read."""
+    header = False
     edges: list[tuple[int, int]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line == "c" or line.startswith("c "):
             continue
         tokens = line.split()
-        header = d is None
-        if header and (len(tokens) != 2 or tokens[0] != "g"):
-            raise ValueError(f"line {line_no}: expected header 'g <d>', got {raw!r}")
+        if not header:
+            if len(tokens) != 2 or tokens[0] != "g":
+                raise ValueError(f"line {line_no}: expected header 'g <d>', got {raw!r}")
+            try:
+                (count,) = _decimals(tokens[1])
+            except ValueError:
+                raise ValueError(f"line {line_no}: non-integer color count in header {raw!r}") from None
+            if count != d:
+                raise ValueError(f"line {line_no}: graph file has {count} colors, expected {d}")
+            header = True
+            continue
         if len(tokens) != 2:
             raise ValueError(f"line {line_no}: expected edge 'u v', got {raw!r}")
         try:
-            values = _decimals(tokens[1] if header else line)
+            u, v = _decimals(line)
         except ValueError:
-            what = "color count in header" if header else "token in edge line"
-            raise ValueError(f"line {line_no}: non-integer {what} {raw!r}") from None
-        if header:
-            (d,) = values
-        else:
-            edges.append(tuple(values))
-    if d is None:
+            raise ValueError(f"line {line_no}: non-integer token in edge line {raw!r}") from None
+        if not (1 <= u <= d and 1 <= v <= d):
+            raise ValueError(f"line {line_no}: edge ({u},{v}) out of range 1..{d}")
+        if u == v:
+            raise ValueError(f"line {line_no}: self-loop at color {u}")
+        edges.append((u, v))
+    if not header:
         raise ValueError("missing 'g <d>' header")
     return from_edges(d, edges)
 

@@ -7,7 +7,7 @@ takes one path for every code: it loads covercode, searches the balls of
 the code's first row while the code is being built, and only when that row
 holds no witness finishes the code and searches the rest (in the process
 pool when jobs > 1). The randomized solver is the classic multi-restart
-random walk, generalized to move along graph edges; its kernel and its
+random walk, generalized to move along graph edges; its checks, kernel and
 draws, from one block of random bytes per restart, are in walk. Both find
 the first unsatisfied constraint with one shared state (_ConstraintBits):
 bitset tables precomputed per group of consecutive variables, so a
@@ -28,7 +28,7 @@ import sys
 from contextlib import closing
 from functools import lru_cache, reduce
 from operator import and_
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from . import _Record
 from .colorgraph import ColorGraph
@@ -37,12 +37,9 @@ from .formula import Formula, evaluate
 __all__ = [
     "SearchStats",
     "SolveResult",
-    "check_walk",
     "det_solve",
     "schoening_solve",
 ]
-
-RngLike = Union[random.Random, int, None]
 
 
 class SearchStats(_Record):
@@ -63,12 +60,6 @@ class SolveResult(NamedTuple):
     status: str
     assignment: Optional[tuple[int, ...]]
     stats: SearchStats
-
-
-def _as_rng(rng: RngLike) -> random.Random:
-    if isinstance(rng, random.Random):
-        return rng
-    return random.Random(rng)
 
 
 _TABLE_ENTRIES = 1 << 10  # most entries one group table may hold: (d+1)^g <= 2^10
@@ -371,32 +362,12 @@ def _run_chunks(items: Sequence, args: tuple, jobs: int, run: Optional[Callable]
         pool.shutdown(cancel_futures=True)
 
 
-def check_walk(
-    f: Formula, g: ColorGraph, repetitions: int, steps_multiplier: Optional[int] = None, jobs: int = 1
-) -> int:
-    """Raise ValueError unless schoening_solve can draw and run these walks; return their steps."""
-    from .walk import _block_size
-
-    _check_jobs(jobs)
-    if repetitions < 1:
-        raise ValueError("repetitions must be at least 1")
-    _check_graph(f, g)
-    for c, nbrs in enumerate(g.out, start=1):
-        if not nbrs:
-            raise ValueError(f"color {c} has no out-neighbor; random walk would get stuck")
-    if steps_multiplier is not None and steps_multiplier < 0:
-        raise ValueError("steps multiplier must be nonnegative")
-    steps = (3 * (f.d - 1) if steps_multiplier is None else steps_multiplier) * f.n
-    _block_size(f, g.out, steps)  # raises ValueError if a restart's block is over its bound
-    return steps
-
-
 def schoening_solve(
     f: Formula,
     g: ColorGraph,
     repetitions: int,
     steps_multiplier: Optional[int] = None,
-    rng: RngLike = None,
+    rng: Optional[int] = None,
     jobs: int = 1,
 ) -> SolveResult:
     """Repeat a random walk from independent random starts.
@@ -408,21 +379,22 @@ def schoening_solve(
     color uniform among the d-1 others). Walk length is steps_multiplier * n,
     default 3(d-1) (the classic 3n for d = 2).
 
-    rng (a seed or random.Random) draws one block of random bytes per walk
-    (randbytes' bytes), in restart order, and the walk reads its draws from it,
-    W bytes each (one unless a draw has more than 256 options), redrawing a
-    value past the largest multiple of the option count. A step draws its
-    (literal, out-neighbor) pair in one draw, among the options of all the
-    constraint's literals, each literal holding each out-neighbor of its
-    color L/delta times (L the lcm of the out-degrees). The block holds the
-    n + steps draws and spare ones for redraws; a walk whose redraws use up
-    the spare goes on with bytes from random.Random seeded by its block.
-    Results are reproducible given a seed, independently of `jobs`.
+    random.Random(rng), rng an int seed or None, draws one block of random
+    bytes per walk (randbytes' bytes), in restart order, and the walk reads
+    its draws from it, W bytes each (one unless a draw has more than 256
+    options), redrawing a value past the largest multiple of the option
+    count. A step draws its (literal, out-neighbor) pair in one draw, among
+    the options of all the constraint's literals, each literal holding each
+    out-neighbor of its color L/delta times (L the lcm of the out-degrees).
+    The block holds the n + steps draws and spare ones for redraws; a walk
+    whose redraws use up the spare goes on with bytes from random.Random
+    seeded by its block. Results are reproducible given a seed,
+    independently of `jobs`. walk.check_walk states what is refused.
     """
-    from .walk import _Restarts, _block_size, _walker
+    from .walk import _Restarts, _walker, check_walk
 
-    steps = check_walk(f, g, repetitions, steps_multiplier, jobs)
-    restarts = _Restarts(_as_rng(rng), repetitions, _block_size(f, g.out, steps))
+    steps, size = check_walk(f, g, repetitions, steps_multiplier, jobs)
+    restarts = _Restarts(random.Random(rng), repetitions, size)
     stats = SearchStats()
     with closing(_run_chunks(restarts, (_walker, f, g.out, steps), jobs)) as results:
         for witness, used in results:

@@ -1,22 +1,24 @@
-"""The random walk's kernel and how it draws from one block of bytes per restart.
+"""The random walk's setup, its kernel and its draws from one block of bytes per restart.
 
-search.schoening_solve states the walk and its draws; this module builds
-what it runs. Each walk reads its draws from a block of random bytes,
-W bytes a draw, and looks each one up in the table of its option count, so
-a step costs one read and one lookup. The master generator draws the
-blocks in restart order (_Restarts), so a seed gives the same walks
-however many processes run them. The walk is kept apart from the ball
-search so that a det solve never loads its code.
+search.schoening_solve runs the walks and states their draws; this module
+checks them (check_walk: the length default, the stuck-color rule and the
+block bound) and builds what they run. Each walk reads its draws from a
+block of random bytes, W bytes a draw, and looks each one up in the table
+of its option count, so a step costs one read and one lookup. The master
+generator draws the blocks in restart order (_Restarts), so a seed gives
+the same walks however many processes run them. The walk is kept apart
+from the ball search so that a det solve never loads its code.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
+from .colorgraph import ColorGraph
 from .formula import Formula
-from .search import _ConstraintBits, _kernel
+from .search import _check_graph, _check_jobs, _ConstraintBits, _kernel
 
 _BLOCK_BYTES = (2**31 - 1) // 8  # the most bytes one restart's block may take: its memory bound
 _WALK = """
@@ -87,6 +89,24 @@ def _block_size(f: Formula, out: tuple[tuple[int, ...], ...], steps: int) -> int
     if size > _BLOCK_BYTES:
         raise ValueError(f"a {steps}-step walk's block is over {_BLOCK_BYTES} bytes; lower --steps-mult")
     return size
+
+
+def check_walk(
+    f: Formula, g: ColorGraph, repetitions: int, steps_multiplier: Optional[int] = None, jobs: int = 1
+) -> tuple[int, int]:
+    """Raise ValueError unless schoening_solve can draw and run these walks;
+    return their steps and the bytes of each one's block."""
+    _check_jobs(jobs)
+    if repetitions < 1:
+        raise ValueError("repetitions must be at least 1")
+    _check_graph(f, g)
+    for c, nbrs in enumerate(g.out, start=1):
+        if not nbrs:
+            raise ValueError(f"color {c} has no out-neighbor; random walk would get stuck")
+    if steps_multiplier is not None and steps_multiplier < 0:
+        raise ValueError("steps multiplier must be nonnegative")
+    steps = (3 * (f.d - 1) if steps_multiplier is None else steps_multiplier) * f.n
+    return steps, _block_size(f, g.out, steps)
 
 
 class _WideTable:

@@ -10,6 +10,7 @@ constraint writes a constraint as its (var, color) pairs.
 """
 
 import math
+import random
 from fractions import Fraction
 from functools import reduce
 from operator import and_
@@ -18,16 +19,8 @@ from typing import Optional, Sequence
 from dkcsp.analysis import base_for_graph, solve_lambda
 from dkcsp.colorgraph import ColorGraph, DistanceProfile, directed_cycle, profile
 from dkcsp.formula import Constraint, Formula, Literal
-from dkcsp.search import (
-    RngLike,
-    SearchStats,
-    _as_rng,
-    _check_graph,
-    _ball_searcher,
-    _ConstraintBits,
-    check_walk,
-)
-from dkcsp.walk import _block_size, _walker
+from dkcsp.search import SearchStats, _check_graph, _ball_searcher, _ConstraintBits
+from dkcsp.walk import _block_size, _walker, check_walk
 from dkcsp.volume import select_radius, shell_counts
 
 
@@ -94,7 +87,7 @@ def schoening_run(
     f: Formula,
     g: ColorGraph,
     steps: int,
-    rng: RngLike,
+    rng: random.Random,
     stats: Optional[SearchStats] = None,
 ) -> Optional[tuple[int, ...]]:
     """One random-walk run of at most `steps` re-coloring steps.
@@ -110,7 +103,7 @@ def schoening_run(
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     check_walk(f, g, 1)
-    block = _as_rng(rng).randbytes(_block_size(f, g.out, steps))
+    block = rng.randbytes(_block_size(f, g.out, steps))
     witness, taken = _walker(_ConstraintBits(f), g.out, steps)(block)
     if stats is not None:
         stats.steps += taken

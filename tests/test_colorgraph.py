@@ -1,6 +1,7 @@
 import itertools
 import pickle
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -112,6 +113,21 @@ class TestDistances:
         for c1, c2 in itertools.permutations(range(1, 5), 2):
             assert color_distance(g, c1, c2) == 1
 
+    def test_random_digraphs_match_bfs_oracle(self):
+        # each BFS stops once every color is reached; sparse draws leave
+        # some graphs disconnected, their unreached colors None
+        rng = random.Random(23)
+        disconnected = 0
+        for _ in range(300):
+            d, p = rng.randint(1, 9), rng.uniform(0.05, 0.6)
+            g = from_edges(d, [(u, v) for u in range(1, d + 1) for v in range(1, d + 1)
+                               if u != v and rng.random() < p])
+            for src in range(1, d + 1):
+                oracle = bfs_distances(g.out, src)
+                assert g.distances[src - 1] == tuple(oracle.get(dst) for dst in range(1, d + 1))
+            disconnected += any(None in row for row in g.distances)
+        assert 0 < disconnected < 300
+
     def test_disconnected_has_none(self):
         g = from_edges(3, [(1, 2)])
         assert color_distance(g, 1, 2) == 1
@@ -197,23 +213,23 @@ class TestAssignmentDistance:
 class TestGraphFile:
     def test_roundtrip(self):
         text = "g 3\n1 2\n2 3\n3 1\n"
-        g = parse_graph_file(text)
+        g = parse_graph_file(text, 3)
         assert g.out == directed_cycle(3).out
 
     def test_missing_header(self):
         with pytest.raises(ValueError, match="header"):
-            parse_graph_file("1 2\n")
+            parse_graph_file("1 2\n", 3)
 
     def test_comment_only_is_missing_header(self):
         with pytest.raises(ValueError, match="missing 'g <d>' header"):
-            parse_graph_file("c no graph here\n")
+            parse_graph_file("c no graph here\n", 3)
 
     def test_comment_before_header_skipped(self):
-        assert parse_graph_file("c a cycle\ng 3\n1 2\n2 3\n3 1\n").out == directed_cycle(3).out
+        assert parse_graph_file("c a cycle\ng 3\n1 2\n2 3\n3 1\n", 3).out == directed_cycle(3).out
 
     def test_bad_edge(self):
         with pytest.raises(ValueError, match="line 2"):
-            parse_graph_file("g 2\n1 2 3\n")
+            parse_graph_file("g 2\n1 2 3\n", 2)
 
     @pytest.mark.parametrize("text,message", [
         ("g 3\n1 x\n", "line 2: non-integer token in edge line '1 x'"),
@@ -222,7 +238,7 @@ class TestGraphFile:
     ], ids=["edge", "header", "float-edge"])
     def test_non_integer_names_its_line(self, text, message):
         with pytest.raises(ValueError) as err:
-            parse_graph_file(text)
+            parse_graph_file(text, 3)
         assert str(err.value) == message
 
     # int() reads each of the first three: "1_0" as 10, "+1" as 1 and Arabic-Indic "٢"
@@ -231,11 +247,33 @@ class TestGraphFile:
                              ids=["underscore", "plus", "arabic-indic", "over-int-digits"])
     def test_only_ascii_decimal_digits(self, token):
         with pytest.raises(ValueError) as err:
-            parse_graph_file(f"g 3\n1 {token}\n")
+            parse_graph_file(f"g 3\n1 {token}\n", 3)
         assert str(err.value) == f"line 2: non-integer token in edge line '1 {token}'"
         with pytest.raises(ValueError) as err:
-            parse_graph_file(f"g {token}\n1 2\n")
+            parse_graph_file(f"g {token}\n1 2\n", 3)
         assert str(err.value) == f"line 1: non-integer color count in header 'g {token}'"
+
+    def test_header_checked_before_any_edge(self):
+        # a 10-byte file naming 2,000,000 colors is refused at its header,
+        # before a neighbor set is built
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as err:
+                parse_graph_file("g 2000000\n1 2\n", 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == "line 1: graph file has 2000000 colors, expected 3"
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("edge,message", [
+        ("1 5", "edge (1,5) out of range 1..3"),
+        ("1 1", "self-loop at color 1"),
+    ], ids=["out-of-range", "self-loop"])
+    def test_edge_errors_name_their_line(self, edge, message):
+        with pytest.raises(ValueError) as err:
+            parse_graph_file(f"g 3\n{edge}\n2 3\n", 3)
+        assert str(err.value) == f"line 2: {message}"
 
 
 class TestRecords:

@@ -715,6 +715,14 @@ class TestWalkDraws:
         assert len(block) == size
         assert peak < 1.1 * size
 
+    def test_restart_slices_are_contiguous(self):
+        # a slice starts where the master would be at its first restart; a
+        # pool chunk is a contiguous run, so a stepped slice is refused
+        restarts = walk._Restarts(random.Random(1), 10, 8)
+        assert [*restarts[3:5]] == [*restarts][3:5]
+        with pytest.raises(ValueError, match="contiguous"):
+            restarts[::2]
+
     def test_jobs_with_walks_past_their_block(self, monkeypatch):
         # blocks cut to the start and step draws alone, so a walk that redraws
         # more than the word's rounding allows goes on with bytes seeded by its block

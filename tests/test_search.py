@@ -30,7 +30,6 @@ from dkcsp.search import (
     SearchStats,
     SolveResult,
     _ConstraintBits,
-    check_walk,
     det_solve,
     schoening_solve,
 )
@@ -221,10 +220,10 @@ class TestSchoeningSolve:
             mid = (lo + hi) // 2
             lo, hi = (mid, hi) if fits(mid) else (lo, mid)
         assert walk._BLOCK_BYTES - 64 < walk._block_size(f, g.out, lo * f.n) <= walk._BLOCK_BYTES
-        assert check_walk(f, g, 1, lo) == lo * f.n
+        assert walk.check_walk(f, g, 1, lo) == (lo * f.n, walk._block_size(f, g.out, lo * f.n))
         for c in (hi, 10**400):  # a float cannot hold 10^400 steps: refused all the same
             with pytest.raises(ValueError, match="--steps-mult"):
-                check_walk(f, g, 1, c)
+                walk.check_walk(f, g, 1, c)
             with pytest.raises(ValueError, match="--steps-mult"):
                 schoening_solve(f, g, 1, c, rng=1)
 
@@ -391,17 +390,17 @@ class TestJobs:
         def no_build(*args):
             raise AssertionError("covering code built before the jobs check")
 
-        class NoDraws(random.Random):
-            def getrandbits(self, k):
-                raise AssertionError("seed drawn before the jobs check")
+        def no_draw(*args):
+            raise AssertionError("walk block drawn before the jobs check")
 
         for name in ("plan_blocks", "first_row", "build_code"):
             monkeypatch.setattr(covercode, name, no_build)
+        monkeypatch.setattr(walk, "_random_block", no_draw)
         f = generate_random(18, 3, 3, 250, 1)
         with pytest.raises(ValueError, match="jobs"):
             det_solve(f, complete(3), block_cap=19683, jobs=0)
         with pytest.raises(ValueError, match="jobs"):
-            schoening_solve(f, complete(3), 5, rng=NoDraws(1), jobs=0)
+            schoening_solve(f, complete(3), 5, rng=1, jobs=0)
 
 
 class TestRecords:
@@ -417,6 +416,12 @@ class TestRecords:
                                "steps=2, max_ball_nodes=0)")
         with pytest.raises(TypeError):
             hash(stats)
+
+    def test_other_types_are_not_compared(self):
+        # __eq__ leaves a comparison with another type to the other operand
+        stats = SearchStats()
+        assert stats.__eq__((0, 0, 0, 0, 0)) is NotImplemented
+        assert stats != (0, 0, 0, 0, 0) and stats != SolveResult("unknown", None, stats)
 
     def test_solve_result(self):
         result = SolveResult("sat", (1, 2), SearchStats(balls_searched=1))
